@@ -26,8 +26,7 @@ from .spaces import (
     P0Function,
     QuadratureRule,
     SegmentRule,
-    element_points,
-    integrate_elementwise,
+    element_points,  # noqa: F401  (perfbench/tracing.py counts calls through it)
     interp_cr,
     project_p0,
     segment_rule,
@@ -48,7 +47,6 @@ __all__ = [
     "assemble_obstacle_vectors",
     "assemble_load",
     "dirichlet_dof_values",
-    "osc",
 ]
 
 DATA_PROJECTION_DEGREE = 5
@@ -253,28 +251,3 @@ def dirichlet_dof_values(mesh: Mesh, data: ProblemData,
     pts = a[:, None, :] + rule.points[None, :, None] * (b - a)[:, None, :]
     values[sides] = np.asarray(data.dirichlet_data(pts)) @ rule.weights
     return values
-
-
-# ----------------------------------------------------------------------
-# Data oscillation
-# ----------------------------------------------------------------------
-def osc(mesh: Mesh, data: ProblemData, quad: QuadratureRule | None = None):
-    """Per-element and total data oscillation ``h_T^2 ||f - f_h||_T^2``.
-
-    Exactly zero (by construction, not by quadrature) when ``f`` is constant
-    or already piecewise constant on the mesh.
-    """
-    if np.isscalar(data.f):
-        per = np.zeros(mesh.n_elements)
-        return per, 0.0
-    if isinstance(data.f, P0Function):
-        if data.f.mesh is not mesh:
-            raise AssemblyError("piecewise-constant load lives on a different mesh")
-        per = np.zeros(mesh.n_elements)
-        return per, 0.0
-    quad = quad or triangle_rule(HIGH_ORDER_DEGREE)
-    f_h = project_p0(data.f, mesh, triangle_rule(DATA_PROJECTION_DEGREE))
-    pts = element_points(mesh, quad.bary)
-    diff = np.asarray(data.f(pts)) - f_h.values[:, None]
-    per = mesh.h_elements ** 2 * integrate_elementwise(mesh, quad, diff ** 2)
-    return per, float(per.sum())

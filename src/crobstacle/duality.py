@@ -28,6 +28,7 @@ from .spaces import (
     Rt0Function,
     element_points,
     integrate_elementwise,
+    sample_data,
     segment_rule,
     triangle_rule,
 )
@@ -107,14 +108,6 @@ def energy_gap(primal, dual):
     if is_infinite(primal) or is_infinite(dual):
         return PLUS_INFINITY
     return primal - dual
-
-
-def _sample(value, points: np.ndarray) -> np.ndarray:
-    """Evaluate a scalar constant or vectorised callable on a point array."""
-    pts = np.asarray(points, dtype=float)
-    if np.isscalar(value):
-        return np.full(pts.shape[:-1], float(value))
-    return np.asarray(value(pts), dtype=float)
 
 
 # ----------------------------------------------------------------------
@@ -241,21 +234,27 @@ def energy_dual_discrete(y, f_h: P0Function, chi_h: P0Function,
 # ----------------------------------------------------------------------
 # continuous energies
 # ----------------------------------------------------------------------
-def energy_primal_continuous(mesh: Mesh, data: ProblemData, values_at,
-                             gradients_at,
-                             degree: int = HIGH_ORDER_DEGREE) -> float:
+def energy_primal_continuous(mesh: Mesh, data: ProblemData, values_on,
+                             gradients_on, degree: int = HIGH_ORDER_DEGREE,
+                             points: np.ndarray | None = None) -> float:
     """Dirichlet energy ``1/2 ||grad v||^2 - (f, v)`` by high-order quadrature.
 
-    ``values_at`` / ``gradients_at`` map point arrays of shape
-    ``(n_elements, nq, 2)`` (rows aligned with elements) to values and
-    gradients; feasibility of ``v`` is the caller's responsibility.
+    ``values_on`` / ``gradients_on`` are barycentric evaluators: called as
+    ``values_on(bary, points)`` with the rule's barycentric points
+    ``(nq, 3)`` and their element points ``(n_elements, nq, 2)``, they return
+    values ``(n_elements, nq)`` and gradients ``(n_elements, nq, 2)``.
+    ``points`` are the element points of ``triangle_rule(degree)`` when the
+    caller already built them.  Feasibility of ``v`` is the caller's
+    responsibility.
     """
     rule = triangle_rule(degree)
-    pts = element_points(mesh, rule.bary)
-    vals = np.asarray(values_at(pts), dtype=float)
-    grads = np.asarray(gradients_at(pts), dtype=float)
-    f_vals = _sample(data.f, pts)
-    density = 0.5 * (grads ** 2).sum(axis=-1) - f_vals * vals
+    if points is None:
+        points = element_points(mesh, rule.bary)
+    grads = np.asarray(gradients_on(rule.bary, points), dtype=float)
+    density = 0.5 * (grads[..., 0] ** 2 + grads[..., 1] ** 2)
+    del grads
+    density -= (sample_data(data.f, mesh, points)
+                * np.asarray(values_on(rule.bary, points), dtype=float))
     return float(integrate_elementwise(mesh, rule, density).sum())
 
 
@@ -284,8 +283,8 @@ def energy_dual_continuous(mesh: Mesh, data: ProblemData, field: DualField,
 
     rule = triangle_rule(degree)
     pts = element_points(mesh, rule.bary)
-    chi_vals = _sample(data.chi, pts)
-    f_vals = _sample(data.f, pts)
+    chi_vals = sample_data(data.chi, mesh, pts)
+    f_vals = sample_data(data.f, mesh, pts)
     div_vals = field.divergence.values[:, None]
     pairing = float(integrate_elementwise(
         mesh, rule, (div_vals + f_vals) * chi_vals).sum())

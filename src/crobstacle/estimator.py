@@ -30,6 +30,7 @@ from .spaces import (
     interp_av,
     interp_cr,
     interp_rt,
+    sample_data,
     segment_rule,
     triangle_rule,
 )
@@ -37,6 +38,7 @@ from .spaces import (
 __all__ = [
     "EstimatorError",
     "PostprocessedField",
+    "FieldSample",
     "postprocess_conforming",
     "eta_A",
     "eta_B",
@@ -62,14 +64,6 @@ class EstimatorError(Exception):
     """Invalid input to the a posteriori machinery."""
 
 
-def _sample(value, points, shape=None):
-    """Evaluate a constant or callable at physical points."""
-    if np.isscalar(value):
-        target = np.asarray(points).shape[:-1] if shape is None else shape
-        return np.full(target, float(value))
-    return np.asarray(value(points), dtype=float)
-
-
 # ----------------------------------------------------------------------
 # Conforming post-processing
 # ----------------------------------------------------------------------
@@ -80,72 +74,88 @@ class PostprocessedField:
     The nodal part is piecewise affine; where the obstacle wins, values and
     gradients switch to the obstacle branch (ties go to the affine branch,
     so constant obstacles never require an obstacle gradient).
+
+    Evaluation is barycentric: ``bary`` are rule points shared by every
+    element; ``points``, when given, are their element points from
+    :func:`element_points` (built here otherwise) and serve only to sample
+    the obstacle data.
     """
     mesh: Mesh
     nodal: VertexFunction
     data: ProblemData
 
-    # -- barycentric evaluation (shared quadrature points) ---------------
-    def values_on(self, bary, elems=None):
-        """Values at shared barycentric points; shape (n_elems, nq)."""
-        p1 = self.nodal.eval_at(bary, elems)
-        pts = element_points(self.mesh, bary, elems)
-        chi = _sample(self.data.chi, pts, shape=p1.shape)
-        return np.maximum(p1, chi)
+    def values_on(self, bary, points=None):
+        """Values at shared barycentric points; shape (n_elements, nq)."""
+        return self.sample(bary, points).values
 
-    def gradients_on(self, bary, elems=None):
+    def gradients_on(self, bary, points=None):
         """Active-branch gradients at shared barycentric points."""
-        p1 = self.nodal.eval_at(bary, elems)
-        pts = element_points(self.mesh, bary, elems)
-        chi = _sample(self.data.chi, pts, shape=p1.shape)
-        grads = self.nodal.gradient().values
-        if elems is not None:
-            grads = grads[np.asarray(elems)]
-        grads = np.broadcast_to(grads[:, None, :], p1.shape + (2,))
-        return self._blend_gradients(p1, chi, grads, pts)
+        return self.sample(bary, points).gradients()
 
-    # -- physical-point evaluation (element-aligned rows) -----------------
-    def _element_bary(self, points):
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim != 3 or pts.shape[0] != self.mesh.n_elements \
-                or pts.shape[2] != 2:
-            raise EstimatorError(
-                "expected element-aligned points of shape "
-                f"(n_elements, nq, 2), got {pts.shape}")
-        nt, nq = pts.shape[:2]
-        elems = np.repeat(np.arange(nt, dtype=np.int64), nq)
-        bary = self.mesh.barycentric_coordinates(elems, pts.reshape(-1, 2))
-        return pts, bary.reshape(nt, nq, 3)
+    def sample(self, bary, points=None) -> "FieldSample":
+        """The nodal part and the obstacle at shared barycentric points."""
+        if points is None:
+            points = element_points(self.mesh, bary)
+        return FieldSample(self, points, self.nodal.eval_at(bary),
+                           sample_data(self.data.chi, self.mesh, points))
 
-    def values_at(self, points):
-        """Values at element-aligned physical points (n_elements, nq, 2)."""
-        pts, bary = self._element_bary(points)
-        p1 = np.einsum("tj,tqj->tq", self.nodal.element_values(), bary)
-        chi = _sample(self.data.chi, pts, shape=p1.shape)
-        return np.maximum(p1, chi)
 
-    def gradients_at(self, points):
-        """Active-branch gradients at element-aligned physical points."""
-        pts, bary = self._element_bary(points)
-        p1 = np.einsum("tj,tqj->tq", self.nodal.element_values(), bary)
-        chi = _sample(self.data.chi, pts, shape=p1.shape)
-        grads = np.broadcast_to(self.nodal.gradient().values[:, None, :],
-                                p1.shape + (2,))
-        return self._blend_gradients(p1, chi, grads, pts)
+@dataclass(frozen=True)
+class FieldSample:
+    """A post-processed field on one set of element points.
 
-    def _blend_gradients(self, p1, chi, p1_grads, pts):
-        active = chi > p1
-        if not active.any():
-            return np.array(p1_grads, dtype=float)
-        if np.isscalar(self.data.chi):
-            obstacle = np.zeros(p1_grads.shape)
-        elif self.data.chi_grad is None:
+    ``p1`` is the nodal part ``(n_elements, nq)`` and ``chi`` the obstacle
+    as :func:`sample_data` returns it (a float for a constant obstacle).
+    """
+    field: PostprocessedField
+    points: np.ndarray
+    p1: np.ndarray
+    chi: object
+
+    @property
+    def values(self) -> np.ndarray:
+        return np.maximum(self.p1, self.chi)
+
+    @property
+    def excess(self) -> np.ndarray:
+        """``v - chi``, the field's height above the obstacle."""
+        return np.maximum(self.p1 - self.chi, 0.0)
+
+    def gradients(self) -> np.ndarray:
+        """Active-branch gradients ``(n_elements, nq, 2)``."""
+        nodal = self.field.nodal.gradient().values
+        grads = np.repeat(nodal[:, None, :], self.p1.shape[1], axis=1)
+        active = self.chi > self.p1
+        if active.any():
+            grads[active] = self._obstacle_gradients(active)
+        return grads
+
+    def gradient_error_sq(self, reference: np.ndarray) -> np.ndarray:
+        """``|grad v - reference|^2`` for a per-element ``reference`` (n_elements, 2).
+
+        The affine branch is squared once per element and broadcast; only
+        points on the obstacle branch are evaluated one by one.
+        """
+        nodal = self.field.nodal.gradient().values
+        per_elem = ((nodal - reference) ** 2).sum(axis=1)
+        out = np.repeat(per_elem[:, None], self.p1.shape[1], axis=1)
+        active = self.chi > self.p1
+        if active.any():
+            rows = np.nonzero(active)[0]
+            out[active] = ((self._obstacle_gradients(active)
+                            - reference[rows]) ** 2).sum(axis=1)
+        return out
+
+    def _obstacle_gradients(self, active) -> np.ndarray:
+        """Obstacle gradients ``(k, 2)`` at the ``k`` active points."""
+        data = self.field.data
+        if not callable(data.chi):   # constant or piecewise constant
+            return np.zeros((int(active.sum()), 2))
+        if data.chi_grad is None:
             raise EstimatorError(
                 "the obstacle is active on the post-processed field but the "
                 "problem data carries no obstacle gradient")
-        else:
-            obstacle = np.asarray(self.data.chi_grad(pts), dtype=float)
-        return np.where(active[..., None], obstacle, p1_grads)
+        return np.asarray(data.chi_grad(self.points[active]), dtype=float)
 
 
 def postprocess_conforming(u: CrFunction, data: ProblemData) -> PostprocessedField:
@@ -162,26 +172,30 @@ def postprocess_conforming(u: CrFunction, data: ProblemData) -> PostprocessedFie
 # ----------------------------------------------------------------------
 # Estimator contributions (per-element squared values)
 # ----------------------------------------------------------------------
-def eta_A(v: PostprocessedField, u: CrFunction, rule=None) -> np.ndarray:
-    """Per-element squared flux discrepancy ``|grad v - grad_h u|^2``."""
+def eta_A(v: PostprocessedField, u: CrFunction, rule=None,
+          sample: FieldSample | None = None) -> np.ndarray:
+    """Per-element squared flux discrepancy ``|grad v - grad_h u|^2``.
+
+    ``sample`` is ``v`` sampled on the points of ``rule``, when the caller
+    shares one pass between several parts.
+    """
     rule = rule or triangle_rule(HIGH_ORDER_DEGREE)
-    gv = v.gradients_on(rule.bary)
-    gu = u.gradient().values[:, None, :]
-    return integrate_elementwise(v.mesh, rule, ((gv - gu) ** 2).sum(axis=-1))
+    sample = sample or v.sample(rule.bary)
+    return integrate_elementwise(
+        v.mesh, rule, sample.gradient_error_sq(u.gradient().values))
 
 
 def eta_B(v: PostprocessedField, multiplier: P0Function, data: ProblemData,
-          rule=None) -> np.ndarray:
+          rule=None, sample: FieldSample | None = None) -> np.ndarray:
     """Per-element complementarity discrepancy ``(-mult)·|T|·mean(v - chi)``.
 
     Requires a nonpositive multiplier and ``v >= chi``; any per-element
     value below ``-1e-12`` signals a violated precondition and raises.
+    ``data`` must be the data ``v`` was post-processed with.
     """
     rule = rule or triangle_rule(HIGH_ORDER_DEGREE)
-    vals = v.values_on(rule.bary)
-    pts = element_points(v.mesh, rule.bary)
-    chi = _sample(data.chi, pts, shape=vals.shape)
-    gap = integrate_elementwise(v.mesh, rule, vals - chi)
+    sample = sample or v.sample(rule.bary)
+    gap = integrate_elementwise(v.mesh, rule, sample.excess)
     per_element = (-multiplier.values) * gap
     worst = float(per_element.min(initial=0.0))
     if worst < -1e-12:
@@ -199,15 +213,18 @@ def eta_C(multiplier: P0Function, f_h: P0Function, mesh: Mesh) -> np.ndarray:
 
 
 def oscillation(mesh: Mesh, data: ProblemData, f_h: P0Function,
-                rule=None) -> np.ndarray:
-    """Per-element data oscillation ``h_T^2 * int_T (f - f_h)^2``."""
-    if np.isscalar(data.f):
-        diff_sq = (float(data.f) - f_h.values) ** 2
-        return mesh.h_elements ** 2 * diff_sq * mesh.areas
+                rule=None, points=None) -> np.ndarray:
+    """Per-element data oscillation ``h_T^2 * int_T (f - f_h)^2``.
+
+    ``points`` are the element points of ``rule`` when the caller already
+    built them.  Exactly zero (by construction, not by quadrature) when
+    ``f`` is a constant or a piecewise constant on ``mesh`` and ``f_h`` is
+    its projection; a piecewise constant on another mesh raises.
+    """
     rule = rule or triangle_rule(HIGH_ORDER_DEGREE)
-    pts = element_points(mesh, rule.bary)
-    diff_sq = (np.asarray(data.f(pts), dtype=float)
-               - f_h.values[:, None]) ** 2
+    if points is None and callable(data.f):
+        points = element_points(mesh, rule.bary)
+    diff_sq = (sample_data(data.f, mesh, points) - f_h.values[:, None]) ** 2
     return mesh.h_elements ** 2 * integrate_elementwise(mesh, rule, diff_sq)
 
 
@@ -288,15 +305,17 @@ def estimate(outcome, rule=None) -> EstimateResult:
     system = outcome.system
     data = system.data
     mesh = system.mesh
+    rule = rule or triangle_rule(HIGH_ORDER_DEGREE)
     v = postprocess_conforming(outcome.solution, data)
+    sample = v.sample(rule.bary)
     return EstimateResult(
         field=v,
         breakdown=EstimatorBreakdown(
             mesh,
-            eta_A(v, outcome.solution, rule),
-            eta_B(v, outcome.multiplier, data, rule),
+            eta_A(v, outcome.solution, rule, sample),
+            eta_B(v, outcome.multiplier, data, rule, sample),
             eta_C(outcome.multiplier, system.f_h, mesh),
-            oscillation(mesh, data, system.f_h, rule),
+            oscillation(mesh, data, system.f_h, rule, sample.points),
         ),
     )
 
@@ -335,19 +354,18 @@ def rho_reduced(v: PostprocessedField, solution: CrFunction,
             "exact solution")
 
     mesh = v.mesh
-    total = energy_primal_continuous(mesh, data, v.values_at, v.gradients_at,
-                                     degree) - float(reference_energy)
+    rule = triangle_rule(degree)
+    pts = element_points(mesh, rule.bary)
+    total = energy_primal_continuous(mesh, data, v.values_on, v.gradients_on,
+                                     degree, pts) - float(reference_energy)
     if include_exact_terms:
-        rule = triangle_rule(degree)
-        pts = element_points(mesh, rule.bary)
-        grad_u = np.asarray(exact.grad_u(pts), dtype=float)
-        grad_h = solution.gradient().values[:, None, :]
-        total += float(integrate_elementwise(
-            mesh, rule, ((grad_h - grad_u) ** 2).sum(axis=-1)).sum())
-        u_vals = np.asarray(exact.u(pts), dtype=float)
-        chi_vals = _sample(data.chi, pts, shape=u_vals.shape)
-        gap = integrate_elementwise(mesh, rule, u_vals - chi_vals)
-        total += float(np.sum((-multiplier.values) * gap))
+        grad_h = solution.gradient().values
+        total += float(_distance_sq(mesh, rule, grad_h[:, None, :],
+                                    exact.grad_u(pts)).sum())
+        gap = (np.asarray(exact.u(pts), dtype=float)
+               - sample_data(data.chi, mesh, pts))
+        total += float(np.sum((-multiplier.values)
+                              * integrate_elementwise(mesh, rule, gap)))
     return float(total)
 
 
@@ -388,6 +406,17 @@ class ExactErrors:
         return self.pairing_error_interp + self.grad_error_interp
 
 
+def _distance_sq(mesh: Mesh, rule, a, b) -> np.ndarray:
+    """Per-element ``int_T |a - b|^2`` of vector fields sampled on ``rule``.
+
+    ``a`` and ``b`` broadcast to ``(n_elements, nq, 2)``.  The two
+    components are added directly: the same bits as ``sum(axis=-1)``, which
+    is many times slower over a length-2 axis.
+    """
+    diff = a - b
+    return integrate_elementwise(mesh, rule, diff[..., 0] ** 2 + diff[..., 1] ** 2)
+
+
 def _element_means_vector(rt_field, rule) -> np.ndarray:
     """Element means of a lowest-order flux field (exact: affine integrand)."""
     vals = rt_field.eval_at(rule.bary)
@@ -411,26 +440,23 @@ def exact_errors(solution: CrFunction, flux, multiplier: P0Function,
     pts = element_points(mesh, rule.bary)
 
     grad_u = np.asarray(exact.grad_u(pts), dtype=float)
-    grad_h = solution.gradient().values
-    grad_error = math.sqrt(float(integrate_elementwise(
-        mesh, rule, ((grad_h[:, None, :] - grad_u) ** 2).sum(axis=-1)).sum()))
 
+    def error(field_vals) -> float:
+        return math.sqrt(float(_distance_sq(mesh, rule, field_vals, grad_u).sum()))
+
+    grad_h = solution.gradient().values
+    grad_error = error(grad_h[:, None, :])
     u_i = interp_cr(exact.u, mesh, segment_rule(_SIDE_RULE_POINTS))
     grad_i = u_i.gradient().values
-    grad_error_interp = math.sqrt(float(integrate_elementwise(
-        mesh, rule, ((grad_i[:, None, :] - grad_u) ** 2).sum(axis=-1)).sum()))
+    grad_error_interp = error(grad_i[:, None, :])
     grad_supercloseness = math.sqrt(float(
         (((grad_h - grad_i) ** 2).sum(axis=1) * mesh.areas).sum()))
 
     rt = flux.flux if hasattr(flux, "flux") else flux
-    z_vals = rt.eval_at(rule.bary)
-    flux_error = math.sqrt(float(integrate_elementwise(
-        mesh, rule, ((z_vals - grad_u) ** 2).sum(axis=-1)).sum()))
-
+    flux_error = error(rt.eval_at(rule.bary))
     z_i = interp_rt(exact.grad_u, mesh, segment_rule(_SIDE_RULE_POINTS))
-    zi_vals = z_i.eval_at(rule.bary)
-    flux_error_interp = math.sqrt(float(integrate_elementwise(
-        mesh, rule, ((zi_vals - grad_u) ** 2).sum(axis=-1)).sum()))
+    flux_error_interp = error(z_i.eval_at(rule.bary))
+    del grad_u
 
     mean_rule = triangle_rule(2)
     if hasattr(flux, "cell_average"):

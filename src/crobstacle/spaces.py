@@ -22,6 +22,14 @@ Interpolants
   is imposed.
 * :func:`project_p0` -- element-mean projection.
 
+Quadrature
+----------
+Quadrature is barycentric only: fields evaluate at the barycentric points of
+a rule (``eval_at``), and :func:`element_points` builds the physical points
+once per pass, only for :func:`sample_data` to evaluate problem data there.
+Nothing maps physical points back to barycentric coordinates except
+prolongation, which locates fine side midpoints in coarse elements.
+
 All scalar callables used as data must accept ``(..., 2)`` coordinate arrays
 and evaluate vectorised; vector callables return ``(..., 2)`` arrays.
 """
@@ -42,13 +50,13 @@ __all__ = [
     "triangle_rule",
     "segment_rule",
     "element_points",
+    "sample_data",
     "integrate_elementwise",
     "P0Function",
     "P0VectorField",
     "CrFunction",
     "Rt0Function",
     "VertexFunction",
-    "eval_cr",
     "gradient_h",
     "project_p0",
     "interp_cr",
@@ -56,7 +64,6 @@ __all__ = [
     "interp_av",
     "prolong_cr",
     "prolong_p0",
-    "side_values",
 ]
 
 
@@ -185,20 +192,64 @@ def segment_rule(n: int = 2) -> SegmentRule:
     return SegmentRule(0.5 * (x + 1.0), 0.5 * w)
 
 
+def _barycentric_combination(bary, corner_values) -> np.ndarray:
+    """``sum_j bary[q, j] * corner_values[t, j, :]`` as a ``(t, q, d)`` array.
+
+    Each coordinate is accumulated as outer products over ``j = 0, 1, 2`` in
+    that order, which gives the same bits as
+    ``np.einsum("qj,tjd->tqd", bary, corner_values)`` at a fraction of its
+    cost (``np.matmul`` is faster still but rounds differently).
+    """
+    bary = np.asarray(bary, dtype=float)
+    out = np.empty((corner_values.shape[2], len(corner_values), len(bary)))
+    for d, acc in enumerate(out):
+        np.multiply.outer(corner_values[:, 0, d], bary[:, 0], out=acc)
+        acc += np.multiply.outer(corner_values[:, 1, d], bary[:, 1])
+        acc += np.multiply.outer(corner_values[:, 2, d], bary[:, 2])
+    return np.moveaxis(out, 0, -1)
+
+
 def element_points(mesh: Mesh, bary: np.ndarray, elems=None) -> np.ndarray:
-    """Physical coordinates ``(n_elems, nq, 2)`` of barycentric points."""
-    if elems is None:
-        corners = mesh.vertex_coords[mesh.elem_vertices]
-    else:
-        corners = mesh.vertex_coords[mesh.elem_vertices[np.asarray(elems)]]
-    return np.einsum("qj,tjd->tqd", np.asarray(bary), corners)
+    """Physical coordinates ``(n_elems, nq, 2)`` of barycentric points.
+
+    The points are bitwise equal to ``np.einsum("qj,tjd->tqd", bary,
+    corners)``: data sampled here must match data sampled at points built
+    that way, with no tolerance (a 1-ulp shift can move an obstacle value
+    across the post-processed field).  Each coordinate is stored
+    contiguously, so ``points[..., 0]`` is a cheap strided view.
+    """
+    ev = mesh.elem_vertices if elems is None else mesh.elem_vertices[np.asarray(elems)]
+    return _barycentric_combination(bary, mesh.vertex_coords[ev])
+
+
+def sample_data(value, mesh: Mesh, points: np.ndarray):
+    """Problem data (load, obstacle, ...) at element points ``(n_elements, nq, 2)``.
+
+    A scalar comes back as a float and a :class:`P0Function` on ``mesh`` as
+    its ``(n_elements, 1)`` column; both broadcast against the points
+    without being materialised.  A callable is evaluated at the points.
+    """
+    if np.isscalar(value):
+        return float(value)
+    if isinstance(value, P0Function):
+        if value.mesh is not mesh:
+            raise SpaceError("piecewise-constant data lives on a different mesh")
+        return value.values[:, None]
+    if not callable(value):
+        raise SpaceError(f"cannot sample data of type {type(value).__name__}")
+    return np.asarray(value(points), dtype=float)
 
 
 def integrate_elementwise(mesh: Mesh, rule: QuadratureRule, values: np.ndarray,
                           elems=None) -> np.ndarray:
-    """Per-element integrals of sampled values (n_elems, nq) -> (n_elems,)."""
+    """Per-element integrals of sampled values (n_elems, nq) -> (n_elems,).
+
+    ``values`` may be anything that broadcasts to ``(n_elems, nq)``, such as
+    a per-element column from :func:`sample_data`.
+    """
     areas = mesh.areas if elems is None else mesh.areas[np.asarray(elems)]
-    return areas * (np.asarray(values) @ rule.weights)
+    values = np.broadcast_to(values, (len(areas), rule.n_points))
+    return areas * (values @ rule.weights)
 
 
 # ----------------------------------------------------------------------
@@ -219,10 +270,6 @@ class P0Function:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         _check_len("values", self.values, self.mesh.n_elements)
 
-    def eval_at(self, bary, elems=None):
-        vals = self.values if elems is None else self.values[np.asarray(elems)]
-        return np.broadcast_to(vals[:, None], (len(vals), len(np.asarray(bary)))).copy()
-
     def l2_norm(self) -> float:
         return float(np.sqrt((self.values ** 2 * self.mesh.areas).sum()))
 
@@ -240,11 +287,6 @@ class P0VectorField:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         if self.values.shape != (self.mesh.n_elements, 2):
             raise SpaceError(f"values must have shape (nt, 2), got {self.values.shape}")
-
-    def eval_at(self, bary, elems=None):
-        vals = self.values if elems is None else self.values[np.asarray(elems)]
-        nq = len(np.asarray(bary))
-        return np.broadcast_to(vals[:, None, :], (len(vals), nq, 2)).copy()
 
     def l2_norm(self) -> float:
         return float(np.sqrt(((self.values ** 2).sum(axis=1) * self.mesh.areas).sum()))
@@ -276,7 +318,7 @@ class CrFunction:
     def eval_at(self, bary, elems=None):
         # basis_j = 1 - 2 lambda_j at the side opposite vertex j
         basis = 1.0 - 2.0 * np.asarray(bary)          # (nq, 3)
-        return np.einsum("tj,qj->tq", self.element_dofs(elems), basis)
+        return self.element_dofs(elems) @ basis.T
 
     def vertex_traces(self, elems=None) -> np.ndarray:
         """(n_elems, 3) trace of the element-affine at each local vertex."""
@@ -317,13 +359,15 @@ class Rt0Function:
         return coef, es
 
     def eval_at(self, bary, elems=None):
+        # The field is sum_j c_j (x - P_j); with x - P_j = sum_k lambda_k
+        # (P_k - P_j) it is sum_k lambda_k V_k, V_k = sum_j c_j (P_k - P_j).
         m = self.mesh
         coef, _ = self._element_coefficients(elems)
-        pts = element_points(m, bary, elems)          # (n, nq, 2)
         ev = m.elem_vertices if elems is None else m.elem_vertices[np.asarray(elems)]
         corners = m.vertex_coords[ev]                 # (n, 3, 2)
-        diff = pts[:, None, :, :] - corners[:, :, None, :]   # (n, 3, nq, 2)
-        return np.einsum("tj,tjqd->tqd", coef, diff)
+        vertex_values = sum(coef[:, j, None, None] * (corners - corners[:, j, None, :])
+                            for j in range(3))
+        return _barycentric_combination(bary, vertex_values)
 
     def divergence(self) -> P0Function:
         m = self.mesh
@@ -352,7 +396,7 @@ class VertexFunction:
         return self.values[ev]
 
     def eval_at(self, bary, elems=None):
-        return np.einsum("tj,qj->tq", self.element_values(elems), np.asarray(bary))
+        return self.element_values(elems) @ np.asarray(bary).T
 
     def gradient(self) -> P0VectorField:
         g = np.einsum("tj,tjd->td", self.element_values(), self.mesh.bary_grads)
@@ -364,19 +408,8 @@ class VertexFunction:
 
 
 # ----------------------------------------------------------------------
-# Point evaluation (with membership validation)
+# Broken gradients
 # ----------------------------------------------------------------------
-def eval_cr(v: CrFunction, elems, points, tol: float = 1e-10):
-    """Evaluate a CR field at physical points paired with containing elements."""
-    elems = np.atleast_1d(np.asarray(elems, dtype=np.int64))
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    bary = v.mesh.barycentric_coordinates(elems, points)
-    if bary.min() < -tol or bary.max() > 1.0 + tol:
-        raise SpaceError("evaluation point lies outside its element")
-    basis = 1.0 - 2.0 * bary
-    return (v.dofs[v.mesh.elem_sides[elems]] * basis).sum(axis=1)
-
-
 def gradient_h(v) -> P0VectorField:
     """Broken (elementwise) gradient of a CR or vertex field."""
     if isinstance(v, VertexFunction):
@@ -493,51 +526,3 @@ def prolong_p0(p: P0Function, fine: Mesh) -> P0Function:
     _require_child(fine, p.mesh)
     return P0Function(fine, p.values[fine.parent_elements])
 
-
-# ----------------------------------------------------------------------
-# Side traces
-# ----------------------------------------------------------------------
-def side_values(field, side_ids, tpoints, which: str = "minus"):
-    """Evaluate a field's trace on sides from one adjacent element.
-
-    ``tpoints`` are parameters in [0, 1] along each side (from the side's
-    first to second vertex); ``which`` selects the adjacent element.  Scalar
-    fields return ``(n_sides, nq)``; vector fields ``(n_sides, nq, 2)``.
-    """
-    mesh = field.mesh
-    side_ids = np.asarray(side_ids, dtype=np.int64)
-    tpoints = np.asarray(tpoints, dtype=float)
-    if which == "minus":
-        elems = mesh.side_elem_minus[side_ids]
-    elif which == "plus":
-        elems = mesh.side_elem_plus[side_ids]
-        if np.any(elems < 0):
-            raise SpaceError("boundary side has no plus element")
-    else:
-        raise SpaceError(f"unknown side {which!r}")
-
-    a = mesh.vertex_coords[mesh.side_vertices[side_ids, 0]]
-    b = mesh.vertex_coords[mesh.side_vertices[side_ids, 1]]
-    pts = a[:, None, :] + tpoints[None, :, None] * (b - a)[:, None, :]
-    nq = len(tpoints)
-
-    flat_elems = np.repeat(elems, nq)
-    flat_pts = pts.reshape(-1, 2)
-    bary = mesh.barycentric_coordinates(flat_elems, flat_pts).reshape(len(side_ids), nq, 3)
-
-    if isinstance(field, CrFunction):
-        basis = 1.0 - 2.0 * bary
-        return np.einsum("sj,sqj->sq", field.dofs[mesh.elem_sides[elems]], basis)
-    if isinstance(field, VertexFunction):
-        return np.einsum("sj,sqj->sq", field.values[mesh.elem_vertices[elems]], bary)
-    if isinstance(field, P0Function):
-        return np.broadcast_to(field.values[elems][:, None], (len(side_ids), nq)).copy()
-    if isinstance(field, P0VectorField):
-        return np.broadcast_to(field.values[elems][:, None, :],
-                               (len(side_ids), nq, 2)).copy()
-    if isinstance(field, Rt0Function):
-        coef, _ = field._element_coefficients(elems)
-        corners = mesh.vertex_coords[mesh.elem_vertices[elems]]
-        diff = pts[:, None, :, :] - corners[:, :, None, :]
-        return np.einsum("sj,sjqd->sqd", coef, diff)
-    raise SpaceError(f"unsupported field type {type(field).__name__}")

@@ -1,12 +1,10 @@
-"""Assembly of stiffness/coupling matrices, data vectors, oscillation.
+"""Assembly of stiffness/coupling matrices and data vectors.
 
 Analytic oracles used here:
 
 * the broken stiffness applied to an affine field reproduces its exact
   energy ``|grad l|^2 |Omega|``;
-* the coupling column of an element is ``|T| / 3`` per free side;
-* the oscillation of ``f = x_1`` on the unit right triangle is
-  ``h^2 * 1/36 = 1/18`` (centred second moment of x over that triangle).
+* the coupling column of an element is ``|T| / 3`` per free side.
 """
 
 import numpy as np
@@ -23,7 +21,6 @@ from crobstacle.assembly import (
     build_dofmap,
     dirichlet_dof_values,
     find_excluded_element,
-    osc,
 )
 from crobstacle.mesh import NEUMANN, Mesh, Rectangle, build_structured
 from crobstacle.spaces import (
@@ -223,33 +220,6 @@ class TestLoad:
         vals = np.arange(m.n_elements, dtype=float)
         F, f_h = assemble_load(m, plain_data(f=P0Function(m, vals)), dm)
         assert np.array_equal(f_h.values, vals)
-
-
-class TestOsc:
-    def test_constant_zero_exactly(self):
-        m = square_mesh(2)
-        per, total = osc(m, plain_data(f=3.0))
-        assert np.all(per == 0.0) and total == 0.0
-        per, total = osc(m, plain_data(f=P0Function(m, np.ones(m.n_elements))))
-        assert total == 0.0
-
-    def test_linear_on_reference_triangle(self):
-        m = reference_triangle()
-        per, total = osc(m, plain_data(f=lambda p: p[..., 0]))
-        # h^2 ||x - 1/3||^2 = 2 * (1/36) = 1/18 on the unit right triangle
-        assert total == pytest.approx(1.0 / 18.0, rel=1e-12)
-        assert per[0] == pytest.approx(total)
-
-    def test_smooth_vs_quadrature_oracle(self):
-        m = square_mesh(2)
-        f = lambda p: np.cos(p[..., 0] * p[..., 1])
-        per, total = osc(m, plain_data(f=f))
-        rule = triangle_rule(12, subdivisions=1)
-        pts = element_points(m, rule.bary)
-        f_h = project_p0(f, m, triangle_rule(5))
-        diff2 = (np.asarray(f(pts)) - f_h.values[:, None]) ** 2
-        oracle = m.h_elements ** 2 * m.areas * (diff2 @ rule.weights)
-        assert np.allclose(per, oracle, atol=1e-10)
 
 
 class TestProblemData:

@@ -12,13 +12,19 @@ radial benchmark (tabulated reference errors and values frozen from an
 independent development-time computation).
 """
 import re
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from crobstacle.assembly import ExactSolution, ProblemData
-from crobstacle.benchmarks import RING_ENERGY, pyramid, ring
+from crobstacle.assembly import (
+    ExactSolution,
+    ProblemData,
+    assemble_load,
+    build_dofmap,
+)
+from crobstacle.benchmarks import RING_ENERGY, corner, pyramid, ring
 from crobstacle.duality import energy_primal_continuous, marini_flux
 from crobstacle.estimator import (
     ErrorRecord,
@@ -36,16 +42,25 @@ from crobstacle.estimator import (
     rho_reduced,
     write_error_history,
 )
-from crobstacle.mesh import export_vtk, refine_red
+from crobstacle.mesh import (
+    Mesh,
+    Rectangle,
+    build_structured,
+    export_vtk,
+    refine_red,
+    refine_rgb,
+)
 from crobstacle.solver import pdas_solve
 from crobstacle.spaces import (
     CrFunction,
     P0Function,
+    SpaceError,
     element_points,
     integrate_elementwise,
     interp_av,
     interp_cr,
     interp_rt,
+    project_p0,
     segment_rule,
     triangle_rule,
 )
@@ -94,8 +109,8 @@ def ring_study():
         flux = marini_flux(out.solution, out.multiplier, out.system.f_h)
         res = estimate(out)
         errs = exact_errors(out.solution, flux, out.multiplier, data)
-        i_v = energy_primal_continuous(mesh, data, res.field.values_at,
-                                       res.field.gradients_at)
+        i_v = energy_primal_continuous(mesh, data, res.field.values_on,
+                                       res.field.gradients_on)
         rho_full = rho_reduced(res.field, out.solution, out.multiplier, data)
         rho_energy = rho_reduced(res.field, out.solution, out.multiplier,
                                  data, include_exact_terms=False)
@@ -201,10 +216,22 @@ def test_postprocess_physical_point_evaluation_consistent():
     v = postprocess_conforming(out.solution, bench.data)
     rule = triangle_rule(5)
     pts = element_points(mesh, rule.bary)
-    assert np.allclose(v.values_at(pts), v.values_on(rule.bary),
+    # physical-point oracle: locate each point in its element, evaluate the
+    # nodal affine there and cap it by the (flat) obstacle
+    nt, nq = pts.shape[:2]
+    bary = mesh.barycentric_coordinates(
+        np.repeat(np.arange(nt), nq), pts.reshape(-1, 2)).reshape(nt, nq, 3)
+    p1 = np.einsum("tj,tqj->tq", v.nodal.element_values(), bary)
+    values = np.maximum(p1, bench.data.chi)
+    grads = np.where((bench.data.chi > p1)[..., None], 0.0,
+                     v.nodal.gradient().values[:, None, :])
+    assert np.allclose(values, v.values_on(rule.bary),
                        atol=1e-12, rtol=1e-12)
-    assert np.allclose(v.gradients_at(pts), v.gradients_on(rule.bary),
+    assert np.allclose(grads, v.gradients_on(rule.bary),
                        atol=1e-12, rtol=1e-12)
+    assert np.array_equal(v.values_on(rule.bary, pts), v.values_on(rule.bary))
+    assert np.array_equal(v.gradients_on(rule.bary, pts),
+                          v.gradients_on(rule.bary))
 
 
 def test_postprocess_pyramid_feasible_at_quadrature_nodes():
@@ -383,6 +410,77 @@ def test_oscillation_matches_independent_quadrature():
                        rtol=1e-12, atol=1e-16)
 
 
+class TestOsc:
+    """Oscillation with the load projection that assembly computes.
+
+    The oscillation of ``f = x_1`` on the unit right triangle is
+    ``h^2 * 1/36 = 1/18`` (centred second moment of x over that triangle).
+    """
+
+    @staticmethod
+    def osc(mesh, data):
+        _, f_h = assemble_load(mesh, data, build_dofmap(mesh))
+        per = oscillation(mesh, data, f_h)
+        return per, float(per.sum())
+
+    def test_constant_zero_exactly(self):
+        m = _square_mesh(2)
+        per, total = self.osc(m, _plain_data(f=3.0))
+        assert np.all(per == 0.0) and total == 0.0
+        per, total = self.osc(m, _plain_data(f=P0Function(m, np.ones(m.n_elements))))
+        assert total == 0.0
+
+    def test_linear_on_reference_triangle(self):
+        m = Mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 2]])
+        per, total = self.osc(m, _plain_data(f=lambda p: p[..., 0]))
+        # h^2 ||x - 1/3||^2 = 2 * (1/36) = 1/18 on the unit right triangle
+        assert total == pytest.approx(1.0 / 18.0, rel=1e-12)
+        assert per[0] == pytest.approx(total)
+
+    def test_smooth_vs_quadrature_oracle(self):
+        m = _square_mesh(2)
+        f = lambda p: np.cos(p[..., 0] * p[..., 1])
+        per, total = self.osc(m, _plain_data(f=f))
+        rule = triangle_rule(12, subdivisions=1)
+        pts = element_points(m, rule.bary)
+        f_h = project_p0(f, m, triangle_rule(5))
+        diff2 = (np.asarray(f(pts)) - f_h.values[:, None]) ** 2
+        oracle = m.h_elements ** 2 * m.areas * (diff2 @ rule.weights)
+        assert np.allclose(per, oracle, atol=1e-10)
+
+
+def _square_mesh(n, lo=-1.5, hi=1.5):
+    return build_structured(Rectangle(lo, lo, hi, hi), n)
+
+
+def _plain_data(f=0.0, chi=0.0, **kw):
+    return ProblemData(name="test", f=f, chi=chi, **kw)
+
+
+def test_oscillation_rejects_load_on_another_mesh():
+    mesh = _square_mesh(2)
+    other = _square_mesh(2)
+    data = _plain_data(f=P0Function(other, np.ones(other.n_elements)))
+    f_h = P0Function(mesh, np.ones(mesh.n_elements))
+    with pytest.raises(SpaceError):
+        oscillation(mesh, data, f_h)
+
+
+def test_estimate_with_piecewise_constant_load_matches_scalar_load():
+    bench = ring()
+    mesh = bench.initial_mesh()
+    scalar = replace(bench.data, f=-2.0)
+    discrete = replace(bench.data,
+                       f=P0Function(mesh, np.full(mesh.n_elements, -2.0)))
+    parts = []
+    for data in (scalar, discrete):
+        bd = estimate(pdas_solve(mesh, data)).breakdown
+        assert np.all(bd.osc_sq == 0.0)
+        parts.append((bd.eta_a_sq, bd.eta_b_sq, bd.eta_c_sq))
+    for a, b in zip(*parts):
+        assert np.array_equal(a, b)
+
+
 # ----------------------------------------------------------------------
 # Breakdown container
 # ----------------------------------------------------------------------
@@ -509,8 +607,8 @@ def test_rho_reduced_variant_drops_exact_solution_terms(ring_study):
     lvl = ring_study[1]
     out, data = lvl.out, lvl.out.system.data
     v = lvl.result.field
-    i_v = energy_primal_continuous(lvl.mesh, data, v.values_at,
-                                   v.gradients_at)
+    i_v = energy_primal_continuous(lvl.mesh, data, v.values_on,
+                                   v.gradients_on)
     assert lvl.rho_energy == pytest.approx(i_v - RING_ENERGY, abs=1e-10)
     # the dropped terms: broken gradient error squared plus the pairing of
     # the discrete constraint force with the exact gap
@@ -686,3 +784,54 @@ def test_breakdown_exports_to_vtk(tmp_path, ring_study):
     assert "CELL_DATA" in text
     assert "estimator_sq" in text
     assert re.search(r"SCALARS\s+eta_a_sq", text)
+
+
+# ----------------------------------------------------------------------
+# Quadrature passes
+# ----------------------------------------------------------------------
+def test_each_diagnostic_builds_one_point_set(monkeypatch):
+    """estimate, exact_errors and rho_reduced each lay one quadrature pass.
+
+    Calls are counted by wrapping the module attributes through which the
+    package reaches ``element_points`` and ``Mesh.barycentric_coordinates``,
+    as the benchmark's tracer does.
+    """
+    import crobstacle.assembly as assembly_mod
+    import crobstacle.duality as duality_mod
+    import crobstacle.estimator as estimator_mod
+    import crobstacle.spaces as spaces_mod
+
+    bench = corner()
+    mesh = bench.initial_mesh()
+    mesh = refine_rgb(mesh, np.arange(0, mesh.n_elements, 5))
+    data = bench.data
+    out = pdas_solve(mesh, data)
+    flux = marini_flux(out.solution, out.multiplier, out.system.f_h)
+
+    calls = {"points": 0, "barycentric": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (spaces_mod, assembly_mod, duality_mod, estimator_mod):
+        monkeypatch.setattr(module, "element_points",
+                            counting("points", module.element_points))
+    monkeypatch.setattr(Mesh, "barycentric_coordinates",
+                        counting("barycentric", Mesh.barycentric_coordinates))
+
+    runs = {
+        "estimate": lambda: estimate(out),
+        "exact_errors": lambda: exact_errors(out.solution, flux,
+                                             out.multiplier, data),
+    }
+    field = runs["estimate"]().field
+    runs["rho_reduced"] = lambda: rho_reduced(field, out.solution,
+                                              out.multiplier, data)
+    for name, run in runs.items():
+        calls.update(points=0, barycentric=0)
+        run()
+        assert calls["points"] == 1, name
+        assert calls["barycentric"] == 0, name

@@ -15,7 +15,14 @@ import math
 import numpy as np
 import pytest
 
-from crobstacle.mesh import LShape, Mesh, Rectangle, build_structured, refine_red
+from crobstacle.mesh import (
+    LShape,
+    Mesh,
+    Rectangle,
+    build_structured,
+    refine_red,
+    refine_rgb,
+)
 from crobstacle.spaces import (
     CrFunction,
     P0Function,
@@ -23,7 +30,6 @@ from crobstacle.spaces import (
     SpaceError,
     VertexFunction,
     element_points,
-    eval_cr,
     gradient_h,
     integrate_elementwise,
     interp_av,
@@ -32,10 +38,12 @@ from crobstacle.spaces import (
     project_p0,
     prolong_cr,
     prolong_p0,
+    sample_data,
     segment_rule,
-    side_values,
     triangle_rule,
 )
+
+from util import eval_cr, side_values
 
 
 def reference_triangle():
@@ -45,6 +53,14 @@ def reference_triangle():
 def lshape_mesh(n=2):
     return build_structured(
         LShape(Rectangle(-2, -2, 2, 2), Rectangle(0, -2, 2, 0)), n)
+
+
+def rgb_mesh():
+    """An L-shape mesh after three rounds of red-green-blue refinement."""
+    mesh = lshape_mesh(2)
+    for k in range(3):
+        mesh = refine_rgb(mesh, np.arange(k, mesh.n_elements, 4))
+    return mesh
 
 
 def exact_monomial(a, b):
@@ -103,6 +119,40 @@ class TestQuadrature:
         rule = triangle_rule(2)
         ones = np.ones((mesh.n_elements, rule.n_points))
         assert integrate_elementwise(mesh, rule, ones).sum() == pytest.approx(12.0)
+
+    @pytest.mark.parametrize("subdivisions", [0, 1])
+    @pytest.mark.parametrize("degree", [1, 2, 5, 12])
+    def test_element_points_bitwise_equal_to_einsum(self, degree, subdivisions):
+        """The points must equal ``einsum("qj,tjd->tqd")`` bit for bit.
+
+        Callers compare data sampled at these points against data sampled
+        at points built that way, with no tolerance: a post-processed field
+        ``max(p1, chi)`` is checked ``>= chi`` exactly, and a 1-ulp shift in
+        a point moves ``chi`` enough to fail that check.
+        """
+        mesh = rgb_mesh()
+        rule = triangle_rule(degree, subdivisions=subdivisions)
+        corners = mesh.vertex_coords[mesh.elem_vertices]
+        expected = np.einsum("qj,tjd->tqd", rule.bary, corners)
+        assert np.array_equal(element_points(mesh, rule.bary), expected)
+        some = np.arange(0, mesh.n_elements, 3)
+        assert np.array_equal(element_points(mesh, rule.bary, some),
+                              expected[some])
+
+    def test_sample_data(self):
+        mesh = lshape_mesh(2)
+        pts = element_points(mesh, triangle_rule(5).bary)
+        assert sample_data(2.5, mesh, pts) == 2.5
+        vals = np.arange(mesh.n_elements, dtype=float)
+        col = sample_data(P0Function(mesh, vals), mesh, pts)
+        assert col.shape == (mesh.n_elements, 1)
+        assert np.array_equal(col[:, 0], vals)
+        got = sample_data(lambda p: p[..., 0] * p[..., 1], mesh, pts)
+        assert np.array_equal(got, pts[..., 0] * pts[..., 1])
+        with pytest.raises(SpaceError):
+            sample_data(P0Function(lshape_mesh(2), vals), mesh, pts)
+        with pytest.raises(SpaceError):
+            sample_data([1.0, 2.0], mesh, pts)
 
 
 # ----------------------------------------------------------------------
@@ -311,6 +361,22 @@ class TestRt0:
                 n_out = orient * mesh.side_normals[s]
                 flux_sum += mesh.side_lengths[s] * (rule.weights * (tr @ n_out)).sum()
             assert div[t] == pytest.approx(flux_sum / mesh.areas[t], abs=1e-12)
+
+    def test_eval_at_matches_physical_formula(self):
+        # on each element the field is sum_j c_j (x - P_j) with
+        # c_j = flux_j * orient_j * |S_j| / (2 |T|), at the physical points
+        mesh = rgb_mesh()
+        rng = np.random.default_rng(11)
+        z = Rt0Function(mesh, rng.normal(size=mesh.n_sides))
+        rule = triangle_rule(5)
+        es = mesh.elem_sides
+        coef = (z.side_fluxes[es] * mesh.elem_side_orient
+                * mesh.side_lengths[es] / (2.0 * mesh.areas[:, None]))
+        pts = element_points(mesh, rule.bary)
+        corners = mesh.vertex_coords[mesh.elem_vertices]
+        expected = np.einsum("tj,tjqd->tqd", coef,
+                             pts[:, None, :, :] - corners[:, :, None, :])
+        assert np.allclose(z.eval_at(rule.bary), expected, rtol=0, atol=1e-12)
 
     def test_element_means_vs_quadrature(self):
         mesh = lshape_mesh(2)

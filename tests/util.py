@@ -1,11 +1,22 @@
 """Shared implementation-independent checks used across the test suite.
 
-Everything in here works only from ``vertex_coords`` / ``elem_vertices`` (plus
-plain geometry), so it can serve as an independent oracle for the mesh data
-structures and refinement routines.
+The mesh checks work only from ``vertex_coords`` / ``elem_vertices`` (plus
+plain geometry), so they can serve as an independent oracle for the mesh data
+structures and refinement routines.  The field evaluators at the end work at
+physical points (through ``Mesh.barycentric_coordinates``), an independent
+route to the barycentric evaluation the package uses.
 """
 
 import numpy as np
+
+from crobstacle.spaces import (
+    CrFunction,
+    P0Function,
+    P0VectorField,
+    Rt0Function,
+    SpaceError,
+    VertexFunction,
+)
 
 
 def undirected_edge_counts(elem_vertices):
@@ -255,3 +266,66 @@ def make_feasible_competitor(rng, mesh, dofmap, boundary_values, chi_means,
         free = [s for s in sides if dofmap.side_to_free[s] >= 0]
         full[free[0]] += 3.0 * deficit[worst] + 1e-12
     raise AssertionError("feasibility repair did not terminate")
+
+
+# ----------------------------------------------------------------------
+# Physical-point evaluation of discrete fields (oracles for the
+# barycentric evaluation in the package)
+# ----------------------------------------------------------------------
+def eval_cr(v, elems, points, tol=1e-10):
+    """Evaluate a CR field at physical points paired with containing elements."""
+    elems = np.atleast_1d(np.asarray(elems, dtype=np.int64))
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    bary = v.mesh.barycentric_coordinates(elems, points)
+    if bary.min() < -tol or bary.max() > 1.0 + tol:
+        raise SpaceError("evaluation point lies outside its element")
+    basis = 1.0 - 2.0 * bary
+    return (v.dofs[v.mesh.elem_sides[elems]] * basis).sum(axis=1)
+
+
+def side_values(field, side_ids, tpoints, which="minus"):
+    """Evaluate a field's trace on sides from one adjacent element.
+
+    ``tpoints`` are parameters in [0, 1] along each side (from the side's
+    first to second vertex); ``which`` selects the adjacent element.  Scalar
+    fields return ``(n_sides, nq)``; vector fields ``(n_sides, nq, 2)``.
+    """
+    mesh = field.mesh
+    side_ids = np.asarray(side_ids, dtype=np.int64)
+    tpoints = np.asarray(tpoints, dtype=float)
+    if which == "minus":
+        elems = mesh.side_elem_minus[side_ids]
+    elif which == "plus":
+        elems = mesh.side_elem_plus[side_ids]
+        if np.any(elems < 0):
+            raise SpaceError("boundary side has no plus element")
+    else:
+        raise SpaceError(f"unknown side {which!r}")
+
+    a = mesh.vertex_coords[mesh.side_vertices[side_ids, 0]]
+    b = mesh.vertex_coords[mesh.side_vertices[side_ids, 1]]
+    pts = a[:, None, :] + tpoints[None, :, None] * (b - a)[:, None, :]
+    nq = len(tpoints)
+
+    flat_elems = np.repeat(elems, nq)
+    flat_pts = pts.reshape(-1, 2)
+    bary = mesh.barycentric_coordinates(flat_elems, flat_pts).reshape(len(side_ids), nq, 3)
+
+    if isinstance(field, CrFunction):
+        basis = 1.0 - 2.0 * bary
+        return np.einsum("sj,sqj->sq", field.dofs[mesh.elem_sides[elems]], basis)
+    if isinstance(field, VertexFunction):
+        return np.einsum("sj,sqj->sq", field.values[mesh.elem_vertices[elems]], bary)
+    if isinstance(field, P0Function):
+        return np.broadcast_to(field.values[elems][:, None], (len(side_ids), nq)).copy()
+    if isinstance(field, P0VectorField):
+        return np.broadcast_to(field.values[elems][:, None, :],
+                               (len(side_ids), nq, 2)).copy()
+    if isinstance(field, Rt0Function):
+        es = mesh.elem_sides[elems]
+        coef = (field.side_fluxes[es] * mesh.elem_side_orient[elems]
+                * mesh.side_lengths[es] / (2.0 * mesh.areas[elems][:, None]))
+        corners = mesh.vertex_coords[mesh.elem_vertices[elems]]
+        diff = pts[:, None, :, :] - corners[:, :, None, :]
+        return np.einsum("sj,sjqd->sqd", coef, diff)
+    raise SpaceError(f"unsupported field type {type(field).__name__}")

@@ -14,14 +14,14 @@ Modules
 mesh        triangulations, structured generation, red / red-green-blue refinement
 spaces      Crouzeix-Raviart, piecewise-constant and lowest-order flux fields,
             interpolation, barycentric quadrature and the data sampler
-sparse      CSR matrices and direct / iterative linear solvers
+sparse      sparse LU solvers for SPD and saddle-point systems
 assembly    stiffness and coupling matrices, data projection
 solver      primal-dual active set, penalty and brute-force reference solvers
 duality     flux reconstruction, primal and dual energy functionals
 estimator   a posteriori error estimator with data oscillation, error measures,
             convergence rates
 adaptivity  marking strategies and the adaptive / uniform refinement loops
-cli         benchmark definitions, experiment configs, command-line interface
+benchmarks  the ring, corner and pyramid benchmark problems
 """
 
 from .mesh import (

@@ -19,10 +19,10 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
+import scipy.sparse as sp
 
 from .mesh import Mesh
 from .spaces import (
-    CrFunction,
     P0Function,
     QuadratureRule,
     SegmentRule,
@@ -30,9 +30,9 @@ from .spaces import (
     interp_cr,
     project_p0,
     segment_rule,
+    side_points,
     triangle_rule,
 )
-from .sparse import SparseMatrix
 
 __all__ = [
     "AssemblyError",
@@ -41,7 +41,6 @@ __all__ = [
     "ExactSolution",
     "ProblemData",
     "assemble_stiffness_full",
-    "assemble_stiffness",
     "assemble_coupling",
     "find_excluded_element",
     "assemble_obstacle_vectors",
@@ -118,9 +117,11 @@ class ExactSolution:
 class ProblemData:
     """Data of one obstacle problem instance.
 
-    ``f`` and ``chi`` may be scalars, vectorised callables on coordinate
-    arrays, or discrete fields; ``chi_grad`` (vector callable) is needed only
-    by estimator routines when the obstacle is active and non-affine.
+    ``f`` may be a scalar, a vectorised callable on coordinate arrays, or a
+    :class:`P0Function`; the obstacle ``chi`` is a scalar or a vectorised
+    callable, and anything else raises :class:`AssemblyError`.
+    ``chi_grad`` (vector callable) is needed only by estimator routines when
+    the obstacle is active and non-affine.
     ``dirichlet_data`` (callable or scalar) imposes inhomogeneous boundary
     values; omit it for the homogeneous problem.
     """
@@ -128,16 +129,17 @@ class ProblemData:
     f: object
     chi: object
     chi_grad: Optional[Callable] = None
-    boundary_rule: Optional[Callable] = None
     dirichlet_data: object = None
     exact: Optional[ExactSolution] = None
 
+    def __post_init__(self):
+        if not (np.isscalar(self.chi) or callable(self.chi)):
+            raise AssemblyError(
+                "the obstacle must be a scalar or a callable, got "
+                f"{type(self.chi).__name__}")
+
     def chi_side_values(self, mesh: Mesh, rule: SegmentRule | None = None) -> np.ndarray:
         """Side-average interpolant values of the obstacle (one per side)."""
-        if isinstance(self.chi, CrFunction):
-            if self.chi.mesh is not mesh:
-                raise AssemblyError("obstacle CR field lives on a different mesh")
-            return self.chi.dofs.copy()
         return interp_cr(self.chi, mesh, rule).dofs
 
     def dirichlet_values_at(self, points: np.ndarray):
@@ -164,7 +166,7 @@ class ProblemData:
 # ----------------------------------------------------------------------
 # Matrices
 # ----------------------------------------------------------------------
-def assemble_stiffness_full(mesh: Mesh) -> SparseMatrix:
+def assemble_stiffness_full(mesh: Mesh) -> sp.csr_array:
     """Broken-gradient stiffness over *all* side dofs (no boundary masking)."""
     # grad of the side basis opposite vertex j is -2 grad lambda_j (constant),
     # so the local matrix is 4 |T| (grad lambda_i . grad lambda_j): exact.
@@ -172,35 +174,29 @@ def assemble_stiffness_full(mesh: Mesh) -> SparseMatrix:
     local = 4.0 * mesh.areas[:, None, None] * np.einsum("tid,tjd->tij", g, g)
     rows = np.repeat(mesh.elem_sides, 3, axis=1).ravel()
     cols = np.tile(mesh.elem_sides, (1, 3)).ravel()
-    return SparseMatrix.from_coo(rows, cols, local.ravel(),
-                                 shape=(mesh.n_sides, mesh.n_sides))
+    return sp.coo_array((local.ravel(), (rows, cols)),
+                        shape=(mesh.n_sides, mesh.n_sides)).tocsr()
 
 
-def assemble_stiffness(mesh: Mesh, dofmap: DofMap) -> SparseMatrix:
-    """Stiffness restricted to the free (non-Dirichlet) side dofs."""
-    full = assemble_stiffness_full(mesh)
-    return full.submatrix(dofmap.free_sides, dofmap.free_sides)
-
-
-def assemble_coupling(mesh: Mesh, dofmap: DofMap) -> SparseMatrix:
+def assemble_coupling(mesh: Mesh, dofmap: DofMap) -> sp.csr_array:
     """Coupling matrix: entry (side S, element T) = |T| / 3 for free S of T."""
     es = mesh.elem_sides                               # (nt, 3)
     free_row = dofmap.side_to_free[es]                 # -1 where constrained
     col = np.broadcast_to(dofmap.elem_to_col[:, None], es.shape)
     vals = np.broadcast_to((mesh.areas / 3.0)[:, None], es.shape)
     keep = (free_row >= 0) & (col >= 0)
-    return SparseMatrix.from_coo(free_row[keep], col[keep], vals[keep],
-                                 shape=(dofmap.n_free, dofmap.n_multipliers))
+    return sp.coo_array((vals[keep], (free_row[keep], col[keep])),
+                        shape=(dofmap.n_free, dofmap.n_multipliers)).tocsr()
 
 
-def find_excluded_element(P: SparseMatrix):
+def find_excluded_element(P: sp.csr_array):
     """Element columns of the coupling matrix with empty support.
 
     Returns a list of column indices (ascending); empty when every element
     couples to at least one free side.  The caller shrinks the dof map with
     :meth:`DofMap.exclude` and drops the columns.
     """
-    csc = P.csr.tocsc()
+    csc = P.tocsc()
     csc.eliminate_zeros()
     col_nnz = np.diff(csc.indptr)
     return [int(j) for j in np.flatnonzero(col_nnz == 0)]
@@ -246,8 +242,6 @@ def dirichlet_dof_values(mesh: Mesh, data: ProblemData,
         return values
     rule = rule or segment_rule(2)
     sides = np.flatnonzero(dmask)
-    a = mesh.vertex_coords[mesh.side_vertices[sides, 0]]
-    b = mesh.vertex_coords[mesh.side_vertices[sides, 1]]
-    pts = a[:, None, :] + rule.points[None, :, None] * (b - a)[:, None, :]
+    pts = side_points(mesh, rule, sides)
     values[sides] = np.asarray(data.dirichlet_data(pts)) @ rule.weights
     return values

@@ -8,14 +8,13 @@ the broken gradient.  The discrete primal and dual energies computed from
 such a pair coincide exactly (strong duality), providing a machine-precision
 consistency check on any solve.
 
-Energy values of infeasible inputs are the tagged sentinels
-:data:`PLUS_INFINITY` / :data:`MINUS_INFINITY` (never floating-point
-infinities); use :func:`is_infinite` and :func:`energy_gap` to combine
-energies safely.
+An infeasible input has the energy ``+inf`` (primal) or ``-inf`` (dual), so
+the gap ``primal - dual`` is ``+inf`` whenever either side is infeasible.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -30,6 +29,7 @@ from .spaces import (
     integrate_elementwise,
     sample_data,
     segment_rule,
+    side_points,
     triangle_rule,
 )
 
@@ -37,77 +37,15 @@ __all__ = [
     "DualityError",
     "DualField",
     "marini_flux",
-    "EnergySentinel",
-    "PLUS_INFINITY",
-    "MINUS_INFINITY",
-    "is_infinite",
-    "energy_gap",
     "energy_primal_discrete",
     "energy_dual_discrete",
     "energy_primal_continuous",
     "energy_dual_continuous",
-    "EnergyRecord",
-    "write_energy_history",
 ]
 
 
 class DualityError(Exception):
     """Raised when a flux reconstruction is inconsistent (solver bug)."""
-
-
-# ----------------------------------------------------------------------
-# tagged infinities
-# ----------------------------------------------------------------------
-class EnergySentinel:
-    """Tagged infinite energy value.
-
-    Totally ordered against floats and the opposite sentinel, but supports
-    no arithmetic: gap computations must branch via :func:`is_infinite` or
-    use :func:`energy_gap`.
-    """
-    __slots__ = ("_sign", "_name")
-
-    def __init__(self, sign: int, name: str):
-        object.__setattr__(self, "_sign", sign)
-        object.__setattr__(self, "_name", name)
-
-    def __setattr__(self, *_):
-        raise AttributeError("energy sentinels are immutable")
-
-    def __repr__(self) -> str:
-        return self._name
-
-    def __lt__(self, other) -> bool:
-        if isinstance(other, EnergySentinel):
-            return self._sign < other._sign
-        return self._sign < 0
-
-    def __gt__(self, other) -> bool:
-        if isinstance(other, EnergySentinel):
-            return self._sign > other._sign
-        return self._sign > 0
-
-    def __le__(self, other) -> bool:
-        return self is other or self < other
-
-    def __ge__(self, other) -> bool:
-        return self is other or self > other
-
-
-PLUS_INFINITY = EnergySentinel(+1, "+infinity")
-MINUS_INFINITY = EnergySentinel(-1, "-infinity")
-
-
-def is_infinite(value) -> bool:
-    """True for the tagged energy sentinels (not for float values)."""
-    return isinstance(value, EnergySentinel)
-
-
-def energy_gap(primal, dual):
-    """``primal - dual`` with sentinel guarding (any sentinel -> +infinity)."""
-    if is_infinite(primal) or is_infinite(dual):
-        return PLUS_INFINITY
-    return primal - dual
 
 
 # ----------------------------------------------------------------------
@@ -186,14 +124,14 @@ def energy_primal_discrete(u: CrFunction, f_h: P0Function, chi_h: P0Function,
     """Broken Dirichlet energy ``1/2 ||grad_h u||^2 - (f_h, means(u))``.
 
     Inputs whose element means undercut the obstacle means (beyond a
-    relative slack) are infeasible and map to :data:`PLUS_INFINITY`.
+    relative slack) are infeasible and map to ``+inf``.
     """
     mesh = u.mesh
     means = u.element_means()
     slack = feasibility_tol * (1.0 + float(np.abs(means).max(initial=0.0))
                                + float(np.abs(chi_h.values).max(initial=0.0)))
     if float((means - chi_h.values).min(initial=0.0)) < -slack:
-        return PLUS_INFINITY
+        return math.inf
     grads = u.gradient().values
     return float(0.5 * (mesh.areas * (grads ** 2).sum(axis=1)).sum()
                  - (f_h.values * mesh.areas * means).sum())
@@ -207,7 +145,7 @@ def energy_dual_discrete(y, f_h: P0Function, chi_h: P0Function,
     ``-1/2 ||means(y)||^2 - (div y + f_h, chi_h)`` plus, for inhomogeneous
     boundary values, the boundary pairing ``sum_S flux_S |S| g_S`` over
     constrained sides.  A positive residual load ``div y + f_h`` anywhere
-    (beyond a relative slack) maps to :data:`MINUS_INFINITY`.
+    (beyond a relative slack) maps to ``-inf``.
     """
     if isinstance(y, DualField):
         flux, div, means = y.flux, y.divergence.values, y.cell_average.values
@@ -219,7 +157,7 @@ def energy_dual_discrete(y, f_h: P0Function, chi_h: P0Function,
     residual_load = div + f_h.values
     slack = sign_tol * (1.0 + float(np.abs(f_h.values).max(initial=0.0)))
     if float(residual_load.max(initial=0.0)) > slack:
-        return MINUS_INFINITY
+        return -math.inf
     value = float(-0.5 * (mesh.areas * (means ** 2).sum(axis=1)).sum()
                   - (residual_load * chi_h.values * mesh.areas).sum())
     if boundary_dof_values is not None:
@@ -269,12 +207,12 @@ def energy_dual_continuous(mesh: Mesh, data: ProblemData, field: DualField,
     rule with the continuous load; the sign indicator is evaluated with the
     projected load ``f_h`` (for non-constant loads the difference is an
     oscillation-order effect); inhomogeneous boundary values contribute
-    ``sum_S flux_S int_S g``.
+    ``sum_S flux_S int_S g``.  A positive residual load maps to ``-inf``.
     """
     residual_load = field.divergence.values + f_h.values
     slack = sign_tol * (1.0 + float(np.abs(f_h.values).max(initial=0.0)))
     if float(residual_load.max(initial=0.0)) > slack:
-        return MINUS_INFINITY
+        return -math.inf
 
     exact2 = triangle_rule(2)
     y_vals = field.flux.eval_at(exact2.bary)
@@ -294,52 +232,10 @@ def energy_dual_continuous(mesh: Mesh, data: ProblemData, field: DualField,
         mask = mesh.dirichlet_side_mask
         if mask.any():
             srule = segment_rule(boundary_points)
-            a = mesh.vertex_coords[mesh.side_vertices[mask, 0]]
-            b = mesh.vertex_coords[mesh.side_vertices[mask, 1]]
-            pts_s = (a[:, None, :]
-                     + srule.points[None, :, None] * (b - a)[:, None, :])
+            pts_s = side_points(mesh, srule, mask)
             g_vals = data.dirichlet_values_at(
-                pts_s.reshape(-1, 2)).reshape(len(a), -1)
+                pts_s.reshape(-1, 2)).reshape(len(pts_s), -1)
             side_integrals = (g_vals @ srule.weights) * mesh.side_lengths[mask]
             value += float((field.flux.side_fluxes[mask] * side_integrals).sum())
     return value
 
-
-# ----------------------------------------------------------------------
-# energy history records
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class EnergyRecord:
-    """Per-level energies of a refinement study (floats or sentinels)."""
-    level: int
-    dofs: int
-    primal_energy: object
-    dual_energy: object
-    primal_energy_discrete: object
-    dual_energy_discrete: object
-
-
-def _format_energy(value) -> str:
-    if value is PLUS_INFINITY:
-        return "inf"
-    if value is MINUS_INFINITY:
-        return "-inf"
-    return f"{value:.17g}"
-
-
-def write_energy_history(path, records) -> None:
-    """Write per-level energies and gaps as CSV (deterministic formatting)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("level,dofs,primal_energy,dual_energy,"
-                 "primal_discrete,dual_discrete,gap,gap_discrete\n")
-        for r in records:
-            gap = energy_gap(r.primal_energy, r.dual_energy)
-            gap_d = energy_gap(r.primal_energy_discrete,
-                               r.dual_energy_discrete)
-            cells = [str(r.level), str(r.dofs),
-                     _format_energy(r.primal_energy),
-                     _format_energy(r.dual_energy),
-                     _format_energy(r.primal_energy_discrete),
-                     _format_energy(r.dual_energy_discrete),
-                     _format_energy(gap), _format_energy(gap_d)]
-            fh.write(",".join(cells) + "\n")

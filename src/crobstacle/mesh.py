@@ -61,10 +61,6 @@ def _cross2(u, v):
     return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
 
-def _as_label_array(labels):
-    return np.asarray(labels, dtype="<U9")
-
-
 class Mesh:
     """An immutable conforming triangulation.
 

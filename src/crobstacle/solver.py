@@ -31,7 +31,7 @@ from .assembly import (
     find_excluded_element,
 )
 from .mesh import Mesh
-from .sparse import SingularConstraintError, SparseMatrix, solve_kkt, solve_spd
+from .sparse import SingularConstraintError, solve_kkt, solve_spd
 from .spaces import CrFunction, P0Function
 
 __all__ = [
@@ -73,8 +73,8 @@ class DiscreteObstacleSystem:
     mesh: Mesh
     data: ProblemData
     dofmap: DofMap
-    stiffness: SparseMatrix
-    coupling: SparseMatrix
+    stiffness: sp.csr_array
+    coupling: sp.csr_array
     load: np.ndarray
     boundary_values: np.ndarray
     obstacle_side_values: np.ndarray
@@ -135,7 +135,7 @@ def build_system(mesh: Mesh, data: ProblemData,
         coupling = assemble_coupling(mesh, dofmap)
 
     stiffness_full = assemble_stiffness_full(mesh)
-    stiffness = stiffness_full.submatrix(dofmap.free_sides, dofmap.free_sides)
+    stiffness = stiffness_full[dofmap.free_sides][:, dofmap.free_sides]
     boundary_values = dirichlet_dof_values(mesh, data)
     _, f_h = assemble_load(mesh, data, dofmap)
     obstacle_side_values, chi_h = assemble_obstacle_vectors(mesh, data, dofmap)
@@ -251,7 +251,7 @@ def _solve_for_active(system: DiscreteObstacleSystem, act: np.ndarray):
         free, _ = solve_spd(system.stiffness, system.load)
         return free, np.zeros(dm.n_multipliers)
     cols = np.flatnonzero(act)
-    constraint = system.coupling.submatrix(np.arange(dm.n_free), cols)
+    constraint = system.coupling[:, cols]
     try:
         free, active_mult, _ = solve_kkt(
             system.stiffness, constraint,
@@ -265,7 +265,7 @@ def _solve_for_active(system: DiscreteObstacleSystem, act: np.ndarray):
         # symmetric representative, letting the active set settle; an
         # inconsistent system re-raises the constraint diagnosis.
         free, active_mult = _min_norm_kkt(
-            system.stiffness.csr, constraint.csr,
+            system.stiffness, constraint,
             system.load, system.constraint_rhs[cols], system.scale, exc)
     mult = np.zeros(dm.n_multipliers)
     mult[cols] = active_mult
@@ -422,10 +422,10 @@ def penalized_solve(mesh: Mesh | None = None, data: ProblemData | None = None,
             break
         iterations += 1
         weights = pattern.astype(float) * inv_eps2 / areas_el
-        coupling = sys_.coupling.csr
-        jac = sys_.stiffness.csr + coupling @ sp.diags_array(weights) @ coupling.T
-        rhs = -(sys_.stiffness @ free + sys_.coupling @ lam - sys_.load)
-        delta, _ = solve_spd(SparseMatrix(sp.csr_array(jac)), rhs)
+        coupling = sys_.coupling
+        jac = sys_.stiffness + coupling @ sp.diags_array(weights) @ coupling.T
+        rhs = -(sys_.stiffness @ free + coupling @ lam - sys_.load)
+        delta, _ = solve_spd(jac, rhs)
         free = free + delta
         solved_pattern = pattern
 
@@ -509,8 +509,8 @@ def brute_force_solve(mesh: Mesh | None = None, data: ProblemData | None = None,
             f"exhaustive enumeration is limited to {MAX_BRUTE_FORCE_MULTIPLIERS} "
             f"multiplier elements, got {nm}")
 
-    S = sys_.stiffness.to_dense()
-    P = sys_.coupling.to_dense()
+    S = sys_.stiffness.toarray()
+    P = sys_.coupling.toarray()
     b = sys_.load
     scale = max(1.0, sys_.scale)
     feas_tol = feasibility_tol * scale

@@ -26,7 +26,8 @@ Quadrature
 ----------
 Quadrature is barycentric only: fields evaluate at the barycentric points of
 a rule (``eval_at``), and :func:`element_points` builds the physical points
-once per pass, only for :func:`sample_data` to evaluate problem data there.
+once per pass, only for :func:`sample_data` to evaluate problem data there;
+:func:`side_points` does the same for segment rules on sides.
 Nothing maps physical points back to barycentric coordinates except
 prolongation, which locates fine side midpoints in coarse elements.
 
@@ -50,6 +51,7 @@ __all__ = [
     "triangle_rule",
     "segment_rule",
     "element_points",
+    "side_points",
     "sample_data",
     "integrate_elementwise",
     "P0Function",
@@ -220,6 +222,19 @@ def element_points(mesh: Mesh, bary: np.ndarray, elems=None) -> np.ndarray:
     """
     ev = mesh.elem_vertices if elems is None else mesh.elem_vertices[np.asarray(elems)]
     return _barycentric_combination(bary, mesh.vertex_coords[ev])
+
+
+def side_points(mesh: Mesh, rule: SegmentRule, sides=None) -> np.ndarray:
+    """Physical coordinates ``(n_sides, nq, 2)`` of a segment rule on sides.
+
+    Side ``[a, b]`` (in its stored orientation) carries the points
+    ``a + t (b - a)`` for the rule points ``t``; ``sides`` selects sides by
+    index or mask (all sides by default).
+    """
+    sv = mesh.side_vertices if sides is None else mesh.side_vertices[sides]
+    a = mesh.vertex_coords[sv[:, 0]]
+    b = mesh.vertex_coords[sv[:, 1]]
+    return a[:, None, :] + rule.points[None, :, None] * (b - a)[:, None, :]
 
 
 def sample_data(value, mesh: Mesh, points: np.ndarray):
@@ -446,20 +461,14 @@ def interp_cr(f, mesh: Mesh, rule: SegmentRule | None = None) -> CrFunction:
     if np.isscalar(f):
         return CrFunction(mesh, np.full(mesh.n_sides, float(f)))
     rule = rule or segment_rule(2)
-    a = mesh.vertex_coords[mesh.side_vertices[:, 0]]
-    b = mesh.vertex_coords[mesh.side_vertices[:, 1]]
-    pts = a[:, None, :] + rule.points[None, :, None] * (b - a)[:, None, :]
-    vals = f(pts)
+    vals = f(side_points(mesh, rule))
     return CrFunction(mesh, np.asarray(vals) @ rule.weights)
 
 
 def interp_rt(y, mesh: Mesh, rule: SegmentRule | None = None) -> Rt0Function:
     """Side-flux interpolant of a vector callable into the lowest-order flux space."""
     rule = rule or segment_rule(2)
-    a = mesh.vertex_coords[mesh.side_vertices[:, 0]]
-    b = mesh.vertex_coords[mesh.side_vertices[:, 1]]
-    pts = a[:, None, :] + rule.points[None, :, None] * (b - a)[:, None, :]
-    vals = np.asarray(y(pts))                       # (ns, nq, 2)
+    vals = np.asarray(y(side_points(mesh, rule)))   # (ns, nq, 2)
     normal_comp = np.einsum("sqd,sd->sq", vals, mesh.side_normals)
     return Rt0Function(mesh, normal_comp @ rule.weights)
 

@@ -1,38 +1,29 @@
-"""Sparse matrices and linear solvers.
+"""Linear solvers for the operators of the discrete obstacle problem.
 
-Thin, deterministic wrappers around scipy.sparse:
+Operators are plain ``scipy.sparse`` CSR arrays; both solvers factor them
+with SuperLU and are deterministic:
 
-* :class:`SparseMatrix` -- CSR storage with COO assembly (duplicate entries
-  are summed),
-* :func:`solve_spd` -- direct sparse LU for moderate sizes, Jacobi-
-  preconditioned conjugate gradients above a row-count threshold,
-* :func:`solve_kkt` -- direct solver for symmetric saddle-point systems
-  ``[[A, B], [B^T, 0]]`` with constraint-degeneracy diagnostics,
-* :func:`export_matrix_market` -- debug export.
+* :func:`solve_spd` -- symmetric positive definite systems,
+* :func:`solve_kkt` -- symmetric saddle-point systems
+  ``[[A, B], [B^T, 0]]`` with constraint-degeneracy diagnostics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 import time
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 __all__ = [
-    "SparseMatrix",
     "SolveReport",
     "LinearSolveError",
     "SingularConstraintError",
     "solve_spd",
     "solve_kkt",
-    "export_matrix_market",
 ]
-
-DIRECT_ROW_LIMIT = 200_000
 
 
 class LinearSolveError(Exception):
@@ -51,63 +42,6 @@ class SingularConstraintError(Exception):
         self.constraints = tuple(int(c) for c in constraints)
 
 
-class SparseMatrix:
-    """Immutable CSR matrix with convenience constructors."""
-
-    def __init__(self, data):
-        if not sp.issparse(data):
-            raise TypeError("SparseMatrix wraps a scipy sparse matrix")
-        self.csr = sp.csr_array(data)
-
-    @classmethod
-    def from_coo(cls, rows, cols, values, shape):
-        """Assemble from triplets; duplicate (row, col) entries are summed."""
-        coo = sp.coo_array(
-            (np.asarray(values, dtype=float),
-             (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64))),
-            shape=shape)
-        return cls(coo.tocsr())
-
-    @classmethod
-    def from_dense(cls, array):
-        return cls(sp.csr_array(np.asarray(array, dtype=float)))
-
-    @property
-    def shape(self):
-        return self.csr.shape
-
-    @property
-    def nnz(self) -> int:
-        return int(self.csr.nnz)
-
-    def matvec(self, x):
-        return self.csr @ np.asarray(x, dtype=float)
-
-    def __matmul__(self, x):
-        if isinstance(x, SparseMatrix):
-            return SparseMatrix(self.csr @ x.csr)
-        return self.matvec(x)
-
-    def transpose(self):
-        return SparseMatrix(self.csr.T.tocsr())
-
-    @property
-    def T(self):
-        return self.transpose()
-
-    def to_dense(self):
-        return self.csr.toarray()
-
-    def diagonal(self):
-        return self.csr.diagonal()
-
-    def submatrix(self, rows, cols):
-        return SparseMatrix(self.csr[np.asarray(rows)][:, np.asarray(cols)])
-
-    def __repr__(self):
-        return f"SparseMatrix(shape={self.shape}, nnz={self.nnz})"
-
-
 @dataclass(frozen=True)
 class SolveReport:
     """Outcome of a linear solve."""
@@ -119,48 +53,23 @@ class SolveReport:
     elapsed: float
 
 
-def _as_csr(A):
-    return A.csr if isinstance(A, SparseMatrix) else sp.csr_array(A)
+def solve_spd(A, b):
+    """Solve a symmetric positive definite system by sparse LU.
 
-
-def solve_spd(A, b, direct_limit: int = DIRECT_ROW_LIMIT,
-              rtol: float = 1e-12, maxiter: int | None = None):
-    """Solve a symmetric positive definite system.
-
-    Uses a direct sparse LU factorisation for up to ``direct_limit`` rows and
-    Jacobi-preconditioned conjugate gradients beyond; both paths are
-    deterministic.  Returns ``(x, SolveReport)``.
+    Returns ``(x, SolveReport)``.
     """
-    csr = _as_csr(A)
+    csr = sp.csr_array(A)
     b = np.asarray(b, dtype=float)
     n = csr.shape[0]
     if csr.shape[0] != csr.shape[1] or len(b) != n:
         raise LinearSolveError(f"shape mismatch: A {csr.shape}, b {b.shape}")
     t0 = time.perf_counter()
-    if n <= direct_limit:
-        try:
-            lu = spla.splu(sp.csc_matrix(csr))
-            x = lu.solve(b)
-        except RuntimeError as exc:
-            raise LinearSolveError(f"direct factorisation failed: {exc}") from exc
-        method, iterations = "direct-lu", 1
-    else:
-        diag = csr.diagonal()
-        if np.any(diag <= 0):
-            raise LinearSolveError("matrix has non-positive diagonal entries")
-        M = spla.LinearOperator((n, n), matvec=lambda v: v / diag)
-        count = {"it": 0}
-
-        def callback(_):
-            count["it"] += 1
-
-        x, info = spla.cg(csr, b, rtol=rtol, atol=0.0, maxiter=maxiter,
-                          M=M, callback=callback)
-        if info != 0:
-            raise LinearSolveError(f"conjugate gradients did not converge (info={info})")
-        method, iterations = "jacobi-pcg", count["it"]
+    try:
+        x = spla.splu(sp.csc_matrix(csr)).solve(b)
+    except RuntimeError as exc:
+        raise LinearSolveError(f"direct factorisation failed: {exc}") from exc
     residual = float(np.linalg.norm(csr @ x - b))
-    return x, SolveReport(method, n, int(csr.nnz), iterations, residual,
+    return x, SolveReport("direct-lu", n, int(csr.nnz), 1, residual,
                           time.perf_counter() - t0)
 
 
@@ -204,8 +113,8 @@ def solve_kkt(A, B, f, g):
     Degenerate constraints raise :class:`SingularConstraintError` naming the
     offending constraint indices.  Returns ``(x, y, SolveReport)``.
     """
-    Acsr = _as_csr(A)
-    Bcsr = _as_csr(B)
+    Acsr = sp.csr_array(A)
+    Bcsr = sp.csr_array(B)
     f = np.asarray(f, dtype=float)
     g = np.asarray(g, dtype=float)
     n, m = Bcsr.shape
@@ -264,9 +173,3 @@ def solve_kkt(A, B, f, g):
                          time.perf_counter() - t0)
     return x, y, report
 
-
-def export_matrix_market(A, path, comment: str = ""):
-    """Write a matrix in Matrix Market format for external inspection."""
-    path = Path(path)
-    scipy.io.mmwrite(str(path), _as_csr(A), comment=comment)
-    return path

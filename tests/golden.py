@@ -11,7 +11,6 @@ from pathlib import Path
 
 from crobstacle.adaptivity import AfemConfig, afem_run
 from crobstacle.benchmarks import get_benchmark
-from crobstacle.duality import is_infinite
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "data" / "afem_golden.json"
 
@@ -20,11 +19,11 @@ RUNS = (("corner", 6, False), ("pyramid", 6, False), ("ring", 2, True))
 
 
 def encode(value):
-    """Floats as floats; NaN as None; energy sentinels by name."""
-    if is_infinite(value):
-        return repr(value)
+    """Finite floats as floats; NaN as None; infinite energies as "inf"/"-inf"."""
     value = float(value)
-    return None if math.isnan(value) else value
+    if math.isnan(value):
+        return None
+    return repr(value) if math.isinf(value) else value
 
 
 def record_dict(rec):

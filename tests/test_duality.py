@@ -6,26 +6,22 @@ Oracle routes:
 * the frozen ring benchmark energy (re-derived in test_benchmarks.py),
 * printed convergence anchors for the dual error.
 """
+import math
+
 import numpy as np
 import pytest
 
 from crobstacle.assembly import ProblemData, assemble_load, assemble_obstacle_vectors, build_dofmap
 from crobstacle.benchmarks import RING_ENERGY, corner, pyramid, ring
 from crobstacle.duality import (
-    MINUS_INFINITY,
-    PLUS_INFINITY,
     DualityError,
-    EnergyRecord,
-    EnergySentinel,
     energy_dual_continuous,
     energy_dual_discrete,
-    energy_gap,
     energy_primal_continuous,
     energy_primal_discrete,
-    is_infinite,
     marini_flux,
-    write_energy_history,
 )
+from crobstacle.estimator import ErrorRecord, write_error_history
 from crobstacle.mesh import refine_red
 from crobstacle.solver import build_system, pdas_solve
 from crobstacle.spaces import (
@@ -183,7 +179,7 @@ def test_discrete_strong_duality_randomized():
     for k in range(8):
         mesh, data = random_small_problem(rng, k)
         _, _, primal, dual = _solve_and_energies(mesh, data)
-        assert not is_infinite(primal) and not is_infinite(dual)
+        assert math.isfinite(primal) and math.isfinite(dual)
         assert abs(primal - dual) <= 1e-10 * (1.0 + abs(primal))
 
 
@@ -219,45 +215,41 @@ def test_energy_primal_discrete_values():
     # push one element mean far below the obstacle
     bad = full.copy()
     bad[mesh.elem_sides[4]] -= 5.0
-    sentinel = energy_primal_discrete(CrFunction(mesh, bad), f_h, chi_h)
-    assert sentinel is PLUS_INFINITY
-    assert is_infinite(sentinel)
-    assert not isinstance(sentinel, float)
+    infeasible = energy_primal_discrete(CrFunction(mesh, bad), f_h, chi_h)
+    assert isinstance(infeasible, float)
+    assert infeasible == math.inf
+    # above every finite energy, so its gap to any dual energy is +inf
+    assert infeasible > 1e308
+    assert infeasible - value == math.inf
+    assert infeasible - (-math.inf) == math.inf
 
 
-def test_energy_dual_discrete_values():
+def _zero_flux_case():
+    """A zero flux on a 2x3 grid, a nonpositive load, its absolute value
+    (which makes the flux infeasible) and an obstacle."""
     mesh = grid_mesh(2, 3, (0.0, 0.0, 1.0, 1.5))
     rng = np.random.default_rng(8)
     f_vals = -rng.uniform(0.5, 2.0, size=mesh.n_elements)
     chi_vals = rng.normal(size=mesh.n_elements)
-    f_h = P0Function(mesh, f_vals)
-    chi_h = P0Function(mesh, chi_vals)
     zero = Rt0Function(mesh, np.zeros(mesh.n_sides))
+    return (zero, P0Function(mesh, f_vals), P0Function(mesh, np.abs(f_vals)),
+            P0Function(mesh, chi_vals))
+
+
+def test_energy_dual_discrete_values():
+    zero, f_h, f_bad, chi_h = _zero_flux_case()
+    mesh = zero.mesh
     value = energy_dual_discrete(zero, f_h, chi_h)
-    oracle = -float((f_vals * chi_vals * mesh.areas).sum())
+    oracle = -float((f_h.values * chi_h.values * mesh.areas).sum())
     assert abs(value - oracle) <= 1e-13 * (1.0 + abs(oracle))
 
     # positive residual load violates the sign constraint
-    f_bad = P0Function(mesh, np.abs(f_vals))
-    assert energy_dual_discrete(zero, f_bad, chi_h) is MINUS_INFINITY
-
-
-def test_energy_sentinels_are_tagged_and_ordered():
-    assert isinstance(PLUS_INFINITY, EnergySentinel)
-    assert isinstance(MINUS_INFINITY, EnergySentinel)
-    assert PLUS_INFINITY is not MINUS_INFINITY
-    assert MINUS_INFINITY < -1e308
-    assert PLUS_INFINITY > 1e308
-    assert MINUS_INFINITY < PLUS_INFINITY
-    assert PLUS_INFINITY > MINUS_INFINITY
-    assert not (PLUS_INFINITY < MINUS_INFINITY)
-    assert is_infinite(PLUS_INFINITY) and is_infinite(MINUS_INFINITY)
-    assert not is_infinite(0.0)
-    with pytest.raises(TypeError):
-        PLUS_INFINITY + 1.0  # noqa: B018  - sentinel must not enter arithmetic
-    assert energy_gap(PLUS_INFINITY, 0.0) is PLUS_INFINITY
-    assert energy_gap(0.0, MINUS_INFINITY) is PLUS_INFINITY
-    assert energy_gap(3.0, 1.0) == 2.0
+    infeasible = energy_dual_discrete(zero, f_bad, chi_h)
+    assert isinstance(infeasible, float)
+    assert infeasible == -math.inf
+    # below every finite energy, so any primal energy's gap to it is +inf
+    assert infeasible < -1e308
+    assert value - infeasible == math.inf
 
 
 def test_ibp_identity_random_fields():
@@ -325,7 +317,7 @@ def test_energy_dual_continuous_weak_duality_and_gap_rate():
         assert out.converged
         z = marini_flux(out.solution, out.multiplier, out.system.f_h)
         dual = energy_dual_continuous(mesh, bench.data, z, out.system.f_h)
-        assert not is_infinite(dual)
+        assert math.isfinite(dual)
         # weak duality against the exact minimizer (quadrature slack)
         assert dual <= RING_ENERGY + 1e-6
         gaps.append(RING_ENERGY - dual)
@@ -345,26 +337,27 @@ def test_energy_dual_continuous_weak_duality_and_gap_rate():
 
 
 # ----------------------------------------------------------------------
-# energy history records
+# energy history
 # ----------------------------------------------------------------------
 def test_energy_history_csv(tmp_path):
+    # infinite energies are written as inf / -inf cells, the dual one as
+    # energy_dual_discrete returns it for an infeasible flux
+    zero, _, f_bad, chi_h = _zero_flux_case()
+    dual = energy_dual_discrete(zero, f_bad, chi_h)
     records = [
-        EnergyRecord(level=1, dofs=10, primal_energy=3.5, dual_energy=3.25,
-                     primal_energy_discrete=3.375,
-                     dual_energy_discrete=3.375),
-        EnergyRecord(level=2, dofs=40, primal_energy=PLUS_INFINITY,
-                     dual_energy=MINUS_INFINITY,
-                     primal_energy_discrete=3.25,
-                     dual_energy_discrete=3.25),
+        ErrorRecord(level=1, h_max=0.5, dofs=10, estimator_sq=0.25,
+                    primal_energy=3.375, dual_energy=3.375),
+        ErrorRecord(level=2, h_max=0.25, dofs=40, estimator_sq=0.0625,
+                    primal_energy=math.inf, dual_energy=dual),
     ]
     path = tmp_path / "energies.csv"
-    write_energy_history(path, records)
+    write_error_history(path, records)
     text = path.read_text()
     lines = text.strip().splitlines()
-    assert lines[0] == ("level,dofs,primal_energy,dual_energy,"
-                        "primal_discrete,dual_discrete,gap,gap_discrete")
     assert len(lines) == 3
-    assert lines[1].startswith("1,10,3.5,3.25,3.375,3.375,0.25,")
-    assert "inf" in lines[2] and "-inf" in lines[2]
-    write_energy_history(path, records)
+    assert lines[0].endswith(",primal_energy,dual_energy")
+    assert lines[1].startswith("1,0.5,10,")
+    assert lines[1].endswith(",0.25,nan,3.375,3.375")
+    assert lines[2].endswith(",0.0625,nan,inf,-inf")
+    write_error_history(path, records)
     assert path.read_text() == text

@@ -40,6 +40,7 @@ from crobstacle.spaces import (
     prolong_p0,
     sample_data,
     segment_rule,
+    side_points,
     triangle_rule,
 )
 
@@ -138,6 +139,23 @@ class TestQuadrature:
         some = np.arange(0, mesh.n_elements, 3)
         assert np.array_equal(element_points(mesh, rule.bary, some),
                               expected[some])
+
+    @pytest.mark.parametrize("n", [1, 2, 6, 8])
+    def test_side_points_bitwise_equal_to_inline_formula(self, n):
+        """The points equal ``a + t (b - a)`` evaluated inline, bit for bit."""
+        mesh = rgb_mesh()
+        rule = segment_rule(n)
+
+        def inline(sides):
+            a = mesh.vertex_coords[mesh.side_vertices[sides, 0]]
+            b = mesh.vertex_coords[mesh.side_vertices[sides, 1]]
+            return a[:, None, :] + rule.points[None, :, None] * (b - a)[:, None, :]
+
+        assert np.array_equal(side_points(mesh, rule), inline(slice(None)))
+        mask = mesh.dirichlet_side_mask
+        assert np.array_equal(side_points(mesh, rule, mask), inline(mask))
+        sides = np.flatnonzero(mask)
+        assert np.array_equal(side_points(mesh, rule, sides), inline(sides))
 
     def test_sample_data(self):
         mesh = lshape_mesh(2)

@@ -1,14 +1,12 @@
-"""Sparse wrappers and linear solvers against dense numpy oracles."""
+"""Linear solvers against dense numpy oracles."""
 
 import numpy as np
 import pytest
-import scipy.io
+import scipy.sparse as sp
 
 from crobstacle.sparse import (
     LinearSolveError,
     SingularConstraintError,
-    SparseMatrix,
-    export_matrix_market,
     solve_kkt,
     solve_spd,
 )
@@ -20,65 +18,19 @@ def random_spd(n, seed):
     return M @ M.T + n * np.eye(n)
 
 
-class TestSparseMatrix:
-    def test_from_coo_sums_duplicates(self):
-        A = SparseMatrix.from_coo(
-            rows=[0, 0, 1, 2, 0],
-            cols=[0, 1, 1, 2, 0],
-            values=[1.0, 2.0, 3.0, 4.0, 5.0],
-            shape=(3, 3))
-        expected = np.array([[6.0, 2.0, 0.0], [0.0, 3.0, 0.0], [0.0, 0.0, 4.0]])
-        assert np.allclose(A.to_dense(), expected)
-        assert A.shape == (3, 3)
-
-    def test_matvec_and_transpose(self):
-        rng = np.random.default_rng(0)
-        D = rng.normal(size=(4, 6))
-        D[np.abs(D) < 0.7] = 0.0
-        A = SparseMatrix.from_dense(D)
-        x = rng.normal(size=6)
-        assert np.allclose(A.matvec(x), D @ x)
-        assert np.allclose(A @ x, D @ x)
-        assert np.allclose(A.T.to_dense(), D.T)
-        y = rng.normal(size=4)
-        assert np.allclose(A.T @ y, D.T @ y)
-
-    def test_submatrix_and_diagonal(self):
-        D = np.arange(16, dtype=float).reshape(4, 4)
-        A = SparseMatrix.from_dense(D)
-        assert np.allclose(A.diagonal(), np.diag(D))
-        S = A.submatrix([0, 2], [1, 3])
-        assert np.allclose(S.to_dense(), D[np.ix_([0, 2], [1, 3])])
-
-
 class TestSolveSpd:
     def test_direct_vs_dense_oracle(self):
         D = random_spd(30, seed=1)
         b = np.random.default_rng(2).normal(size=30)
-        x, report = solve_spd(SparseMatrix.from_dense(D), b)
+        x, report = solve_spd(sp.csr_array(D), b)
         assert np.allclose(x, np.linalg.solve(D, b), atol=1e-10)
         assert report.method == "direct-lu"
         assert report.residual_norm < 1e-9
         assert report.n == 30
 
-    def test_iterative_path(self):
-        D = random_spd(40, seed=3)
-        b = np.random.default_rng(4).normal(size=40)
-        x, report = solve_spd(SparseMatrix.from_dense(D), b, direct_limit=10)
-        assert report.method == "jacobi-pcg"
-        assert report.iterations > 0
-        assert np.allclose(x, np.linalg.solve(D, b), atol=1e-8)
-
-    def test_iterative_deterministic(self):
-        D = random_spd(25, seed=5)
-        b = np.ones(25)
-        x1, _ = solve_spd(SparseMatrix.from_dense(D), b, direct_limit=1)
-        x2, _ = solve_spd(SparseMatrix.from_dense(D), b, direct_limit=1)
-        assert np.array_equal(x1, x2)
-
     def test_shape_mismatch(self):
         with pytest.raises(LinearSolveError):
-            solve_spd(SparseMatrix.from_dense(np.eye(3)), np.ones(4))
+            solve_spd(sp.csr_array(np.eye(3)), np.ones(4))
 
 
 class TestSolveKkt:
@@ -89,8 +41,7 @@ class TestSolveKkt:
         B = rng.normal(size=(n, m))
         f = rng.normal(size=n)
         g = rng.normal(size=m)
-        x, y, report = solve_kkt(SparseMatrix.from_dense(A),
-                                 SparseMatrix.from_dense(B), f, g)
+        x, y, report = solve_kkt(sp.csr_array(A), sp.csr_array(B), f, g)
         K = np.block([[A, B], [B.T, np.zeros((m, m))]])
         expected = np.linalg.solve(K, np.concatenate([f, g]))
         assert np.allclose(x, expected[:n], atol=1e-9)
@@ -102,7 +53,7 @@ class TestSolveKkt:
         B = np.zeros((6, 2))
         B[0, 0] = 1.0  # constraint 1 has empty support
         with pytest.raises(SingularConstraintError) as err:
-            solve_kkt(SparseMatrix.from_dense(A), SparseMatrix.from_dense(B),
+            solve_kkt(sp.csr_array(A), sp.csr_array(B),
                       np.ones(6), np.zeros(2))
         assert 1 in err.value.constraints
         assert "1" in str(err.value)
@@ -114,25 +65,13 @@ class TestSolveKkt:
         B[0, 2] = 1.0  # duplicate of constraint 0
         B[3, 1] = 2.0
         with pytest.raises(SingularConstraintError) as err:
-            solve_kkt(SparseMatrix.from_dense(A), SparseMatrix.from_dense(B),
+            solve_kkt(sp.csr_array(A), sp.csr_array(B),
                       np.ones(6), np.zeros(3))
         assert set(err.value.constraints) == {0, 2}
 
     def test_shape_mismatch(self):
         with pytest.raises(LinearSolveError):
-            solve_kkt(SparseMatrix.from_dense(np.eye(3)),
-                      SparseMatrix.from_dense(np.ones((4, 2))),
+            solve_kkt(sp.csr_array(np.eye(3)),
+                      sp.csr_array(np.ones((4, 2))),
                       np.ones(3), np.ones(2))
 
-
-class TestExport:
-    def test_matrix_market_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(10)
-        D = rng.normal(size=(5, 7))
-        D[np.abs(D) < 0.8] = 0.0
-        A = SparseMatrix.from_dense(D)
-        path = export_matrix_market(A, tmp_path / "mat.mtx", comment="test")
-        back = scipy.io.mmread(str(path))
-        assert np.allclose(back.toarray(), D)
-        text = path.read_text()
-        assert text.startswith("%%MatrixMarket")

@@ -119,7 +119,9 @@ class ProblemData:
 
     ``f`` may be a scalar, a vectorised callable on coordinate arrays, or a
     :class:`P0Function`; the obstacle ``chi`` is a scalar or a vectorised
-    callable, and anything else raises :class:`AssemblyError`.
+    callable.  Anything else (a ``CrFunction`` or ``VertexFunction`` load, a
+    piecewise-constant obstacle) raises :class:`AssemblyError`: the
+    estimator samples both at quadrature points.
     ``chi_grad`` (vector callable) is needed only by estimator routines when
     the obstacle is active and non-affine.
     ``dirichlet_data`` (callable or scalar) imposes inhomogeneous boundary
@@ -133,6 +135,11 @@ class ProblemData:
     exact: Optional[ExactSolution] = None
 
     def __post_init__(self):
+        if not (np.isscalar(self.f) or callable(self.f)
+                or isinstance(self.f, P0Function)):
+            raise AssemblyError(
+                "the load must be a scalar, a callable or a P0Function, got "
+                f"{type(self.f).__name__}")
         if not (np.isscalar(self.chi) or callable(self.chi)):
             raise AssemblyError(
                 "the obstacle must be a scalar or a callable, got "
@@ -149,13 +156,19 @@ class ProblemData:
             return np.full(len(points), float(self.dirichlet_data))
         return np.asarray(self.dirichlet_data(points), dtype=float)
 
-    def validate_on(self, mesh: Mesh, tol: float = 1e-12):
-        """Check that the obstacle does not exceed the boundary data on Dirichlet sides."""
+    def validate_on(self, mesh: Mesh, tol: float = 1e-12, *, side_values=None):
+        """Check that the obstacle does not exceed the boundary data on Dirichlet sides.
+
+        ``side_values`` are the obstacle's :meth:`chi_side_values` on
+        ``mesh`` when the caller already has them.
+        """
         dmask = mesh.dirichlet_side_mask
         if not dmask.any():
             return
+        if side_values is None:
+            side_values = self.chi_side_values(mesh)
         mids = mesh.side_midpoints[dmask]
-        chi_vals = self.chi_side_values(mesh)[dmask]
+        chi_vals = side_values[dmask]
         bdry = self.dirichlet_values_at(mids)
         worst = float((chi_vals - bdry).max())
         if worst > tol:

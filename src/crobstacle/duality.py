@@ -29,6 +29,7 @@ from .spaces import (
     integrate_elementwise,
     sample_data,
     segment_rule,
+    shared_sample,
     side_points,
     triangle_rule,
 )
@@ -191,7 +192,7 @@ def energy_primal_continuous(mesh: Mesh, data: ProblemData, values_on,
     grads = np.asarray(gradients_on(rule.bary, points), dtype=float)
     density = 0.5 * (grads[..., 0] ** 2 + grads[..., 1] ** 2)
     del grads
-    density -= (sample_data(data.f, mesh, points)
+    density -= (shared_sample(data.f, mesh, rule, points)
                 * np.asarray(values_on(rule.bary, points), dtype=float))
     return float(integrate_elementwise(mesh, rule, density).sum())
 
@@ -222,7 +223,7 @@ def energy_dual_continuous(mesh: Mesh, data: ProblemData, field: DualField,
     rule = triangle_rule(degree)
     pts = element_points(mesh, rule.bary)
     chi_vals = sample_data(data.chi, mesh, pts)
-    f_vals = sample_data(data.f, mesh, pts)
+    f_vals = shared_sample(data.f, mesh, rule, pts)
     div_vals = field.divergence.values[:, None]
     pairing = float(integrate_elementwise(
         mesh, rule, (div_vals + f_vals) * chi_vals).sum())

@@ -10,6 +10,16 @@
 * experimental convergence orders and extrapolated reference energies.
 
 Everything is vectorised over elements with deterministic reductions.
+
+On one level, :func:`oscillation` (through :func:`estimate`),
+:func:`exact_errors` and :func:`rho_reduced` (through
+``energy_primal_continuous``) need the load ``f`` and the exact ``u`` and
+``grad u`` at the same degree-12 element points.  They take them from
+:func:`~crobstacle.spaces.shared_sample`, so each callable is evaluated
+once per level, not once per caller.  The shared samples are those of the
+latest mesh and rule only: the next level's sampling replaces them, and
+they go when their mesh does.  Each call still builds its own element
+points; the obstacle is sampled per call.
 """
 from __future__ import annotations
 
@@ -32,6 +42,7 @@ from .spaces import (
     interp_rt,
     sample_data,
     segment_rule,
+    shared_sample,
     triangle_rule,
 )
 
@@ -224,7 +235,8 @@ def oscillation(mesh: Mesh, data: ProblemData, f_h: P0Function,
     rule = rule or triangle_rule(HIGH_ORDER_DEGREE)
     if points is None and callable(data.f):
         points = element_points(mesh, rule.bary)
-    diff_sq = (sample_data(data.f, mesh, points) - f_h.values[:, None]) ** 2
+    f = shared_sample(data.f, mesh, rule, points)
+    diff_sq = (f - f_h.values[:, None]) ** 2
     return mesh.h_elements ** 2 * integrate_elementwise(mesh, rule, diff_sq)
 
 
@@ -360,9 +372,9 @@ def rho_reduced(v: PostprocessedField, solution: CrFunction,
                                      degree, pts) - float(reference_energy)
     if include_exact_terms:
         grad_h = solution.gradient().values
-        total += float(_distance_sq(mesh, rule, grad_h[:, None, :],
-                                    exact.grad_u(pts)).sum())
-        gap = (np.asarray(exact.u(pts), dtype=float)
+        grad_u = shared_sample(exact.grad_u, mesh, rule, pts)
+        total += float(_distance_sq(mesh, rule, grad_h[:, None, :], grad_u).sum())
+        gap = (shared_sample(exact.u, mesh, rule, pts)
                - sample_data(data.chi, mesh, pts))
         total += float(np.sum((-multiplier.values)
                               * integrate_elementwise(mesh, rule, gap)))
@@ -439,7 +451,7 @@ def exact_errors(solution: CrFunction, flux, multiplier: P0Function,
     rule = triangle_rule(degree)
     pts = element_points(mesh, rule.bary)
 
-    grad_u = np.asarray(exact.grad_u(pts), dtype=float)
+    grad_u = shared_sample(exact.grad_u, mesh, rule, pts)
 
     def error(field_vals) -> float:
         return math.sqrt(float(_distance_sq(mesh, rule, field_vals, grad_u).sum()))
@@ -456,7 +468,6 @@ def exact_errors(solution: CrFunction, flux, multiplier: P0Function,
     flux_error = error(rt.eval_at(rule.bary))
     z_i = interp_rt(exact.grad_u, mesh, segment_rule(_SIDE_RULE_POINTS))
     flux_error_interp = error(z_i.eval_at(rule.bary))
-    del grad_u
 
     mean_rule = triangle_rule(2)
     if hasattr(flux, "cell_average"):
@@ -468,7 +479,7 @@ def exact_errors(solution: CrFunction, flux, multiplier: P0Function,
         (((zh_mean - zi_mean) ** 2).sum(axis=1) * mesh.areas).sum()))
 
     mean_u = integrate_elementwise(
-        mesh, rule, np.asarray(exact.u(pts), dtype=float)) / mesh.areas
+        mesh, rule, shared_sample(exact.u, mesh, rule, pts)) / mesh.areas
     m_uh = solution.element_means()
     neg_mult = -multiplier.values
     pairing_error = float(np.sum(neg_mult * (mean_u - m_uh) * mesh.areas))

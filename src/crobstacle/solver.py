@@ -123,7 +123,6 @@ def build_system(mesh: Mesh, data: ProblemData,
     When no dof map is given, elements without any free side are excluded
     from the multiplier (their means are fixed by the boundary data).
     """
-    data.validate_on(mesh)
     if dofmap is None:
         dofmap = build_dofmap(mesh)
         coupling = assemble_coupling(mesh, dofmap)
@@ -133,12 +132,13 @@ def build_system(mesh: Mesh, data: ProblemData,
             coupling = assemble_coupling(mesh, dofmap)
     else:
         coupling = assemble_coupling(mesh, dofmap)
+    obstacle_side_values, chi_h = assemble_obstacle_vectors(mesh, data, dofmap)
+    data.validate_on(mesh, side_values=obstacle_side_values)
 
     stiffness_full = assemble_stiffness_full(mesh)
     stiffness = stiffness_full[dofmap.free_sides][:, dofmap.free_sides]
     boundary_values = dirichlet_dof_values(mesh, data)
     _, f_h = assemble_load(mesh, data, dofmap)
-    obstacle_side_values, chi_h = assemble_obstacle_vectors(mesh, data, dofmap)
 
     load = coupling @ f_h.values[dofmap.elements]
     if np.any(boundary_values != 0.0):

@@ -31,14 +31,28 @@ once per pass, only for :func:`sample_data` to evaluate problem data there;
 Nothing maps physical points back to barycentric coordinates except
 prolongation, which locates fine side midpoints in coarse elements.
 
+Data sampling
+-------------
+:func:`sample_data` is the one sampler of problem data at element points.  It
+calls a data callable on blocks of a fixed number of elements and writes
+each block into one preallocated array, so the callable's temporaries are
+bounded by a block rather than by the mesh; the result is bitwise equal to
+one call on all points.  :func:`shared_sample` puts a single slot in front of
+it: the samples of the latest mesh and rule, reused by every caller on that
+level (see its docstring for the lifetime).
+
 All scalar callables used as data must accept ``(..., 2)`` coordinate arrays
-and evaluate vectorised; vector callables return ``(..., 2)`` arrays.
+and evaluate vectorised; vector callables return ``(..., 2)`` arrays.  Data
+callables must be pointwise and pure: the value at a point depends on that
+point only, never on the other points of the call or on earlier calls.  The
+blocked sampler and the shared slot both rely on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 import math
+import weakref
 
 import numpy as np
 
@@ -53,6 +67,7 @@ __all__ = [
     "element_points",
     "side_points",
     "sample_data",
+    "shared_sample",
     "integrate_elementwise",
     "P0Function",
     "P0VectorField",
@@ -252,7 +267,89 @@ def sample_data(value, mesh: Mesh, points: np.ndarray):
         return value.values[:, None]
     if not callable(value):
         raise SpaceError(f"cannot sample data of type {type(value).__name__}")
-    return np.asarray(value(points), dtype=float)
+    return _sample_blocked(value, points)
+
+
+#: elements per call of a data callable in :func:`sample_data`
+_SAMPLE_BLOCK = 1024
+
+
+def _sample_blocked(fn, points: np.ndarray) -> np.ndarray:
+    """``np.asarray(fn(points), dtype=float)``, evaluated block by block.
+
+    Blocks of :data:`_SAMPLE_BLOCK` elements are written into one array
+    shaped by the first block.  A pointwise callable gives the same bits and
+    shape as one call.  A first block that is not shaped point by point (a
+    constant callable returns a scalar, say) falls back to one call.
+    """
+    n = len(points)
+    if n <= _SAMPLE_BLOCK:
+        return np.asarray(fn(points), dtype=float)
+    first = np.asarray(fn(points[:_SAMPLE_BLOCK]), dtype=float)
+    per_point = points.shape[1:-1]
+    if first.shape[:len(per_point) + 1] != (_SAMPLE_BLOCK,) + per_point:
+        return np.asarray(fn(points), dtype=float)
+    out = np.empty((n,) + first.shape[1:])
+    out[:_SAMPLE_BLOCK] = first
+    del first
+    for start in range(_SAMPLE_BLOCK, n, _SAMPLE_BLOCK):
+        out[start:start + _SAMPLE_BLOCK] = fn(points[start:start + _SAMPLE_BLOCK])
+    return out
+
+
+@dataclass
+class _LevelSamples:
+    """The samples of :func:`shared_sample` on one mesh and rule."""
+    mesh: object       # weak reference to the mesh (None: empty slot)
+    rule: object
+    samples: list      # (callable, read-only sample) pairs
+
+
+_NO_SAMPLES = _LevelSamples(None, None, ())
+_level_samples = _NO_SAMPLES
+
+
+def _release(mesh_ref) -> None:
+    """Empty the slot when its mesh is collected."""
+    global _level_samples
+    if _level_samples.mesh is mesh_ref:
+        _level_samples = _NO_SAMPLES
+
+
+def shared_sample(value, mesh: Mesh, rule: QuadratureRule, points: np.ndarray):
+    """:func:`sample_data` at the element points of ``rule``, shared per level.
+
+    ``points`` must be ``element_points(mesh, rule.bary)``.  A callable is
+    sampled at most once per mesh and rule: a later call with the same
+    callable object (compared with ``is``), the same mesh and a rule with
+    the same barycentric points returns the same read-only array.  Scalars
+    and piecewise constants go straight to :func:`sample_data`.
+
+    The samples live in one module-level slot, since the diagnostics'
+    signatures carry no per-level state to hang them on, and the mesh cannot
+    carry them (an adaptive run keeps every level's mesh).  The slot holds a
+    weak reference to its mesh, the rule and the samples, never the element
+    points.
+    Sampling on another mesh or rule replaces the whole slot, and the slot
+    empties when its mesh is collected, so it holds at most one level's
+    samples and nothing of an older mesh.
+    """
+    global _level_samples
+    if not callable(value):
+        return sample_data(value, mesh, points)
+    slot = _level_samples
+    if (slot.mesh is None or slot.mesh() is not mesh
+            or not np.array_equal(slot.rule.bary, rule.bary)):
+        slot = _LevelSamples(weakref.ref(mesh, _release), rule, [])
+        _level_samples = slot
+    for fn, values in slot.samples:
+        if fn is value:
+            return values
+    # a read-only view: an array the callable returned stays writeable
+    values = sample_data(value, mesh, points).view()
+    values.flags.writeable = False
+    slot.samples.append((value, values))
+    return values
 
 
 def integrate_elementwise(mesh: Mesh, rule: QuadratureRule, values: np.ndarray,
@@ -451,9 +548,8 @@ def project_p0(f, mesh: Mesh | None = None, rule: QuadratureRule | None = None) 
     if np.isscalar(f):
         return P0Function(mesh, np.full(mesh.n_elements, float(f)))
     rule = rule or triangle_rule(5)
-    pts = element_points(mesh, rule.bary)
-    vals = f(pts)
-    return P0Function(mesh, np.asarray(vals) @ rule.weights)
+    vals = sample_data(f, mesh, element_points(mesh, rule.bary))
+    return P0Function(mesh, vals @ rule.weights)
 
 
 def interp_cr(f, mesh: Mesh, rule: SegmentRule | None = None) -> CrFunction:

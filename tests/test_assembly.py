@@ -7,6 +7,8 @@ Analytic oracles used here:
 * the coupling column of an element is ``|T| / 3`` per free side.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,10 +23,12 @@ from crobstacle.assembly import (
     dirichlet_dof_values,
     find_excluded_element,
 )
+from crobstacle.benchmarks import ring
 from crobstacle.mesh import NEUMANN, Mesh, Rectangle, build_structured
 from crobstacle.spaces import (
     CrFunction,
     P0Function,
+    VertexFunction,
     element_points,
     gradient_h,
     interp_cr,
@@ -239,6 +243,30 @@ class TestProblemData:
         for chi in (interp_cr(-0.5, m), P0Function(m, np.full(m.n_elements, -0.5))):
             with pytest.raises(AssemblyError, match="scalar or a callable"):
                 plain_data(chi=chi)
+
+    def test_discrete_load_rejected(self):
+        # a load of side or vertex values cannot be sampled at the
+        # estimator's quadrature points
+        m = square_mesh(2)
+        vertex_load = VertexFunction(m, np.full(m.n_vertices, -2.0))
+        for f in (interp_cr(-2.0, m), vertex_load):
+            with pytest.raises(AssemblyError,
+                               match="scalar, a callable or a P0Function"):
+                plain_data(f=f)
+        ring_data = ring().data
+        with pytest.raises(AssemblyError, match="got CrFunction"):
+            replace(ring_data, f=interp_cr(-2.0, ring().initial_mesh()))
+        for f in (-2.0, np.float64(1.0), lambda p: p[..., 0],
+                  P0Function(m, np.zeros(m.n_elements))):
+            assert plain_data(f=f).f is f
+
+    def test_validate_on_uses_given_side_values(self):
+        m = square_mesh(2)
+        data = plain_data(chi=0.5)
+        with pytest.raises(AssemblyError):
+            data.validate_on(m, side_values=data.chi_side_values(m))
+        # the given values are the ones checked
+        data.validate_on(m, side_values=np.zeros(m.n_sides))
 
     def test_dirichlet_dof_values(self):
         m = square_mesh(2)

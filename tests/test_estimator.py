@@ -835,3 +835,61 @@ def test_each_diagnostic_builds_one_point_set(monkeypatch):
         run()
         assert calls["points"] == 1, name
         assert calls["barycentric"] == 0, name
+
+
+def test_diagnostics_sample_each_data_callable_once_per_level():
+    """estimate, exact_errors and rho_reduced share the samples of f, u, grad u.
+
+    Each callable is wrapped to count the element points of the degree-12
+    rule it is evaluated at (side points of the interpolants are not
+    counted).  Sharing changes no bit: the same diagnostics computed with
+    fresh, unshared callables give equal values.
+    """
+    bench = corner()
+    mesh = bench.initial_mesh()
+    mesh = refine_rgb(mesh, np.arange(0, mesh.n_elements, 5))
+    nq = triangle_rule(12).n_points
+    counts = {}
+
+    def counting(name, fn):
+        counts[name] = 0
+
+        def wrapper(pts):
+            if pts.ndim == 3 and pts.shape[1] == nq:
+                counts[name] += pts.shape[0] * pts.shape[1]
+            return fn(pts)
+        return wrapper
+
+    def wrapped_data():
+        exact = bench.data.exact
+        return replace(bench.data, f=counting("f", bench.data.f),
+                       exact=replace(exact, u=counting("u", exact.u),
+                                     grad_u=counting("grad_u", exact.grad_u)))
+
+    def diagnostics(out, data):
+        flux = marini_flux(out.solution, out.multiplier, out.system.f_h)
+        result = estimate(out)
+        errs = exact_errors(out.solution, flux, out.multiplier, data)
+        reduced = rho_reduced(result.field, out.solution, out.multiplier, data)
+        return result.breakdown, errs, reduced
+
+    data = wrapped_data()
+    out = pdas_solve(mesh, data)
+    for name in counts:
+        counts[name] = 0
+    breakdown, errs, reduced = diagnostics(out, data)
+    n_points = mesh.n_elements * nq
+    assert counts == {"f": n_points, "u": n_points, "grad_u": n_points}
+
+    # unshared reference: new callables for every diagnostic
+    ref_out = replace(out, system=replace(out.system, data=wrapped_data()))
+    ref_breakdown = estimate(ref_out).breakdown
+    flux = marini_flux(out.solution, out.multiplier, out.system.f_h)
+    assert exact_errors(out.solution, flux, out.multiplier,
+                        wrapped_data()) == errs
+    ref_data = wrapped_data()
+    field = postprocess_conforming(out.solution, ref_data)
+    assert rho_reduced(field, out.solution, out.multiplier, ref_data) == reduced
+    for name in ("eta_a_sq", "eta_b_sq", "eta_c_sq", "osc_sq"):
+        assert np.array_equal(getattr(breakdown, name),
+                              getattr(ref_breakdown, name)), name

@@ -5,11 +5,13 @@ enumeration oracle on randomized small instances, against the penalization
 route, and against closed-form/unconstrained limits.  All tolerances are
 absolute contracts, not tuned numbers.
 """
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from crobstacle.assembly import ProblemData, build_dofmap
-from crobstacle.benchmarks import ring
+from crobstacle.assembly import AssemblyError, ProblemData, build_dofmap
+from crobstacle.benchmarks import pyramid, ring
 from crobstacle.mesh import refine_red
 from crobstacle.solver import (
     PdasState,
@@ -22,7 +24,12 @@ from crobstacle.solver import (
     write_iteration_log,
 )
 from crobstacle.sparse import SingularConstraintError, solve_spd
-from crobstacle.spaces import element_points, integrate_elementwise, triangle_rule
+from crobstacle.spaces import (
+    element_points,
+    integrate_elementwise,
+    interp_cr,
+    triangle_rule,
+)
 from util import (
     broken_energy,
     grid_mesh,
@@ -86,6 +93,26 @@ def test_build_system_shapes_and_lifting():
     # lifting shifts the load by the stiffness action of the boundary data
     lift = sys_.load - expected
     assert np.linalg.norm(lift) > 0.1
+
+
+def test_build_system_interpolates_the_obstacle_once():
+    bench = pyramid()
+    mesh = bench.initial_mesh()
+    shapes = []
+
+    def chi(pts):
+        shapes.append(pts.shape)
+        return bench.data.chi(pts)
+
+    sys_ = build_system(mesh, replace(bench.data, chi=chi))
+    assert shapes == [(mesh.n_sides, 2, 2)] == [(208, 2, 2)]
+    expected = interp_cr(bench.data.chi, mesh).dofs
+    assert np.array_equal(sys_.obstacle_side_values, expected)
+    assert np.array_equal(sys_.chi_h.values,
+                          expected[mesh.elem_sides].mean(axis=1))
+    # the one interpolant still serves the boundary check
+    with pytest.raises(AssemblyError, match="exceeds the Dirichlet data"):
+        build_system(grid_mesh(2, 2), ProblemData(name="high", f=0.0, chi=0.5))
 
 
 def test_unconstrained_limit_when_obstacle_far():

@@ -10,7 +10,10 @@ Key independent oracles:
   (Gauss theorem) evaluated by segment quadrature of the traces.
 """
 
+import gc
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -40,9 +43,12 @@ from crobstacle.spaces import (
     prolong_p0,
     sample_data,
     segment_rule,
+    shared_sample,
     side_points,
     triangle_rule,
 )
+from crobstacle import spaces as spaces_mod
+from crobstacle.benchmarks import corner, pyramid, ring
 
 from util import eval_cr, side_values
 
@@ -171,6 +177,144 @@ class TestQuadrature:
             sample_data(P0Function(lshape_mesh(2), vals), mesh, pts)
         with pytest.raises(SpaceError):
             sample_data([1.0, 2.0], mesh, pts)
+
+
+# ----------------------------------------------------------------------
+# Data sampling: blocked evaluation and the shared per-level slot
+# ----------------------------------------------------------------------
+def corner_mesh(refinements):
+    mesh = corner().initial_mesh()
+    for _ in range(refinements):
+        mesh = refine_red(mesh)
+    return mesh
+
+
+class CountingCallable:
+    """A data callable that counts the points it is evaluated at."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.points = 0
+        self.calls = 0
+
+    def __call__(self, pts):
+        self.points += pts.size // 2
+        self.calls += 1
+        return self.fn(pts)
+
+
+class TestSampleData:
+    def test_blocked_sampler_bitwise_equal_to_one_call(self):
+        mesh = corner_mesh(3)
+        assert mesh.n_elements > 5 * spaces_mod._SAMPLE_BLOCK
+        pts = element_points(mesh, triangle_rule(12).bary)
+        exact = corner().data.exact
+        for fn in (corner().data.f, exact.u, exact.grad_u,
+                   pyramid().data.chi, ring().data.exact.u):
+            one_call = np.asarray(fn(pts), dtype=float)
+            got = sample_data(fn, mesh, pts)
+            assert got.shape == one_call.shape
+            assert np.array_equal(got, one_call), fn.__name__
+        # per-point results of another dtype are converted as one call would
+        contact = exact.contact
+        assert np.array_equal(sample_data(contact, mesh, pts),
+                              np.asarray(contact(pts), dtype=float))
+
+    def test_scalar_callable_keeps_its_shape(self):
+        mesh = corner_mesh(2)
+        assert mesh.n_elements > spaces_mod._SAMPLE_BLOCK
+        pts = element_points(mesh, triangle_rule(5).bary)
+        got = sample_data(lambda p: 2.5, mesh, pts)
+        assert got.shape == () and got == 2.5
+        small = corner_mesh(0)
+        got = sample_data(lambda p: 2.5, small,
+                          element_points(small, triangle_rule(5).bary))
+        assert got.shape == () and got == 2.5
+
+    def test_blocked_sampler_memory_is_bounded_by_a_block(self):
+        mesh = corner_mesh(4)
+        assert mesh.n_elements >= 8 * spaces_mod._SAMPLE_BLOCK
+        pts = element_points(mesh, triangle_rule(12).bary)
+        grad_u = corner().data.exact.grad_u
+        tracemalloc.start()
+        try:
+            out = sample_data(grad_u, mesh, pts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == pts.shape
+        # one call on all points peaks at about 9.6 times the output
+        assert peak < 3 * out.nbytes
+
+    def test_project_p0_samples_through_sample_data(self):
+        mesh = corner_mesh(3)
+        rule = triangle_rule(5)
+        f = CountingCallable(corner().data.f)
+        got = project_p0(f, mesh, rule)
+        assert f.calls == -(-mesh.n_elements // spaces_mod._SAMPLE_BLOCK)
+        assert f.points == mesh.n_elements * rule.n_points
+        pts = element_points(mesh, rule.bary)
+        assert np.array_equal(got.values, np.asarray(f.fn(pts)) @ rule.weights)
+
+
+class TestSharedSample:
+    def test_reused_per_mesh_rule_and_callable(self):
+        mesh = corner_mesh(1)
+        rule = triangle_rule(12)
+        pts = element_points(mesh, rule.bary)
+        fn = CountingCallable(corner().data.exact.grad_u)
+        first = shared_sample(fn, mesh, rule, pts)
+        assert np.array_equal(first, sample_data(fn.fn, mesh, pts))
+        assert not first.flags.writeable
+        n_points = mesh.n_elements * rule.n_points
+        assert fn.points == n_points
+        # a fresh rule object with the same points hits
+        assert shared_sample(fn, mesh, triangle_rule(12), pts) is first
+        assert fn.points == n_points
+        # a different callable object never hits, even with the same code
+        twin = CountingCallable(fn.fn)
+        assert np.array_equal(shared_sample(twin, mesh, rule, pts), first)
+        assert twin.points == n_points
+        # scalars and piecewise constants pass straight through
+        assert shared_sample(2.5, mesh, rule, pts) == 2.5
+        vals = np.arange(mesh.n_elements, dtype=float)
+        col = shared_sample(P0Function(mesh, vals), mesh, rule, pts)
+        assert np.array_equal(col[:, 0], vals)
+        # another rule replaces the slot, so the first rule samples again
+        rule5 = triangle_rule(5)
+        shared_sample(fn, mesh, rule5, element_points(mesh, rule5.bary))
+        again = shared_sample(fn, mesh, rule, pts)
+        assert again is not first and np.array_equal(again, first)
+        assert fn.points == 2 * n_points + mesh.n_elements * rule5.n_points
+
+    def test_nothing_of_an_older_mesh_survives(self):
+        rule = triangle_rule(12)
+        fn = corner().data.f
+        mesh_a = corner_mesh(1)
+        pts_a = element_points(mesh_a, rule.bary)
+        sample_a = shared_sample(fn, mesh_a, rule, pts_a)
+        refs = [weakref.ref(obj) for obj in
+                (mesh_a, sample_a, sample_a.base)]
+        # the slot never holds the element points, not even on their level
+        points_ref = weakref.ref(pts_a)
+        del pts_a
+        gc.collect()
+        assert points_ref() is None
+        mesh_b = corner_mesh(0)
+        shared_sample(fn, mesh_b, rule, element_points(mesh_b, rule.bary))
+        del mesh_a, sample_a
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+
+    def test_slot_empties_with_its_mesh(self):
+        rule = triangle_rule(12)
+        mesh = corner_mesh(1)
+        sample = shared_sample(corner().data.f, mesh, rule,
+                               element_points(mesh, rule.bary))
+        ref = weakref.ref(sample.base)
+        del mesh, sample
+        gc.collect()
+        assert ref() is None
 
 
 # ----------------------------------------------------------------------

@@ -11,12 +11,12 @@ mesh refinement with a constant-free primal-dual error estimator.
 
 Modules
 -------
-mesh        triangulations, structured generation, red / red-green-blue refinement
+mesh        triangulations, structured generation, red-green-blue refinement
 spaces      Crouzeix-Raviart, piecewise-constant and lowest-order flux fields,
             interpolation, barycentric quadrature and the data sampler
 sparse      sparse LU solvers for SPD and saddle-point systems
 assembly    stiffness and coupling matrices, data projection
-solver      primal-dual active set, penalty and brute-force reference solvers
+solver      the discrete obstacle system and its primal-dual active-set solver
 duality     flux reconstruction, primal and dual energy functionals
 estimator   a posteriori error estimator with data oscillation, error measures,
             convergence rates
@@ -30,9 +30,7 @@ from .mesh import (
     Rectangle,
     LShape,
     build_structured,
-    refine_red,
     refine_rgb,
-    patches,
     mesh_stats,
     export_vtk,
 )
@@ -57,10 +55,8 @@ from .assembly import AssemblyError, ExactSolution, ProblemData, build_dofmap
 from .solver import (
     SolverError,
     SolveOutcome,
-    brute_force_solve,
     build_system,
     pdas_solve,
-    penalized_solve,
 )
 from .duality import (
     DualField,

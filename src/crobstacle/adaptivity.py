@@ -29,9 +29,19 @@ from .estimator import (
     exact_errors,
     rho_reduced,
 )
-from .mesh import Mesh, export_vtk, refine_red, refine_rgb
+from .mesh import Mesh, export_vtk, refine_rgb
 from .solver import SolveOutcome, build_system, pdas_solve
 from .spaces import interp_av, prolong_cr, prolong_p0
+
+__all__ = [
+    "AdaptivityError",
+    "AfemConfig",
+    "AfemLevel",
+    "AfemHistory",
+    "doerfler_mark",
+    "afem_run",
+    "dump_level_vtk",
+]
 
 
 class AdaptivityError(Exception):
@@ -249,8 +259,7 @@ def afem_run(data: ProblemData, config: AfemConfig,
         if level_no == config.max_levels:
             stop_reason = "max_levels"
             break
-        next_mesh = (refine_red(mesh) if config.uniform
-                     else refine_rgb(mesh, marked))
+        next_mesh = refine_rgb(mesh, marked)
         if next_mesh.n_elements > config.max_elements:
             stop_reason = "element_budget"
             break

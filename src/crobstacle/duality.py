@@ -173,27 +173,24 @@ def energy_dual_discrete(y, f_h: P0Function, chi_h: P0Function,
 # ----------------------------------------------------------------------
 # continuous energies
 # ----------------------------------------------------------------------
-def energy_primal_continuous(mesh: Mesh, data: ProblemData, values_on,
-                             gradients_on, degree: int = HIGH_ORDER_DEGREE,
+def energy_primal_continuous(mesh: Mesh, data: ProblemData, values, gradients,
+                             degree: int = HIGH_ORDER_DEGREE,
                              points: np.ndarray | None = None) -> float:
     """Dirichlet energy ``1/2 ||grad v||^2 - (f, v)`` by high-order quadrature.
 
-    ``values_on`` / ``gradients_on`` are barycentric evaluators: called as
-    ``values_on(bary, points)`` with the rule's barycentric points
-    ``(nq, 3)`` and their element points ``(n_elements, nq, 2)``, they return
-    values ``(n_elements, nq)`` and gradients ``(n_elements, nq, 2)``.
-    ``points`` are the element points of ``triangle_rule(degree)`` when the
-    caller already built them.  Feasibility of ``v`` is the caller's
-    responsibility.
+    ``values`` ``(n_elements, nq)`` and ``gradients`` ``(n_elements, nq, 2)``
+    are ``v`` and ``grad v`` sampled at the points of
+    ``triangle_rule(degree)``.  ``points`` are those element points when the
+    caller already built them; they serve only to sample the load.
+    Feasibility of ``v`` is the caller's responsibility.
     """
     rule = triangle_rule(degree)
-    if points is None:
-        points = element_points(mesh, rule.bary)
-    grads = np.asarray(gradients_on(rule.bary, points), dtype=float)
+    grads = np.asarray(gradients, dtype=float)
     density = 0.5 * (grads[..., 0] ** 2 + grads[..., 1] ** 2)
-    del grads
+    if points is None and callable(data.f):
+        points = element_points(mesh, rule.bary)
     density -= (shared_sample(data.f, mesh, rule, points)
-                * np.asarray(values_on(rule.bary, points), dtype=float))
+                * np.asarray(values, dtype=float))
     return float(integrate_elementwise(mesh, rule, density).sum())
 
 

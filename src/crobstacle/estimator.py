@@ -19,7 +19,8 @@ On one level, :func:`oscillation` (through :func:`estimate`),
 once per level, not once per caller.  The shared samples are those of the
 latest mesh and rule only: the next level's sampling replaces them, and
 they go when their mesh does.  Each call still builds its own element
-points; the obstacle is sampled per call.
+points.  The obstacle is not shared: :func:`estimate` and
+:func:`rho_reduced` each sample it once.
 """
 from __future__ import annotations
 
@@ -368,14 +369,20 @@ def rho_reduced(v: PostprocessedField, solution: CrFunction,
     mesh = v.mesh
     rule = triangle_rule(degree)
     pts = element_points(mesh, rule.bary)
-    total = energy_primal_continuous(mesh, data, v.values_on, v.gradients_on,
-                                     degree, pts) - float(reference_energy)
+    sample = v.sample(rule.bary, pts)
+    chi = sample.chi
+    values, grads = sample.values, sample.gradients()
+    # Free the nodal part before the energy and the energy's inputs after
+    # it: level-sized arrays kept past their use raise the run's peak memory.
+    del sample
+    total = energy_primal_continuous(mesh, data, values, grads, degree,
+                                     pts) - float(reference_energy)
+    del values, grads
     if include_exact_terms:
         grad_h = solution.gradient().values
         grad_u = shared_sample(exact.grad_u, mesh, rule, pts)
         total += float(_distance_sq(mesh, rule, grad_h[:, None, :], grad_u).sum())
-        gap = (shared_sample(exact.u, mesh, rule, pts)
-               - sample_data(data.chi, mesh, pts))
+        gap = shared_sample(exact.u, mesh, rule, pts) - chi
         total += float(np.sum((-multiplier.values)
                               * integrate_elementwise(mesh, rule, gap)))
     return float(total)

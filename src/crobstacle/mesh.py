@@ -19,10 +19,8 @@ the outward normal of the domain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-import json
-import math
 
 import numpy as np
 
@@ -35,14 +33,9 @@ __all__ = [
     "Rectangle",
     "LShape",
     "build_structured",
-    "refine_red",
     "refine_rgb",
-    "PatchTable",
-    "patches",
     "mesh_stats",
-    "write_stats_json",
     "export_vtk",
-    "export_vtk_point_cloud",
 ]
 
 INTERIOR = "interior"
@@ -73,17 +66,19 @@ class Mesh:
         orientation are silently reordered; degenerate (zero-area) elements
         raise :class:`MeshError`.
     side_labeler:
-        Optional callable ``(v0, v1, midpoint) -> str`` assigning a boundary
-        label (``"dirichlet"`` or ``"neumann"``) to each boundary side; the
-        arguments are the side's vertex indices and midpoint coordinates.
-        Defaults to labelling every boundary side ``"dirichlet"``.
+        Optional callable ``(side_vertices, midpoints) -> labels`` assigning
+        a boundary label (``"dirichlet"`` or ``"neumann"``) to every
+        boundary side at once: it gets the ``(k, 2)`` vertex indices and the
+        ``(k, 2)`` midpoints of the ``k`` boundary sides, in side order, and
+        returns ``k`` labels.  Defaults to labelling every boundary side
+        ``"dirichlet"``.
     parent / parent_elements:
         Refinement bookkeeping: the coarser mesh this one was refined from
         and, per element, the index of its parent element.
     """
 
     def __init__(self, vertex_coords, elem_vertices, side_labeler=None,
-                 parent=None, parent_elements=None, refinement_kind=None):
+                 parent=None, parent_elements=None):
         coords = np.ascontiguousarray(np.asarray(vertex_coords, dtype=float))
         tri = np.ascontiguousarray(np.asarray(elem_vertices, dtype=np.int64))
         if coords.ndim != 2 or coords.shape[1] != 2:
@@ -121,10 +116,12 @@ class Mesh:
         oriented = np.stack(
             [tri[:, [1, 2]], tri[:, [2, 0]], tri[:, [0, 1]]], axis=1
         ).reshape(-1, 2)
-        key = np.sort(oriented, axis=1)
+        # One int64 key per undirected side; its order is the lexicographic
+        # order of the sorted vertex pairs.
+        pair = np.sort(oriented, axis=1)
         uniq, first_idx, inverse, counts = np.unique(
-            key, axis=0, return_index=True, return_inverse=True, return_counts=True
-        )
+            pair[:, 0] * len(coords) + pair[:, 1],
+            return_index=True, return_inverse=True, return_counts=True)
         if np.any(counts > 2):
             raise MeshError("non-manifold mesh: a side is shared by more than two elements")
         ns = len(uniq)
@@ -156,18 +153,20 @@ class Mesh:
 
         # Boundary labels.
         labels = np.full(ns, INTERIOR, dtype="<U9")
-        bnd = np.flatnonzero(self.boundary_mask)
+        bnd = self.boundary_mask
         if side_labeler is None:
             labels[bnd] = DIRICHLET
         else:
-            for s in bnd:
-                lab = side_labeler(int(self.side_vertices[s, 0]),
-                                   int(self.side_vertices[s, 1]),
-                                   self.side_midpoints[s])
-                if lab not in _BOUNDARY_LABELS:
-                    raise MeshError(
-                        f"side labeler returned {lab!r}; expected one of {_BOUNDARY_LABELS}")
-                labels[s] = lab
+            given = np.asarray(side_labeler(self.side_vertices[bnd],
+                                            self.side_midpoints[bnd]))
+            if given.shape != (int(bnd.sum()),):
+                raise MeshError(f"side labeler returned shape {given.shape}; "
+                                f"expected ({int(bnd.sum())},)")
+            unknown = given[~np.isin(given, _BOUNDARY_LABELS)]
+            if unknown.size:
+                raise MeshError(f"side labeler returned {unknown[0]!r}; "
+                                f"expected one of {_BOUNDARY_LABELS}")
+            labels[bnd] = given
         self.side_labels = labels
 
         # Barycentric gradients: grad lambda_j = perp(edge opposite vertex j) / (2|T|).
@@ -182,8 +181,6 @@ class Mesh:
         self.parent = parent
         self.parent_elements = (None if parent_elements is None
                                 else np.asarray(parent_elements, dtype=np.int64))
-        self.refinement_kind = refinement_kind
-        self._vertex_elements = None
 
         for arr in (self.vertex_coords, self.elem_vertices, self.elem_sides,
                     self.side_vertices, self.side_elem_minus, self.side_elem_plus,
@@ -214,19 +211,6 @@ class Mesh:
     @property
     def neumann_side_mask(self) -> np.ndarray:
         return self.side_labels == NEUMANN
-
-    def vertex_elements(self):
-        """List (length nv) of arrays with the elements adjacent to each vertex."""
-        if self._vertex_elements is None:
-            flat_v = self.elem_vertices.ravel()
-            flat_t = np.repeat(np.arange(self.n_elements), 3)
-            order = np.argsort(flat_v, kind="stable")
-            v_sorted = flat_v[order]
-            t_sorted = flat_t[order]
-            starts = np.searchsorted(v_sorted, np.arange(self.n_vertices + 1))
-            out = [t_sorted[starts[v]:starts[v + 1]] for v in range(self.n_vertices)]
-            self._vertex_elements = out
-        return self._vertex_elements
 
     def dirichlet_vertex_mask(self) -> np.ndarray:
         """Vertices lying on a Dirichlet boundary side."""
@@ -287,11 +271,6 @@ class Rectangle:
         return ((self.x0, self.y0), (self.x1, self.y0),
                 (self.x1, self.y1), (self.x0, self.y1))
 
-    def contains(self, pts, tol=0.0):
-        pts = np.asarray(pts, dtype=float)
-        return ((pts[..., 0] >= self.x0 - tol) & (pts[..., 0] <= self.x1 + tol)
-                & (pts[..., 1] >= self.y0 - tol) & (pts[..., 1] <= self.y1 + tol))
-
     def distance_to_boundary(self, pts):
         """Distance from interior points to the rectangle boundary."""
         pts = np.asarray(pts, dtype=float)
@@ -337,8 +316,9 @@ def build_structured(domain, n, boundary_rule=None, pattern="alternating"):
     centre lies in the cut are removed; the cut edges must then lie on grid
     lines.
 
-    ``boundary_rule`` is an optional callable ``midpoint -> label`` used to
-    label boundary sides (default: all ``"dirichlet"``).
+    ``boundary_rule`` is an optional side labeler, a callable
+    ``(side_vertices, midpoints) -> labels`` as :class:`Mesh` takes it
+    (default: all ``"dirichlet"``).
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise MeshError(f"n must be a positive integer, got {n!r}")
@@ -395,13 +375,7 @@ def build_structured(domain, n, boundary_rule=None, pattern="alternating"):
     coords = coords[used]
     tris = remap[tris]
 
-    if boundary_rule is None:
-        labeler = None
-    else:
-        def labeler(v0, v1, midpoint):
-            return boundary_rule(midpoint)
-
-    return Mesh(coords, tris, side_labeler=labeler)
+    return Mesh(coords, tris, side_labeler=boundary_rule)
 
 
 # ----------------------------------------------------------------------
@@ -423,83 +397,37 @@ def _marked_mask(mesh, marked):
     return mask
 
 
-def _inherited_labeler(mesh, new_vertex_side):
-    """Boundary labeler for a refined mesh: children inherit the parent side label.
+def _inherited_labeler(mesh, side_ids):
+    """Boundary labeler for a refinement: children inherit the parent side label.
 
-    ``new_vertex_side`` maps new vertex ids (>= parent nv) to the parent side
-    they subdivide.  A child boundary side either joins two parent vertices
-    (it *is* a parent side) or contains exactly one new midpoint vertex.
+    ``side_ids`` are the parent sides that were split, in the order of their
+    new midpoint vertices ``nv_old, nv_old + 1, ...``.  A child boundary side
+    either contains exactly one new midpoint vertex (it is half of a split
+    parent side) or joins two parent vertices (it *is* a parent side, found
+    by its sorted vertex pair).
     """
     nv_old = mesh.n_vertices
-    parent_pair_label = {}
-    for s in np.flatnonzero(mesh.boundary_mask):
-        v0, v1 = mesh.side_vertices[s]
-        parent_pair_label[(min(v0, v1), max(v0, v1))] = mesh.side_labels[s]
-    side_label = mesh.side_labels
+    bnd = np.flatnonzero(mesh.boundary_mask)
+    pair = np.sort(mesh.side_vertices[bnd], axis=1)
+    key = pair[:, 0] * nv_old + pair[:, 1]
+    order = np.argsort(key)
+    parent_keys = key[order]
+    parent_labels = mesh.side_labels[bnd[order]]
 
-    def labeler(v0, v1, midpoint):
-        hi = max(v0, v1)
-        if hi >= nv_old:
-            return str(side_label[new_vertex_side[hi]])
-        lab = parent_pair_label.get((min(v0, v1), hi))
-        if lab is None:
+    def labeler(side_vertices, midpoints):
+        lo = side_vertices.min(axis=1)
+        hi = side_vertices.max(axis=1)
+        split = hi >= nv_old
+        labels = np.empty(len(hi), dtype=mesh.side_labels.dtype)
+        labels[split] = mesh.side_labels[side_ids[hi[split] - nv_old]]
+        whole = lo[~split] * nv_old + hi[~split]
+        pos = np.minimum(np.searchsorted(parent_keys, whole), len(parent_keys) - 1)
+        if whole.size and not np.array_equal(parent_keys[pos], whole):
             raise MeshError("refined boundary side does not match any parent side")
-        return str(lab)
+        labels[~split] = parent_labels[pos]
+        return labels
 
     return labeler
-
-
-def refine_red(mesh, marked=None):
-    """Red (regular) refinement: each marked element is split into 4 similar children.
-
-    Every interior side must have both or neither of its adjacent elements
-    marked, otherwise the result would contain hanging nodes and a
-    :class:`MeshError` is raised (use :func:`refine_rgb` for local
-    refinement).  An empty mark set returns the input mesh unchanged.
-    """
-    mask = _marked_mask(mesh, marked)
-    if not mask.any():
-        return mesh
-
-    interior = mesh.interior_side_mask
-    lhs = mask[mesh.side_elem_minus[interior]]
-    rhs = mask[mesh.side_elem_plus[interior]]
-    if np.any(lhs != rhs):
-        raise MeshError(
-            "red refinement marks must be closed: an interior side separates a "
-            "marked from an unmarked element (use refine_rgb for local marks)")
-
-    split_sides = np.zeros(mesh.n_sides, dtype=bool)
-    split_sides[mesh.elem_sides[mask].ravel()] = True
-    side_ids = np.flatnonzero(split_sides)
-    nv_old = mesh.n_vertices
-    new_vertex_of_side = np.full(mesh.n_sides, -1, dtype=np.int64)
-    new_vertex_of_side[side_ids] = nv_old + np.arange(len(side_ids))
-    coords = np.vstack([mesh.vertex_coords, mesh.side_midpoints[side_ids]])
-
-    n_children = np.where(mask, 4, 1)
-    offsets = np.concatenate([[0], np.cumsum(n_children)])
-    nt_new = offsets[-1]
-    tris = np.empty((nt_new, 3), dtype=np.int64)
-    parent = np.empty(nt_new, dtype=np.int64)
-
-    keep = np.flatnonzero(~mask)
-    tris[offsets[keep]] = mesh.elem_vertices[keep]
-    parent[offsets[keep]] = keep
-
-    ref = np.flatnonzero(mask)
-    v = mesh.elem_vertices[ref]
-    m = new_vertex_of_side[mesh.elem_sides[ref]]
-    base = offsets[ref]
-    tris[base + 0] = np.stack([v[:, 0], m[:, 2], m[:, 1]], axis=1)
-    tris[base + 1] = np.stack([v[:, 1], m[:, 0], m[:, 2]], axis=1)
-    tris[base + 2] = np.stack([v[:, 2], m[:, 1], m[:, 0]], axis=1)
-    tris[base + 3] = m
-    parent[base + 0] = parent[base + 1] = parent[base + 2] = parent[base + 3] = ref
-
-    new_vertex_side = {int(new_vertex_of_side[s]): int(s) for s in side_ids}
-    return Mesh(coords, tris, side_labeler=_inherited_labeler(mesh, new_vertex_side),
-                parent=mesh, parent_elements=parent, refinement_kind="red")
 
 
 def _reference_sides(mesh):
@@ -514,16 +442,18 @@ def _reference_sides(mesh):
     return candidate.argmin(axis=1)
 
 
-def refine_rgb(mesh, marked):
+def refine_rgb(mesh, marked=None):
     """Red-green-blue refinement of the marked elements with conforming closure.
 
     Marked elements are refined red; the closure iteratively marks the
     reference (longest) side of any element that has a marked side, and the
     resulting side marks are realised by red (3 sides), blue (2) or green (1)
-    subdivisions.  The output mesh is conforming by construction.  An empty
-    mark set returns the input unchanged.
+    subdivisions.  The output mesh is conforming by construction.
+    ``marked=None`` marks every element (uniform red refinement, each element
+    split into 4 similar children); an empty mark set returns the input
+    unchanged.
     """
-    mask = _marked_mask(mesh, marked if marked is not None else [])
+    mask = _marked_mask(mesh, marked)
     if not mask.any():
         return mesh
 
@@ -616,38 +546,13 @@ def refine_rgb(mesh, marked):
         tris[base + 3] = m
         parent[base + 0] = parent[base + 1] = parent[base + 2] = parent[base + 3] = red
 
-    new_vertex_side = {int(new_vertex_of_side[s]): int(s) for s in side_ids}
-    return Mesh(coords, tris, side_labeler=_inherited_labeler(mesh, new_vertex_side),
-                parent=mesh, parent_elements=parent, refinement_kind="rgb")
+    return Mesh(coords, tris, side_labeler=_inherited_labeler(mesh, side_ids),
+                parent=mesh, parent_elements=parent)
 
 
 # ----------------------------------------------------------------------
-# Patches and statistics
+# Statistics
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class PatchTable:
-    """Vertex-connectivity element patches and side patches."""
-    element_patches: list
-    side_patches: list
-
-
-def patches(mesh) -> PatchTable:
-    """Element patches (all elements sharing a vertex) and side patches (adjacent elements)."""
-    ve = mesh.vertex_elements()
-    elem_patches = []
-    for t in range(mesh.n_elements):
-        neigh = np.unique(np.concatenate([ve[v] for v in mesh.elem_vertices[t]]))
-        elem_patches.append(neigh)
-    side_patches = []
-    for s in range(mesh.n_sides):
-        if mesh.boundary_mask[s]:
-            side_patches.append(np.array([mesh.side_elem_minus[s]]))
-        else:
-            pair = np.sort(np.array([mesh.side_elem_minus[s], mesh.side_elem_plus[s]]))
-            side_patches.append(pair)
-    return PatchTable(elem_patches, side_patches)
-
-
 def mesh_stats(mesh) -> dict:
     """Scalar summary of the mesh (counts, mesh sizes, quality measures)."""
     return {
@@ -664,12 +569,6 @@ def mesh_stats(mesh) -> dict:
         "shape_regularity_max": float(mesh.shape_regularity().max()),
         "euler_characteristic": int(mesh.n_vertices - mesh.n_sides + mesh.n_elements),
     }
-
-
-def write_stats_json(mesh, path):
-    path = Path(path)
-    path.write_text(json.dumps(mesh_stats(mesh), indent=2, sort_keys=True) + "\n")
-    return path
 
 
 # ----------------------------------------------------------------------
@@ -707,29 +606,6 @@ def export_vtk(mesh, path, cell_data=None, point_data=None, title="crobstacle me
         _write_scalar_blocks(lines, cell_data, mesh.n_elements, "CELL_DATA")
     if point_data:
         _write_scalar_blocks(lines, point_data, mesh.n_vertices, "POINT_DATA")
-    path = Path(path)
-    path.write_text("\n".join(lines) + "\n")
-    return path
-
-
-def export_vtk_point_cloud(points, path, point_data=None, title="crobstacle point data"):
-    """Write a point cloud (e.g. side midpoints with side-based values) as legacy VTK."""
-    points = np.asarray(points, dtype=float)
-    n = len(points)
-    lines = [
-        "# vtk DataFile Version 2.0",
-        title,
-        "ASCII",
-        "DATASET UNSTRUCTURED_GRID",
-        f"POINTS {n} double",
-    ]
-    lines.extend(f"{x:.16g} {y:.16g} 0.0" for x, y in points)
-    lines.append(f"CELLS {n} {2 * n}")
-    lines.extend(f"1 {i}" for i in range(n))
-    lines.append(f"CELL_TYPES {n}")
-    lines.extend("1" for _ in range(n))
-    if point_data:
-        _write_scalar_blocks(lines, point_data, n, "POINT_DATA")
     path = Path(path)
     path.write_text("\n".join(lines) + "\n")
     return path

@@ -226,8 +226,8 @@ def _barycentric_combination(bary, corner_values) -> np.ndarray:
     return np.moveaxis(out, 0, -1)
 
 
-def element_points(mesh: Mesh, bary: np.ndarray, elems=None) -> np.ndarray:
-    """Physical coordinates ``(n_elems, nq, 2)`` of barycentric points.
+def element_points(mesh: Mesh, bary: np.ndarray) -> np.ndarray:
+    """Physical coordinates ``(n_elements, nq, 2)`` of barycentric points.
 
     The points are bitwise equal to ``np.einsum("qj,tjd->tqd", bary,
     corners)``: data sampled here must match data sampled at points built
@@ -235,8 +235,7 @@ def element_points(mesh: Mesh, bary: np.ndarray, elems=None) -> np.ndarray:
     across the post-processed field).  Each coordinate is stored
     contiguously, so ``points[..., 0]`` is a cheap strided view.
     """
-    ev = mesh.elem_vertices if elems is None else mesh.elem_vertices[np.asarray(elems)]
-    return _barycentric_combination(bary, mesh.vertex_coords[ev])
+    return _barycentric_combination(bary, mesh.vertex_coords[mesh.elem_vertices])
 
 
 def side_points(mesh: Mesh, rule: SegmentRule, sides=None) -> np.ndarray:
@@ -352,16 +351,15 @@ def shared_sample(value, mesh: Mesh, rule: QuadratureRule, points: np.ndarray):
     return values
 
 
-def integrate_elementwise(mesh: Mesh, rule: QuadratureRule, values: np.ndarray,
-                          elems=None) -> np.ndarray:
-    """Per-element integrals of sampled values (n_elems, nq) -> (n_elems,).
+def integrate_elementwise(mesh: Mesh, rule: QuadratureRule,
+                          values: np.ndarray) -> np.ndarray:
+    """Per-element integrals of sampled values (n_elements, nq) -> (n_elements,).
 
-    ``values`` may be anything that broadcasts to ``(n_elems, nq)``, such as
-    a per-element column from :func:`sample_data`.
+    ``values`` may be anything that broadcasts to ``(n_elements, nq)``, such
+    as a per-element column from :func:`sample_data`.
     """
-    areas = mesh.areas if elems is None else mesh.areas[np.asarray(elems)]
-    values = np.broadcast_to(values, (len(areas), rule.n_points))
-    return areas * (values @ rule.weights)
+    values = np.broadcast_to(values, (mesh.n_elements, rule.n_points))
+    return mesh.areas * (values @ rule.weights)
 
 
 # ----------------------------------------------------------------------
@@ -419,22 +417,21 @@ class CrFunction:
         object.__setattr__(self, "dofs", np.asarray(self.dofs, dtype=float))
         _check_len("dofs", self.dofs, self.mesh.n_sides)
 
-    def element_dofs(self, elems=None) -> np.ndarray:
-        es = self.mesh.elem_sides if elems is None else self.mesh.elem_sides[np.asarray(elems)]
-        return self.dofs[es]
+    def element_dofs(self) -> np.ndarray:
+        return self.dofs[self.mesh.elem_sides]
 
-    def element_means(self, elems=None) -> np.ndarray:
+    def element_means(self) -> np.ndarray:
         """Barycenter values = element means (the element-mean projection)."""
-        return self.element_dofs(elems).mean(axis=1)
+        return self.element_dofs().mean(axis=1)
 
-    def eval_at(self, bary, elems=None):
+    def eval_at(self, bary):
         # basis_j = 1 - 2 lambda_j at the side opposite vertex j
         basis = 1.0 - 2.0 * np.asarray(bary)          # (nq, 3)
-        return self.element_dofs(elems) @ basis.T
+        return self.element_dofs() @ basis.T
 
-    def vertex_traces(self, elems=None) -> np.ndarray:
-        """(n_elems, 3) trace of the element-affine at each local vertex."""
-        d = self.element_dofs(elems)
+    def vertex_traces(self) -> np.ndarray:
+        """(n_elements, 3) trace of the element-affine at each local vertex."""
+        d = self.element_dofs()
         return d.sum(axis=1, keepdims=True) - 2.0 * d
 
     def gradient(self) -> P0VectorField:
@@ -460,23 +457,14 @@ class Rt0Function:
         object.__setattr__(self, "side_fluxes", np.asarray(self.side_fluxes, dtype=float))
         _check_len("side_fluxes", self.side_fluxes, self.mesh.n_sides)
 
-    def _element_coefficients(self, elems=None):
-        m = self.mesh
-        if elems is None:
-            es, orient, areas = m.elem_sides, m.elem_side_orient, m.areas
-        else:
-            elems = np.asarray(elems)
-            es, orient, areas = m.elem_sides[elems], m.elem_side_orient[elems], m.areas[elems]
-        coef = self.side_fluxes[es] * orient * m.side_lengths[es] / (2.0 * areas[:, None])
-        return coef, es
-
-    def eval_at(self, bary, elems=None):
+    def eval_at(self, bary):
         # The field is sum_j c_j (x - P_j); with x - P_j = sum_k lambda_k
         # (P_k - P_j) it is sum_k lambda_k V_k, V_k = sum_j c_j (P_k - P_j).
         m = self.mesh
-        coef, _ = self._element_coefficients(elems)
-        ev = m.elem_vertices if elems is None else m.elem_vertices[np.asarray(elems)]
-        corners = m.vertex_coords[ev]                 # (n, 3, 2)
+        es = m.elem_sides
+        coef = (self.side_fluxes[es] * m.elem_side_orient * m.side_lengths[es]
+                / (2.0 * m.areas[:, None]))
+        corners = m.vertex_coords[m.elem_vertices]    # (n, 3, 2)
         vertex_values = sum(coef[:, j, None, None] * (corners - corners[:, j, None, :])
                             for j in range(3))
         return _barycentric_combination(bary, vertex_values)
@@ -503,12 +491,11 @@ class VertexFunction:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         _check_len("values", self.values, self.mesh.n_vertices)
 
-    def element_values(self, elems=None) -> np.ndarray:
-        ev = self.mesh.elem_vertices if elems is None else self.mesh.elem_vertices[np.asarray(elems)]
-        return self.values[ev]
+    def element_values(self) -> np.ndarray:
+        return self.values[self.mesh.elem_vertices]
 
-    def eval_at(self, bary, elems=None):
-        return self.element_values(elems) @ np.asarray(bary).T
+    def eval_at(self, bary):
+        return self.element_values() @ np.asarray(bary).T
 
     def gradient(self) -> P0VectorField:
         g = np.einsum("tj,tjd->td", self.element_values(), self.mesh.bary_grads)

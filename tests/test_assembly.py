@@ -38,7 +38,8 @@ from crobstacle.spaces import (
 
 
 def reference_triangle(all_neumann=False):
-    labeler = (lambda v0, v1, m: NEUMANN) if all_neumann else None
+    labeler = ((lambda sides, mid: np.full(len(sides), NEUMANN))
+               if all_neumann else None)
     return Mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 2]],
                 side_labeler=labeler)
 
@@ -61,8 +62,8 @@ class TestDofMap:
         assert np.all(dm.side_to_free[m.dirichlet_side_mask] == -1)
 
     def test_neumann_sides_are_free(self):
-        def rule(mid):
-            return NEUMANN if mid[1] > 1.4999 else "dirichlet"
+        def rule(sides, mid):
+            return np.where(mid[:, 1] > 1.4999, NEUMANN, "dirichlet")
 
         m = build_structured(Rectangle(-1.5, -1.5, 1.5, 1.5), 4, boundary_rule=rule)
         dm = build_dofmap(m)

@@ -22,7 +22,7 @@ from crobstacle.duality import (
     marini_flux,
 )
 from crobstacle.estimator import ErrorRecord, write_error_history
-from crobstacle.mesh import refine_red
+from crobstacle.mesh import refine_rgb
 from crobstacle.solver import build_system, pdas_solve
 from crobstacle.spaces import (
     CrFunction,
@@ -190,7 +190,7 @@ def test_discrete_strong_duality_benchmarks():
             _, _, primal, dual = _solve_and_energies(mesh, bench.data)
             assert abs(primal - dual) <= 1e-10 * (1.0 + abs(primal)), (
                 f"{bench.name} level {level}: {primal} vs {dual}")
-            mesh = refine_red(mesh)
+            mesh = refine_rgb(mesh)
 
 
 def test_energy_primal_discrete_values():
@@ -281,14 +281,9 @@ def test_energy_primal_continuous_trivial_zero():
     bench = ring()
     mesh = bench.initial_mesh()
 
-    def zero_vals(bary, points):
-        return np.zeros(np.asarray(points, dtype=float)[..., 0].shape)
-
-    def zero_grads(bary, points):
-        pts = np.asarray(points, dtype=float)
-        return np.zeros(pts.shape)
-
-    value = energy_primal_continuous(mesh, bench.data, zero_vals, zero_grads)
+    pts = element_points(mesh, triangle_rule(12).bary)
+    value = energy_primal_continuous(mesh, bench.data, np.zeros(pts.shape[:-1]),
+                                     np.zeros(pts.shape))
     assert abs(value) <= 1e-14
 
 
@@ -296,11 +291,11 @@ def test_energy_primal_continuous_reproduces_ring_energy():
     bench = ring()
     mesh = bench.initial_mesh()
     for _ in range(4):
-        mesh = refine_red(mesh)          # 2048 elements
+        mesh = refine_rgb(mesh)          # 2048 elements
     exact = bench.data.exact
-    value = energy_primal_continuous(mesh, bench.data,
-                                     lambda bary, points: exact.u(points),
-                                     lambda bary, points: exact.grad_u(points))
+    pts = element_points(mesh, triangle_rule(12).bary)
+    value = energy_primal_continuous(mesh, bench.data, exact.u(pts),
+                                     exact.grad_u(pts), points=pts)
     # the integrand kinks along the contact circle; with the high-order rule
     # the remaining quadrature error is dominated by the crossing elements
     assert abs(value - RING_ENERGY) <= 5e-4 * (1.0 + abs(RING_ENERGY))
@@ -328,7 +323,7 @@ def test_energy_dual_continuous_weak_duality_and_gap_rate():
             diff = z.flux.eval_at(rule.bary) - bench.data.exact.grad_u(pts)
             e_z_level3 = float(np.sqrt(integrate_elementwise(
                 mesh, rule, (diff ** 2).sum(axis=-1)).sum()))
-        mesh = refine_red(mesh)
+        mesh = refine_rgb(mesh)
     assert all(g > 0 for g in gaps)
     assert all(g2 < g1 for g1, g2 in zip(gaps, gaps[1:]))
     slope = np.polyfit(np.log(hs[1:]), np.log(gaps[1:]), 1)[0]

@@ -47,7 +47,6 @@ from crobstacle.mesh import (
     Rectangle,
     build_structured,
     export_vtk,
-    refine_red,
     refine_rgb,
 )
 from crobstacle.solver import pdas_solve
@@ -109,8 +108,9 @@ def ring_study():
         flux = marini_flux(out.solution, out.multiplier, out.system.f_h)
         res = estimate(out)
         errs = exact_errors(out.solution, flux, out.multiplier, data)
-        i_v = energy_primal_continuous(mesh, data, res.field.values_on,
-                                       res.field.gradients_on)
+        bary = triangle_rule(12).bary
+        i_v = energy_primal_continuous(mesh, data, res.field.values_on(bary),
+                                       res.field.gradients_on(bary))
         rho_full = rho_reduced(res.field, out.solution, out.multiplier, data)
         rho_energy = rho_reduced(res.field, out.solution, out.multiplier,
                                  data, include_exact_terms=False)
@@ -119,7 +119,7 @@ def ring_study():
             i_v=i_v, rho_full=rho_full, rho_energy=rho_energy,
             h=mesh.h_max))
         if k < 6:
-            mesh = refine_red(mesh)
+            mesh = refine_rgb(mesh)
     return levels
 
 
@@ -211,7 +211,7 @@ def test_postprocess_gradient_uses_active_obstacle_branch():
 
 def test_postprocess_physical_point_evaluation_consistent():
     bench = ring()
-    mesh = refine_red(bench.initial_mesh())
+    mesh = refine_rgb(bench.initial_mesh())
     out = pdas_solve(mesh, bench.data)
     v = postprocess_conforming(out.solution, bench.data)
     rule = triangle_rule(5)
@@ -291,7 +291,7 @@ def test_eta_a_squared_decays_quadratically_without_contact():
         v = postprocess_conforming(out.solution, data)
         totals.append(eta_A(v, out.solution).sum())
         hs.append(mesh.h_max)
-        mesh = refine_red(mesh)
+        mesh = refine_rgb(mesh)
     slope = np.polyfit(np.log(hs), np.log(totals), 1)[0]
     assert 1.6 <= slope <= 2.4
 
@@ -607,8 +607,9 @@ def test_rho_reduced_variant_drops_exact_solution_terms(ring_study):
     lvl = ring_study[1]
     out, data = lvl.out, lvl.out.system.data
     v = lvl.result.field
-    i_v = energy_primal_continuous(lvl.mesh, data, v.values_on,
-                                   v.gradients_on)
+    bary = triangle_rule(12).bary
+    i_v = energy_primal_continuous(lvl.mesh, data, v.values_on(bary),
+                                   v.gradients_on(bary))
     assert lvl.rho_energy == pytest.approx(i_v - RING_ENERGY, abs=1e-10)
     # the dropped terms: broken gradient error squared plus the pairing of
     # the discrete constraint force with the exact gap
@@ -628,7 +629,7 @@ def test_rho_reduced_variant_drops_exact_solution_terms(ring_study):
 def test_exact_errors_interpolant_identities():
     bench = ring()
     data = bench.data
-    mesh = refine_red(bench.initial_mesh())
+    mesh = refine_rgb(bench.initial_mesh())
     u_i = interp_cr(data.exact.u, mesh, segment_rule(6))
     z_i = interp_rt(data.exact.grad_u, mesh, segment_rule(6))
     lam = P0Function(mesh, np.zeros(mesh.n_elements))
@@ -835,6 +836,32 @@ def test_each_diagnostic_builds_one_point_set(monkeypatch):
         run()
         assert calls["points"] == 1, name
         assert calls["barycentric"] == 0, name
+
+
+def test_rho_reduced_samples_the_obstacle_once():
+    """One evaluation of a callable obstacle per rho_reduced, same value.
+
+    The energy, its gradient term and the gap term all take the obstacle
+    from one sample at the degree-12 element points.
+    """
+    bench = ring()
+    shapes = []
+
+    def chi(pts):
+        shapes.append(pts.shape)
+        return np.zeros(pts.shape[:-1])
+
+    data = replace(bench.data, chi=chi, chi_grad=lambda pts: np.zeros(pts.shape))
+    mesh = refine_rgb(bench.initial_mesh())
+    out = pdas_solve(mesh, data)
+    field = estimate(out).field
+    shapes.clear()
+    value = rho_reduced(field, out.solution, out.multiplier, data)
+    nq = triangle_rule(12).n_points
+    assert shapes == [(mesh.n_elements, nq, 2)] == [(32, 49, 2)]
+    # the callable is ring's constant obstacle 0, and gives the same bits
+    const = postprocess_conforming(out.solution, bench.data)
+    assert value == rho_reduced(const, out.solution, out.multiplier, bench.data)
 
 
 def test_diagnostics_sample_each_data_callable_once_per_level():

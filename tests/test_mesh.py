@@ -6,8 +6,6 @@ the implementation existed; the conformity scans in tests/util.py work
 directly on vertex/element arrays and are independent of the mesh class.
 """
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,12 +20,8 @@ from crobstacle.mesh import (
     Rectangle,
     build_structured,
     export_vtk,
-    export_vtk_point_cloud,
     mesh_stats,
-    patches,
-    refine_red,
     refine_rgb,
-    write_stats_json,
 )
 from util import (
     children_inside_parents,
@@ -132,8 +126,8 @@ class TestBuildStructured:
             assert m.side_normals[s] @ d > 0
 
     def test_boundary_rule_labels(self):
-        def rule(mid):
-            return NEUMANN if mid[1] > 1.4999 else DIRICHLET
+        def rule(sides, mid):
+            return np.where(mid[:, 1] > 1.4999, NEUMANN, DIRICHLET)
 
         m = build_structured(Rectangle(-1.5, -1.5, 1.5, 1.5), 4, boundary_rule=rule)
         assert int(m.neumann_side_mask.sum()) == 4
@@ -161,6 +155,49 @@ class TestBuildStructured:
         with pytest.raises(MeshError):  # non-manifold edge
             Mesh(coords, [[0, 1, 2], [1, 0, 3], [0, 1, 4]])
 
+    def test_side_labeler_gets_every_boundary_side_at_once(self):
+        calls = []
+
+        def rule(sides, mid):
+            calls.append((sides.copy(), mid.copy()))
+            return np.full(len(sides), NEUMANN)
+
+        m = build_structured(Rectangle(0, 0, 1, 1), 2, boundary_rule=rule)
+        assert len(calls) == 1
+        sides, mid = calls[0]
+        bnd = m.boundary_mask
+        assert np.array_equal(sides, m.side_vertices[bnd])
+        assert np.array_equal(mid, m.side_midpoints[bnd])
+        assert np.all(m.side_labels[bnd] == NEUMANN)
+
+    def test_side_labeler_rejects_unknown_labels(self):
+        with pytest.raises(MeshError, match="'robin'"):
+            build_structured(Rectangle(0, 0, 1, 1), 2,
+                             boundary_rule=lambda s, mid: np.where(
+                                 mid[:, 0] > 0.99, "robin", DIRICHLET))
+        with pytest.raises(MeshError, match="shape"):
+            build_structured(Rectangle(0, 0, 1, 1), 2,
+                             boundary_rule=lambda s, mid: DIRICHLET)
+
+    def test_side_table_matches_row_unique(self):
+        # One int64 key per side gives the same table as np.unique over the
+        # sorted vertex pairs as rows (axis=0), the formula it replaced.
+        rng = np.random.default_rng(11)
+        m = ring_mesh(4)
+        for _ in range(3):
+            m = refine_rgb(m, rng.choice(m.n_elements, m.n_elements // 3,
+                                         replace=False))
+        tri = m.elem_vertices
+        oriented = np.stack([tri[:, [1, 2]], tri[:, [2, 0]], tri[:, [0, 1]]],
+                            axis=1).reshape(-1, 2)
+        _, first, inverse, counts = np.unique(
+            np.sort(oriented, axis=1), axis=0, return_index=True,
+            return_inverse=True, return_counts=True)
+        assert np.array_equal(m.side_vertices, oriented[first])
+        assert np.array_equal(m.elem_sides, inverse.reshape(-1, 3))
+        assert np.array_equal(m.boundary_mask, counts == 1)
+        assert np.array_equal(m.side_elem_minus, first // 3)
+
     def test_clockwise_input_reoriented(self):
         m = Mesh([[0, 0], [1, 0], [0, 1]], [[0, 2, 1]])
         assert m.areas[0] > 0
@@ -182,12 +219,12 @@ class TestBuildStructured:
 
 
 # ----------------------------------------------------------------------
-# Red refinement
+# Uniform red refinement: refine_rgb with every element marked
 # ----------------------------------------------------------------------
 class TestRefineRed:
     def test_uniform_red_counts_and_geometry(self):
         m = ring_mesh(4)
-        f = refine_red(m)
+        f = refine_rgb(m)
         assert f.n_elements == 4 * m.n_elements
         assert f.n_vertices == m.n_vertices + m.n_sides
         assert f.n_sides == 2 * m.n_sides + 3 * m.n_elements
@@ -198,31 +235,24 @@ class TestRefineRed:
         assert np.allclose(np.sort(f.areas)[::-1], m.areas.max() / 4.0)
         conformity_scan(f)
         children_inside_parents(f)
-        assert f.refinement_kind == "red"
         assert np.all(np.bincount(f.parent_elements) == 4)
 
     def test_red_empty_marks_identity(self):
         m = square(2)
-        assert refine_red(m, np.zeros(m.n_elements, dtype=bool)) is m
-
-    def test_red_partial_marks_rejected(self):
-        m = ring_mesh(4)
-        for marked in ([0], [5, 6], np.arange(m.n_elements - 1)):
-            with pytest.raises(MeshError):
-                refine_red(m, marked)
+        assert refine_rgb(m, np.zeros(m.n_elements, dtype=bool)) is m
 
     def test_red_labels_inherited(self):
-        def rule(mid):
-            return NEUMANN if mid[1] > 1.4999 else DIRICHLET
+        def rule(sides, mid):
+            return np.where(mid[:, 1] > 1.4999, NEUMANN, DIRICHLET)
 
         m = build_structured(Rectangle(-1.5, -1.5, 1.5, 1.5), 4, boundary_rule=rule)
-        f = refine_red(refine_red(m))
+        f = refine_rgb(refine_rgb(m))
         assert int(f.neumann_side_mask.sum()) == 16
         assert np.allclose(f.side_midpoints[f.neumann_side_mask][:, 1], 1.5)
         assert int(f.dirichlet_side_mask.sum()) == 48
 
     def test_red_right_isoceles_preserved(self):
-        m = refine_red(refine_red(ring_mesh(4)))
+        m = refine_rgb(refine_rgb(ring_mesh(4)))
         assert np.allclose(m.min_angles(), 45.0, atol=1e-9)
 
 
@@ -292,8 +322,8 @@ class TestRefineRgb:
         assert np.allclose(f1.vertex_coords, f2.vertex_coords)
 
     def test_labels_inherited(self):
-        def rule(mid):
-            return NEUMANN if mid[0] > 0.9999 else DIRICHLET
+        def rule(sides, mid):
+            return np.where(mid[:, 0] > 0.9999, NEUMANN, DIRICHLET)
 
         m = build_structured(Rectangle(0, 0, 1, 1), 2, boundary_rule=rule)
         f = refine_rgb(m, np.arange(m.n_elements))
@@ -301,6 +331,10 @@ class TestRefineRgb:
         assert int(f.neumann_side_mask.sum()) == 4
         g = refine_rgb(f, [0, 1])
         assert np.allclose(g.side_midpoints[g.neumann_side_mask][:, 0], 1.0)
+        # split and unsplit sides alike keep the label: the Neumann sides
+        # still cover the whole edge x = 1
+        assert np.isclose(g.side_lengths[g.neumann_side_mask].sum(), 1.0)
+        assert np.isclose(g.side_lengths[g.dirichlet_side_mask].sum(), 3.0)
 
     def test_skewed_mesh_quality_floor(self):
         # Perturbed grid: repeated local refinement must not degenerate the
@@ -342,26 +376,10 @@ class TestRefineRgb:
 
 
 # ----------------------------------------------------------------------
-# Patches, stats, export
+# Stats, export
 # ----------------------------------------------------------------------
 class TestPatchesStatsExport:
-    def test_patches_against_brute_force(self):
-        m = lshape_mesh(2)
-        table = patches(m)
-        for t in range(m.n_elements):
-            verts = set(m.elem_vertices[t])
-            expected = sorted(
-                u for u in range(m.n_elements)
-                if verts & set(m.elem_vertices[u])
-            )
-            assert list(table.element_patches[t]) == expected
-        for s in range(m.n_sides):
-            expected = sorted(
-                u for u in range(m.n_elements) if s in m.elem_sides[u]
-            )
-            assert list(table.side_patches[s]) == expected
-
-    def test_stats_values(self, tmp_path):
+    def test_stats_values(self):
         m = ring_mesh(4)
         stats = mesh_stats(m)
         assert stats["n_vertices"] == 25
@@ -374,11 +392,7 @@ class TestPatchesStatsExport:
         # right isoceles: diameter/inradius = 2 + 2*sqrt(2)
         assert np.isclose(stats["shape_regularity_max"], 2.0 + 2.0 * np.sqrt(2.0))
         assert stats["euler_characteristic"] == 1
-
-        path = write_stats_json(m, tmp_path / "stats.json")
-        loaded = json.loads(path.read_text())
-        assert loaded["n_elements"] == 32
-        assert np.isclose(loaded["h_max"], 3.0 * np.sqrt(2.0) / 4.0)
+        assert np.isclose(stats["h_max"], 3.0 * np.sqrt(2.0) / 4.0)
 
     def test_vtk_roundtrip(self, tmp_path):
         m = square(2)
@@ -412,19 +426,6 @@ class TestPatchesStatsExport:
         i = lines.index("SCALARS uz double 1")
         vals = np.array([float(lines[i + 2 + k]) for k in range(m.n_vertices)])
         assert np.allclose(vals, point["uz"])
-
-    def test_vtk_point_cloud(self, tmp_path):
-        m = square(2)
-        data = {"midval": np.arange(m.n_sides, dtype=float)}
-        path = export_vtk_point_cloud(m.side_midpoints, tmp_path / "sides.vtk",
-                                      point_data=data)
-        lines = path.read_text().splitlines()
-        assert f"POINTS {m.n_sides} double" in lines
-        i = lines.index(f"CELL_TYPES {m.n_sides}")
-        assert all(lines[i + 1 + k] == "1" for k in range(m.n_sides))
-        i = lines.index("SCALARS midval double 1")
-        vals = np.array([float(lines[i + 2 + k]) for k in range(m.n_sides)])
-        assert np.allclose(vals, data["midval"])
 
     def test_vtk_bad_data_length(self, tmp_path):
         m = square(1)

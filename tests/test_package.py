@@ -15,16 +15,25 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: prints the default error degree, then every name in a module's
-#: ``__all__`` or re-exported by the package that does not resolve
+#: ``__all__`` or re-exported by the package that does not resolve, then
+#: every module without ``__all__`` and every public function or class a
+#: module defines that its ``__all__`` leaves out
 CHECK = textwrap.dedent("""
-    import ast, importlib, pkgutil
+    import ast, importlib, inspect, pkgutil
     import crobstacle
     print(crobstacle.AfemConfig().error_degree)
-    missing = []
+    missing, unlisted = [], []
     for info in pkgutil.iter_modules(crobstacle.__path__):
         module = importlib.import_module("crobstacle." + info.name)
-        missing += [f"{info.name}.{name}" for name in getattr(module, "__all__", ())
+        if not hasattr(module, "__all__"):
+            unlisted.append(f"{info.name}.__all__")
+        listed = getattr(module, "__all__", ())
+        missing += [f"{info.name}.{name}" for name in listed
                     if not hasattr(module, name)]
+        unlisted += [f"{info.name}.{name}" for name, value in vars(module).items()
+                     if not name.startswith("_") and name not in listed
+                     and (inspect.isfunction(value) or inspect.isclass(value))
+                     and value.__module__ == module.__name__]
     with open(crobstacle.__file__, encoding="utf-8") as fh:
         tree = ast.parse(fh.read())
     for node in tree.body:
@@ -35,6 +44,7 @@ CHECK = textwrap.dedent("""
                 if exported is None or exported is not getattr(module, alias.name, None):
                     missing.append(alias.name)
     print(sorted(missing))
+    print(sorted(unlisted))
 """)
 
 
@@ -43,4 +53,4 @@ def test_package_imports_in_fresh_interpreter():
     proc = subprocess.run([sys.executable, "-c", CHECK], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:2] == ["12", "[]"], proc.stdout
+    assert proc.stdout.split("\n")[:3] == ["12", "[]", "[]"], proc.stdout

@@ -2,8 +2,9 @@
 
 The primal-dual active-set solver is validated against an exhaustive
 enumeration oracle on randomized small instances, against the penalization
-route, and against closed-form/unconstrained limits.  All tolerances are
-absolute contracts, not tuned numbers.
+route (both oracles live in ``tests/oracles.py``), and against
+closed-form/unconstrained limits.  All tolerances are absolute contracts,
+not tuned numbers.
 """
 from dataclasses import replace
 
@@ -12,16 +13,12 @@ import pytest
 
 from crobstacle.assembly import AssemblyError, ProblemData, build_dofmap
 from crobstacle.benchmarks import pyramid, ring
-from crobstacle.mesh import refine_red
+from crobstacle.mesh import refine_rgb
 from crobstacle.solver import (
-    PdasState,
     SolverError,
     active_set,
-    brute_force_solve,
     build_system,
     pdas_solve,
-    penalized_solve,
-    write_iteration_log,
 )
 from crobstacle.sparse import SingularConstraintError, solve_spd
 from crobstacle.spaces import (
@@ -30,6 +27,7 @@ from crobstacle.spaces import (
     interp_cr,
     triangle_rule,
 )
+from oracles import brute_force_solve, penalized_solve
 from util import (
     broken_energy,
     grid_mesh,
@@ -45,30 +43,9 @@ def test_active_set_strict_inequality_ties_inactive():
     means = np.array([0.0, 0.0, 1.0, -1.0])
     mult = np.array([0.0, -1e-30, 0.0, 0.0])
     chi = np.zeros(4)
-    act = active_set(means, mult, chi, alpha=1.0)
+    act = active_set(means, mult, chi)
     # exact tie (0 < 0 is false) stays inactive; any negativity activates
     assert list(act) == [False, True, False, True]
-
-
-def test_active_set_classical_variant_two_part_update():
-    # the penalty-free limit update: currently active elements stay active
-    # iff their multiplier is negative; inactive elements join iff the
-    # constraint is violated
-    means = np.array([-5.0, 5.0, 0.0, 0.0])
-    mult = np.array([0.0, -1.0, -1.0, 0.0])
-    chi = np.zeros(4)
-    cur = np.array([False, False, True, True])
-    act = active_set(means, mult, chi, alpha=1.0, classical=True,
-                     current_active=cur)
-    assert list(act) == [True, False, True, False]
-
-
-def test_active_set_alpha_scaling():
-    means = np.array([-1.0])
-    mult = np.array([0.5])
-    chi = np.zeros(1)
-    assert not active_set(means, mult, chi, alpha=0.25)[0]   # 0.5 - 0.25 > 0
-    assert active_set(means, mult, chi, alpha=1.0)[0]        # 0.5 - 1.0 < 0
 
 
 # ----------------------------------------------------------------------
@@ -226,30 +203,22 @@ def test_pdas_warm_start_accepts_state_and_matches_cold():
     mesh = grid_mesh(3, 2)
     data = ProblemData(name="w", f=-8.0, chi=-0.05)
     cold = pdas_solve(mesh, data)
-    warm = pdas_solve(mesh, data, init=cold.state)
+    warm = pdas_solve(mesh, data,
+                      init=(cold.state.free_values, cold.state.multipliers))
     assert warm.converged
     assert warm.iterations <= cold.iterations
     assert np.allclose(warm.solution.dofs, cold.solution.dofs, atol=1e-12)
     assert np.allclose(warm.multiplier.values, cold.multiplier.values, atol=1e-12)
-    # tuple init is accepted too
-    warm2 = pdas_solve(mesh, data,
+    # a warm start on a prebuilt system gives the same iterate
+    warm2 = pdas_solve(system=cold.system,
                        init=(cold.state.free_values, cold.state.multipliers))
-    assert np.allclose(warm2.solution.dofs, cold.solution.dofs, atol=1e-12)
+    assert np.array_equal(warm2.solution.dofs, warm.solution.dofs)
+    with pytest.raises(SolverError, match="init shapes"):
+        pdas_solve(mesh, data, init=(cold.state.free_values[:-1],
+                                     cold.state.multipliers))
 
 
-def test_pdas_classical_variant_reaches_same_solution():
-    rng = np.random.default_rng(77)
-    mesh, data = random_small_problem(rng, 3)
-    default = pdas_solve(mesh, data)
-    classical = pdas_solve(mesh, data, classical_active_test=True)
-    assert default.converged and default.state.active.any()
-    assert classical.converged
-    assert np.max(np.abs(default.solution.dofs - classical.solution.dofs)) <= 1e-10
-    assert np.max(np.abs(default.multiplier.values
-                         - classical.multiplier.values)) <= 1e-10
-
-
-def test_pdas_iteration_log_wellformed(tmp_path):
+def test_pdas_iteration_log_wellformed():
     mesh = grid_mesh(3, 3)
 
     def lifted(points):
@@ -266,11 +235,6 @@ def test_pdas_iteration_log_wellformed(tmp_path):
         assert 0 <= row.n_active <= out.system.dofmap.n_multipliers
         assert row.residual <= 1e-10 * out.system.scale
         assert row.step_inf_norm >= 0.0
-    path = tmp_path / "log.csv"
-    write_iteration_log(path, out.log)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "iteration,n_active,step_inf_norm,residual"
-    assert len(lines) == 1 + len(out.log)
 
 
 def test_degenerate_consistent_constraints_recover_symmetric_multiplier():
@@ -391,7 +355,7 @@ def test_ring_level3_broken_gradient_error():
     bench = ring()
     mesh = bench.initial_mesh()
     for _ in range(2):            # levels 1 -> 3
-        mesh = refine_red(mesh)
+        mesh = refine_rgb(mesh)
     out = pdas_solve(mesh, bench.data)
     assert out.converged
     assert mesh.n_elements == 128

@@ -23,7 +23,6 @@ from crobstacle.mesh import (
     Mesh,
     Rectangle,
     build_structured,
-    refine_red,
     refine_rgb,
 )
 from crobstacle.spaces import (
@@ -142,9 +141,6 @@ class TestQuadrature:
         corners = mesh.vertex_coords[mesh.elem_vertices]
         expected = np.einsum("qj,tjd->tqd", rule.bary, corners)
         assert np.array_equal(element_points(mesh, rule.bary), expected)
-        some = np.arange(0, mesh.n_elements, 3)
-        assert np.array_equal(element_points(mesh, rule.bary, some),
-                              expected[some])
 
     @pytest.mark.parametrize("n", [1, 2, 6, 8])
     def test_side_points_bitwise_equal_to_inline_formula(self, n):
@@ -185,7 +181,7 @@ class TestQuadrature:
 def corner_mesh(refinements):
     mesh = corner().initial_mesh()
     for _ in range(refinements):
-        mesh = refine_red(mesh)
+        mesh = refine_rgb(mesh)
     return mesh
 
 
@@ -332,7 +328,7 @@ class TestCrFunction:
             mids = mesh.side_midpoints[mesh.elem_sides[t]]
             A = np.column_stack([np.ones(3), mids])
             coef = np.linalg.solve(A, v.dofs[mesh.elem_sides[t]])
-            pts = element_points(mesh, rule.bary, [t])[0]
+            pts = element_points(mesh, rule.bary)[t]
             expected = coef[0] + pts @ coef[1:]
             assert np.allclose(vals[t], expected, atol=1e-12)
             assert np.allclose(grads[t], coef[1:], atol=1e-12)
@@ -479,11 +475,10 @@ class TestInterpolants:
         v = CrFunction(mesh, rng.normal(size=mesh.n_sides))
         got = interp_av(v)
         traces = v.vertex_traces()
-        ve = mesh.vertex_elements()
         interior = ~mesh.dirichlet_vertex_mask()
         for z in np.flatnonzero(interior):
             vals = []
-            for t in ve[z]:
+            for t in np.flatnonzero((mesh.elem_vertices == z).any(axis=1)):
                 j = int(np.where(mesh.elem_vertices[t] == z)[0][0])
                 vals.append(traces[t, j])
             assert got.values[z] == pytest.approx(np.mean(vals), abs=1e-12)
@@ -577,7 +572,7 @@ class TestProlongation:
         coarse = lshape_mesh(2)
         f = lambda p: 0.7 - 1.3 * p[..., 0] + 0.4 * p[..., 1]
         v = interp_cr(f, coarse)
-        fine = refine_red(coarse)
+        fine = refine_rgb(coarse)
         out = prolong_cr(v, fine)
         assert np.allclose(out.dofs, f(fine.side_midpoints), atol=1e-12)
 
@@ -585,7 +580,7 @@ class TestProlongation:
         coarse = lshape_mesh(2)
         rng = np.random.default_rng(11)
         v = CrFunction(coarse, rng.normal(size=coarse.n_sides))
-        fine = refine_red(coarse)
+        fine = refine_rgb(coarse)
         out = prolong_cr(v, fine)
         # sides whose two adjacent children share the parent: exact evaluation
         p_minus = fine.parent_elements[fine.side_elem_minus]
@@ -598,7 +593,7 @@ class TestProlongation:
     def test_prolong_p0(self):
         coarse = lshape_mesh(2)
         p = P0Function(coarse, np.arange(coarse.n_elements, dtype=float))
-        fine = refine_red(coarse)
+        fine = refine_rgb(coarse)
         out = prolong_p0(p, fine)
         assert np.allclose(out.values, p.values[fine.parent_elements])
 

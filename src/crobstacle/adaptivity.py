@@ -181,8 +181,7 @@ def doerfler_mark(indicators, theta: float) -> np.ndarray:
 # ----------------------------------------------------------------------
 # The loop
 # ----------------------------------------------------------------------
-def afem_run(data: ProblemData, config: AfemConfig,
-             mesh0: Mesh, *, solver_options: dict | None = None) -> AfemHistory:
+def afem_run(data: ProblemData, config: AfemConfig, mesh0: Mesh) -> AfemHistory:
     """Run the solve-estimate-mark-refine loop from an initial mesh.
 
     Stops when the squared estimator drops to ``config.eps_stop``
@@ -192,7 +191,6 @@ def afem_run(data: ProblemData, config: AfemConfig,
     failures raise :class:`AdaptivityError` with the partial history
     attached.
     """
-    opts = dict(solver_options or {})
     levels: list[AfemLevel] = []
     mesh = mesh0
     prev: SolveOutcome | None = None
@@ -205,13 +203,13 @@ def afem_run(data: ProblemData, config: AfemConfig,
         t0 = time.perf_counter()
         try:
             if prev is None:
-                out = pdas_solve(mesh, data, **opts)
+                out = pdas_solve(mesh, data)
             else:
                 system = build_system(mesh, data)
                 dm = system.dofmap
                 free = prolong_cr(prev.solution, mesh).dofs[dm.free_sides]
                 mult = prolong_p0(prev.multiplier, mesh).values[dm.elements]
-                out = pdas_solve(system=system, init=(free, mult), **opts)
+                out = pdas_solve(system=system, init=(free, mult))
             if not out.converged:
                 raise AdaptivityError(
                     f"level {level_no}: solver did not converge within its "

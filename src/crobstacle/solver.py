@@ -5,6 +5,16 @@ vectors whose element means stay above the element means of the interpolated
 obstacle.  :func:`build_system` assembles it on a mesh and :func:`pdas_solve`
 solves it by the primal-dual active-set iteration, a finitely terminating
 semismooth Newton method.
+
+Each iteration solves the equality-constrained problem of its active set.
+The first constrained iterate of a solve is factored fresh through
+:func:`~crobstacle.sparse.solve_kkt`; that factorisation is the *base*, and
+later active sets are solved as systems bordered onto it
+(:class:`~crobstacle.sparse.BorderedKkt`) until an active set needs more new
+border columns than one factorisation costs.  Bordered iterates only
+select the next active set: the iterate a solve returns always comes from a
+fresh factorisation, so the result is bitwise that of refactoring at every
+iteration as long as the active sets follow the same sequence.
 """
 from __future__ import annotations
 
@@ -25,7 +35,13 @@ from .assembly import (
     find_excluded_element,
 )
 from .mesh import Mesh
-from .sparse import SingularConstraintError, solve_kkt, solve_spd
+from .sparse import (
+    BorderedKkt,
+    LinearSolveError,
+    SingularConstraintError,
+    solve_kkt,
+    solve_spd,
+)
 from .spaces import CrFunction, P0Function
 
 __all__ = [
@@ -153,15 +169,21 @@ class PdasState:
 
 @dataclass(frozen=True)
 class IterationRow:
+    """One PDAS iterate; ``solve`` is ``"fresh"``, ``"bordered"`` or ``"unconstrained"``."""
     iteration: int
     n_active: int
     step_inf_norm: float
     residual: float
+    solve: str
 
 
 @dataclass(frozen=True)
 class SolveOutcome:
-    """A constrained solve: full-dof solution field, multiplier, diagnostics."""
+    """A constrained solve: full-dof solution field, multiplier, diagnostics.
+
+    ``factorizations`` counts the fresh saddle-point factorisations, the
+    final re-solve of a bordered iterate included.
+    """
     solution: CrFunction
     multiplier: P0Function
     state: PdasState
@@ -171,6 +193,7 @@ class SolveOutcome:
     log: tuple
     method: str
     system: DiscreteObstacleSystem
+    factorizations: int = 0
 
 
 # ----------------------------------------------------------------------
@@ -192,17 +215,25 @@ def active_set(element_means, multipliers, obstacle_means) -> np.ndarray:
 # ----------------------------------------------------------------------
 # primal-dual active-set iteration
 # ----------------------------------------------------------------------
-def _solve_for_active(system: DiscreteObstacleSystem, act: np.ndarray):
+def _fresh_solve(system: DiscreteObstacleSystem, act: np.ndarray):
+    """Solve the equality-constrained problem of active set ``act`` afresh.
+
+    Returns ``(free, multipliers, report)``; ``report`` is the
+    :func:`solve_kkt` report carrying its factorisation, or ``None`` when no
+    saddle-point system was factored (no free dofs, no active constraint,
+    or the minimum-norm fallback).
+    """
     dm = system.dofmap
     if dm.n_free == 0:
-        return np.zeros(0), np.zeros(dm.n_multipliers)
+        return np.zeros(0), np.zeros(dm.n_multipliers), None
     if not act.any():
         free, _ = solve_spd(system.stiffness, system.load)
-        return free, np.zeros(dm.n_multipliers)
+        return free, np.zeros(dm.n_multipliers), None
     cols = np.flatnonzero(act)
     constraint = system.coupling[:, cols]
+    report = None
     try:
-        free, active_mult, _ = solve_kkt(
+        free, active_mult, report = solve_kkt(
             system.stiffness, constraint,
             system.load, system.constraint_rhs[cols])
     except SingularConstraintError as exc:
@@ -218,7 +249,109 @@ def _solve_for_active(system: DiscreteObstacleSystem, act: np.ndarray):
             system.load, system.constraint_rhs[cols], system.scale, exc)
     mult = np.zeros(dm.n_multipliers)
     mult[cols] = active_mult
-    return free, mult
+    return free, mult, report
+
+
+#: border columns that cost about one fresh factorisation: a fresh
+#: :func:`solve_kkt` call took as long as 55 to 85 border-column solves
+#: against its factor on most saddle-point systems of the three benchmark
+#: workloads (up to 180 below 2,000 unknowns; 2-CPU Xeon, one BLAS thread).
+#: A count, not a timing, so that which iterates are bordered, and how many
+#: factorisations a solve makes, depends on the active sets alone.
+_REFACTOR_COLUMNS = 64
+
+
+class _ActiveSetSolves:
+    """The linear solves of one PDAS run: a factored base plus bordered updates.
+
+    A constrained active set is solved fresh when there is no base, and the
+    factorisation becomes the base.  A later active set is bordered onto the
+    base: a constraint added since the base is the border column ``[b_j; 0]``
+    with right-hand side ``g_j``; a dropped one is the unit column
+    ``e_{n+pos(j)}`` with right-hand side 0, which pins its multiplier to 0.
+    The base is refactored when more than ``_REFACTOR_COLUMNS`` border
+    columns not yet solved against it are needed; a singular Schur
+    complement falls back to a fresh solve.
+    """
+
+    def __init__(self, system: DiscreteObstacleSystem):
+        self.system = system
+        self.factorizations = 0
+        self._coupling = sp.csc_array(system.coupling)
+        self._base = None          # BorderedKkt of the last fresh factorisation
+        self._base_active = None   # ... and its active mask
+
+    def release(self):
+        self._base = None
+        self._base_active = None
+
+    def fresh(self, act, *, keep=True):
+        """Fresh solve of ``act``; with ``keep`` its factorisation becomes the base."""
+        self.release()   # at most one factorisation alive at a time
+        sys_ = self.system
+        free, mult, report = _fresh_solve(sys_, act)
+        self.factorizations += 1   # one solve_kkt call, min-norm fallback or not
+        if keep and report is not None:
+            cols = np.flatnonzero(act)
+            self._base = BorderedKkt(
+                report.factor,
+                np.concatenate([sys_.load, sys_.constraint_rhs[cols]]),
+                np.concatenate([free, mult[cols]]))
+            self._base_active = act.copy()
+        return free, mult
+
+    def solve(self, act):
+        """Solve active set ``act``; returns ``(free, mult, how)``."""
+        if self.system.dofmap.n_free == 0 or not act.any():
+            free, mult, _ = _fresh_solve(self.system, act)
+            return free, mult, "unconstrained"
+        if self._base is not None:
+            try:
+                solved = self._bordered(act)
+            except LinearSolveError:
+                solved = None
+            if solved is not None:
+                return (*solved, "bordered")
+        return (*self.fresh(act), "fresh")
+
+    def _bordered(self, act):
+        base, base_act = self._base, self._base_active
+        changed = np.flatnonzero(act != base_act)
+        missing = np.asarray(base.missing(changed.tolist()), dtype=np.int64)
+        if missing.size > _REFACTOR_COLUMNS:
+            return None
+        if missing.size:
+            self._extend(missing)
+        sys_ = self.system
+        n = sys_.dofmap.n_free
+        added = changed[act[changed]]
+        dropped = changed[~act[changed]]
+        w, z = base.solve(np.concatenate([added, dropped]).tolist(),
+                          np.concatenate([sys_.constraint_rhs[added],
+                                          np.zeros(dropped.size)]))
+        mult = np.zeros(sys_.dofmap.n_multipliers)
+        mult[base_act] = w[n:]
+        mult[dropped] = 0.0
+        mult[added] = z[:added.size]
+        return w[:n], mult
+
+    def _extend(self, keys):
+        """Solve the border columns of constraints ``keys`` against the base."""
+        base_act = self._base_active
+        n = self.system.dofmap.n_free
+        added = keys[~base_act[keys]]
+        dropped = keys[base_act[keys]]
+        block = self._coupling[:, added]
+        rows = np.concatenate([
+            block.indices,
+            n + np.searchsorted(np.flatnonzero(base_act), dropped)])
+        cols = np.concatenate([
+            np.repeat(np.arange(added.size), np.diff(block.indptr)),
+            added.size + np.arange(dropped.size)])
+        data = np.concatenate([block.data, np.ones(dropped.size)])
+        border = sp.csc_array((data, (rows, cols)),
+                              shape=(n + base_act.sum(), keys.size))
+        self._base.extend(np.concatenate([added, dropped]).tolist(), border)
 
 
 _MIN_NORM_DENSE_LIMIT = 4000
@@ -262,6 +395,13 @@ def pdas_solve(mesh: Mesh | None = None, data: ProblemData | None = None, *,
     primal update is exactly zero.  Exhausting ``max_iter`` returns a
     non-converged outcome with full diagnostics instead of raising; singular
     constraint blocks propagate as errors.
+
+    The first constrained iterate is factored fresh and later ones are
+    bordered onto that factorisation (:class:`_ActiveSetSolves`); bordered
+    iterates only choose the next active set.  When the returned iterate
+    was bordered, its active set is solved once more by a fresh
+    factorisation, so the result is bitwise that of refactoring at every
+    iteration whenever the sequence of active sets is the same.
     """
     if max_iter < 1:
         raise SolverError(f"max_iter must be at least 1, got {max_iter}")
@@ -275,6 +415,7 @@ def pdas_solve(mesh: Mesh | None = None, data: ProblemData | None = None, *,
     else:
         free, mult = _coerce_init(init, sys_)
 
+    solves = _ActiveSetSolves(sys_)
     rows = []
     prev_active = None
     converged = False
@@ -286,14 +427,17 @@ def pdas_solve(mesh: Mesh | None = None, data: ProblemData | None = None, *,
             act = prev_active
             break
         old = free
-        free, mult = _solve_for_active(sys_, act)
+        free, mult, how = solves.solve(act)
         step = float(np.abs(free - old).max()) if dm.n_free else 0.0
         res = sys_.residual_inf(free, mult)
-        rows.append(IterationRow(it, int(act.sum()), step, res))
+        rows.append(IterationRow(it, int(act.sum()), step, res, how))
         prev_active = act
         if step == 0.0:
             converged = True
             break
+    solves.release()
+    if rows[-1].solve == "bordered":
+        free, mult = solves.fresh(act, keep=False)
 
     iterations = len(rows)
     state = PdasState(free_values=free, multipliers=mult, active=act,
@@ -304,4 +448,4 @@ def pdas_solve(mesh: Mesh | None = None, data: ProblemData | None = None, *,
         state=state, converged=converged, iterations=iterations,
         residual=sys_.residual_inf(free, mult), log=tuple(rows),
         method="active-set",
-        system=sys_)
+        system=sys_, factorizations=solves.factorizations)

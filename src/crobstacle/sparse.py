@@ -5,16 +5,31 @@ with SuperLU and are deterministic:
 
 * :func:`solve_spd` -- symmetric positive definite systems,
 * :func:`solve_kkt` -- symmetric saddle-point systems
-  ``[[A, B], [B^T, 0]]`` with constraint-degeneracy diagnostics.
+  ``[[A, B], [B^T, 0]]`` with constraint-degeneracy diagnostics,
+* :class:`BorderedKkt` -- reuse of one :func:`solve_kkt` factorisation
+  ``K0`` (the *base*) for systems bordered onto it.
+
+A bordered system ``[[K0, W], [W^T, 0]] [w; z] = [r0; r2]`` is solved through
+the dense Schur complement ``S = W^T K0^-1 W``: ``z = S^-1 (W^T w0 - r2)``
+with ``w0 = K0^-1 r0``, then ``w = K0^-1 (r0 - W z)``.  A border column
+``[b; 0]`` adds the constraint ``b``; a unit column ``e_{n+i}`` releases
+base constraint ``i`` and pins its multiplier to zero.  Border columns are
+solved against ``K0`` once per base and cached with their rows of ``S``.
+A bordered solution agrees with a fresh factorisation to round-off, not
+bitwise; :func:`crobstacle.solver.pdas_solve` therefore uses bordered
+solves only to pick the next active set and re-solves the iterate it
+returns through :func:`solve_kkt`, which keeps its results bitwise those of
+a fresh factorisation per iterate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import time
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 __all__ = [
@@ -23,6 +38,7 @@ __all__ = [
     "SingularConstraintError",
     "solve_spd",
     "solve_kkt",
+    "BorderedKkt",
 ]
 
 
@@ -44,13 +60,18 @@ class SingularConstraintError(Exception):
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Outcome of a linear solve."""
+    """Outcome of a linear solve.
+
+    ``factor`` is the SuperLU factorisation a :func:`solve_kkt` call made,
+    for reuse by :class:`BorderedKkt`; it does not take part in comparisons.
+    """
     method: str
     n: int
     nnz: int
     iterations: int
     residual_norm: float
     elapsed: float
+    factor: object = field(default=None, repr=False, compare=False)
 
 
 def solve_spd(A, b):
@@ -162,7 +183,7 @@ def solve_kkt(A, B, f, g):
     # computation when the block is small enough.
     probe = np.cos(0.7 * np.arange(n + m) + 0.3)
     growth = float(np.linalg.norm(lu.solve(probe)) / np.linalg.norm(probe))
-    block_scale = max(abs(K).max(), 1.0)
+    block_scale = float(np.abs(K.data).max(initial=1.0))
     if growth * block_scale > 1e13:
         offending = _dependent_columns(Bcsc)
         raise SingularConstraintError(
@@ -170,6 +191,106 @@ def solve_kkt(A, B, f, g):
             f"constraint rows: {offending})", constraints=offending)
     residual = float(np.linalg.norm(K @ sol - rhs))
     report = SolveReport("direct-lu", n + m, int(K.nnz), 1, residual,
-                         time.perf_counter() - t0)
+                         time.perf_counter() - t0, factor=lu)
     return x, y, report
 
+
+
+#: border columns solved against the base per SuperLU call; bounds the dense
+#: right-hand-side and solution buffers of :meth:`BorderedKkt.extend`
+BORDER_CHUNK = 16
+#: bound on ``1 / |S^-1|_1`` of the scaled Schur complement below which a
+#: bordered solve counts as singular
+SCHUR_INV_NORM_MIN = 1e-12
+
+
+class BorderedKkt:
+    """A factored saddle-point matrix ``K0`` reused for bordered systems.
+
+    ``factor`` is the SuperLU object of ``K0`` (``SolveReport.factor``),
+    ``rhs`` its right-hand side ``r0`` and ``solution`` the solve ``w0`` the
+    fresh path returned.  Border columns carry hashable keys: :meth:`extend`
+    solves new ones against ``K0`` and caches their rows of ``S`` and of
+    ``W^T w0``; :meth:`solve` solves the system bordered by any subset of the
+    cached columns.
+    """
+
+    def __init__(self, factor, rhs, solution):
+        self._lu = factor
+        self.rhs = np.asarray(rhs, dtype=float)
+        self.solution = np.asarray(solution, dtype=float)
+        self._index = {}
+        self._columns = sp.csc_array((self.rhs.size, 0))
+        self._schur = np.zeros((0, 0))
+        self._projected = np.zeros(0)
+        self._weights = np.zeros(0)
+
+    def missing(self, keys) -> list:
+        """The keys among ``keys`` whose column is not cached yet."""
+        return [k for k in keys if k not in self._index]
+
+    def extend(self, keys, columns):
+        """Solve the border ``columns`` (one per key) against ``K0`` and cache them."""
+        cols = sp.csc_array(columns)
+        k0, c = len(self._index), cols.shape[1]
+        border = sp.hstack([self._columns, cols], format="csc")
+        schur = np.empty((k0 + c, k0 + c))
+        schur[:k0, :k0] = self._schur
+        weights = np.empty(c)
+        for start in range(0, c, BORDER_CHUNK):
+            stop = min(start + BORDER_CHUNK, c)
+            chunk = cols[:, start:stop].toarray(order="F")
+            solved = self._lu.solve(chunk)
+            schur[:, k0 + start:k0 + stop] = border.T @ solved
+            weights[start:stop] = np.sqrt(np.linalg.norm(chunk, axis=0)
+                                          * np.linalg.norm(solved, axis=0))
+        schur[k0:, :k0] = schur[:k0, k0:].T   # K0 is symmetric
+        self._schur = schur
+        self._columns = border
+        self._projected = np.concatenate([self._projected,
+                                          cols.T @ self.solution])
+        self._weights = np.concatenate([self._weights, weights])
+        for i, key in enumerate(keys, start=k0):
+            self._index[key] = i
+
+    def solve(self, keys, border_rhs):
+        """Solve ``[[K0, W], [W^T, 0]] [w; z] = [r0; border_rhs]``.
+
+        ``W`` holds the cached columns of ``keys`` in that order.  Returns
+        ``(w, z)``; a singular or non-finite Schur complement raises
+        :class:`LinearSolveError`.
+        """
+        idx = np.fromiter((self._index[k] for k in keys), dtype=np.intp,
+                          count=len(keys))
+        if idx.size == 0:
+            return self.solution.copy(), np.zeros(0)
+        schur = self._schur[np.ix_(idx, idx)]
+        rhs = self._projected[idx] - np.asarray(border_rhs, dtype=float)
+        z = _solve_schur(schur, rhs, self._weights[idx])
+        w = self._lu.solve(self.rhs - self._columns[:, idx] @ z)
+        if not np.all(np.isfinite(w)):
+            raise LinearSolveError("bordered solve produced non-finite values")
+        return w, z
+
+
+def _solve_schur(schur, rhs, weights):
+    """Dense LU solve of a Schur complement ``S = W^T K0^-1 W``.
+
+    ``S`` is scaled symmetrically by ``1 / weights`` with ``weights_j**2 =
+    |W_j| |K0^-1 W_j|``, which bounds its diagonal by 1.  A border column
+    that depends on the base constraints and the other columns then shows as
+    ``1 / |S^-1|_1`` at round-off level, whatever the element sizes.
+    """
+    if not (np.all(np.isfinite(schur)) and np.all(weights > 0.0)):
+        raise LinearSolveError("Schur complement is singular or non-finite")
+    d = 1.0 / weights
+    scaled = schur * d[:, None] * d[None, :]
+    lu, piv, info = sla.lapack.dgetrf(scaled)
+    if info != 0:
+        raise LinearSolveError("Schur complement is singular")
+    # with a unit norm passed in, the condition estimate returns 1/|S^-1|_1
+    inv_norm_recip, _ = sla.lapack.dgecon(lu, 1.0)
+    if not inv_norm_recip >= SCHUR_INV_NORM_MIN:
+        raise LinearSolveError(
+            f"Schur complement is singular (1/|S^-1| = {inv_norm_recip:.1e})")
+    return d * sla.lu_solve((lu, piv), d * rhs, check_finite=False)

@@ -3,7 +3,10 @@
 * :func:`brute_force_solve` -- exhaustive enumeration of active sets on tiny
   instances (the oracle the other routes are validated against),
 * :func:`penalized_solve` -- quadratic penalization with a semismooth Newton
-  inner solver (independent cross-check route).
+  inner solver (independent cross-check route),
+* :func:`fresh_pdas_solve` -- the active-set iteration with a fresh KKT
+  factorisation at every iterate (the reference the bordered updates of
+  :func:`~crobstacle.solver.pdas_solve` must reproduce bitwise).
 
 Neither runs in the package pipeline; they live with the tests.
 """
@@ -19,9 +22,12 @@ from crobstacle.assembly import ProblemData
 from crobstacle.mesh import Mesh
 from crobstacle.solver import (
     DiscreteObstacleSystem,
+    IterationRow,
     PdasState,
     SolveOutcome,
     SolverError,
+    _fresh_solve,
+    active_set,
     build_system,
 )
 from crobstacle.spaces import CrFunction, P0Function
@@ -43,6 +49,54 @@ class PenalizedOutcome:
     violation_norm: float
     multiplier_norm: float
     system: DiscreteObstacleSystem
+
+
+# ----------------------------------------------------------------------
+# refactor-every-iteration active-set route
+# ----------------------------------------------------------------------
+def fresh_pdas_solve(mesh: Mesh | None = None, data: ProblemData | None = None,
+                     *, system: DiscreteObstacleSystem | None = None,
+                     init=None, max_iter: int = 50) -> SolveOutcome:
+    """``pdas_solve`` with every constrained iterate factored afresh."""
+    sys_ = system if system is not None else build_system(mesh, data)
+    dm = sys_.dofmap
+    if init is None:
+        free = solve_spd(sys_.stiffness, sys_.load)[0] if dm.n_free else np.zeros(0)
+        mult = np.zeros(dm.n_multipliers)
+    else:
+        free, mult = (np.asarray(v, dtype=float) for v in init)
+
+    rows = []
+    prev_active = None
+    converged = False
+    factorizations = 0
+    for it in range(1, max_iter + 1):
+        means = sys_.element_means(free)
+        act = active_set(means, mult, sys_.obstacle_means)
+        if prev_active is not None and np.array_equal(act, prev_active):
+            converged = True
+            act = prev_active
+            break
+        old = free
+        free, mult, _ = _fresh_solve(sys_, act)
+        how = "fresh" if dm.n_free and act.any() else "unconstrained"
+        factorizations += how == "fresh"
+        step = float(np.abs(free - old).max()) if dm.n_free else 0.0
+        res = sys_.residual_inf(free, mult)
+        rows.append(IterationRow(it, int(act.sum()), step, res, how))
+        prev_active = act
+        if step == 0.0:
+            converged = True
+            break
+
+    state = PdasState(free_values=free, multipliers=mult, active=act,
+                      iteration=len(rows))
+    return SolveOutcome(
+        solution=sys_.solution_field(free),
+        multiplier=sys_.multiplier_field(mult),
+        state=state, converged=converged, iterations=len(rows),
+        residual=sys_.residual_inf(free, mult), log=tuple(rows),
+        method="active-set", system=sys_, factorizations=factorizations)
 
 
 # ----------------------------------------------------------------------

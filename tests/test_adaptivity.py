@@ -13,12 +13,14 @@ before this module was implemented:
   element sits at the re-entrant corner, and > half of all elements live in
   the annulus band.
 """
+import functools
 import itertools
 import math
 
 import numpy as np
 import pytest
 
+from crobstacle import adaptivity
 from crobstacle.adaptivity import (
     AdaptivityError,
     AfemConfig,
@@ -237,12 +239,14 @@ def test_element_budget_stops_refinement():
     assert hist.levels[-1].mesh.n_elements <= 100
 
 
-def test_solver_failure_aborts_with_partial_history():
+def test_solver_failure_aborts_with_partial_history(monkeypatch):
+    # a one-iteration budget leaves the first level's solve non-converged
+    monkeypatch.setattr(adaptivity, "pdas_solve",
+                        functools.partial(adaptivity.pdas_solve, max_iter=1))
     bench = ring()
     cfg = AfemConfig(max_levels=5)
     with pytest.raises(AdaptivityError) as exc_info:
-        afem_run(bench.data, cfg, bench.initial_mesh(),
-                 solver_options={"max_iter": 1})
+        afem_run(bench.data, cfg, bench.initial_mesh())
     history = exc_info.value.history
     assert isinstance(history, AfemHistory)
     assert len(history.levels) == 0

@@ -11,11 +11,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from crobstacle import solver
+from crobstacle.adaptivity import AfemConfig, afem_run
 from crobstacle.assembly import AssemblyError, ProblemData, build_dofmap
-from crobstacle.benchmarks import pyramid, ring
-from crobstacle.mesh import refine_rgb
+from crobstacle.benchmarks import corner, pyramid, ring
+from crobstacle.mesh import build_structured, refine_rgb
 from crobstacle.solver import (
     SolverError,
+    _ActiveSetSolves,
+    _fresh_solve,
     active_set,
     build_system,
     pdas_solve,
@@ -27,7 +31,8 @@ from crobstacle.spaces import (
     interp_cr,
     triangle_rule,
 )
-from oracles import brute_force_solve, penalized_solve
+from crobstacle.spaces import prolong_cr, prolong_p0
+from oracles import brute_force_solve, fresh_pdas_solve, penalized_solve
 from util import (
     broken_energy,
     grid_mesh,
@@ -276,6 +281,185 @@ def test_all_dirichlet_element_excluded_and_multiplier_zero():
     assert out.system.dofmap.n_multipliers == 0
     assert np.all(out.solution.dofs == 0.0)
     assert np.all(out.multiplier.values == 0.0)
+
+
+# ----------------------------------------------------------------------
+# bordered updates against the refactor-every-iteration loop
+# ----------------------------------------------------------------------
+def assert_same_iterate(out, ref):
+    assert np.array_equal(out.state.free_values, ref.state.free_values)
+    assert np.array_equal(out.state.multipliers, ref.state.multipliers)
+    assert np.array_equal(out.state.active, ref.state.active)
+    assert out.iterations == ref.iterations
+    assert out.converged == ref.converged
+
+
+def structured_system(bench, divisions):
+    mesh = build_structured(bench.domain, divisions, pattern=bench.mesh_pattern)
+    return build_system(mesh, bench.data)
+
+
+def test_pdas_bitwise_fresh_cold_ring():
+    system = structured_system(ring(), 16)
+    out = pdas_solve(system=system)
+    assert any(row.solve == "bordered" for row in out.log)
+    assert_same_iterate(out, fresh_pdas_solve(system=system))
+
+
+def test_pdas_bitwise_fresh_cold_pyramid_min_norm():
+    # the first iterate activates every element: the dependent constraint
+    # block goes through the dense minimum-norm fallback
+    system = structured_system(pyramid(), 8)
+    out = pdas_solve(system=system)
+    assert out.log[0].solve == "fresh"
+    assert out.log[0].n_active == system.dofmap.n_multipliers
+    assert_same_iterate(out, fresh_pdas_solve(system=system))
+
+
+@pytest.fixture(scope="module")
+def corner_warm_levels():
+    """(system, init, outcome) of corner levels 1-8, warm-started from level 2."""
+    bench = corner()
+    history = afem_run(bench.data, AfemConfig(max_levels=8), bench.initial_mesh())
+    levels, prev = [], None
+    for level in history.levels:
+        system = level.outcome.system
+        init = None
+        if prev is not None:
+            dm = system.dofmap
+            init = (prolong_cr(prev.solution, level.mesh).dofs[dm.free_sides],
+                    prolong_p0(prev.multiplier, level.mesh).values[dm.elements])
+        levels.append((system, init, level.outcome))
+        prev = level.outcome
+    return levels
+
+
+def test_pdas_bitwise_fresh_warm_corner_levels(corner_warm_levels):
+    for system, init, out in corner_warm_levels:
+        assert_same_iterate(out, fresh_pdas_solve(system=system, init=init))
+
+
+def test_pdas_counts_fewer_factorizations_than_iterations(corner_warm_levels):
+    long = [out for _, init, out in corner_warm_levels
+            if init is not None and out.iterations >= 4]
+    assert long
+    for out in long:
+        assert out.factorizations < out.iterations
+        kinds = [row.solve for row in out.log]
+        assert kinds[0] == "fresh" and "bordered" in kinds
+        # the returned bordered iterate was solved once more, afresh
+        assert out.factorizations == kinds.count("fresh") + (kinds[-1] == "bordered")
+
+
+def random_changes(rng, act, n_changes):
+    changed = act.copy()
+    flip = rng.choice(act.size, size=n_changes, replace=False)
+    changed[flip] = ~changed[flip]
+    return changed
+
+
+@pytest.mark.parametrize("bench, refinements", [(corner, 3), (pyramid, 1)])
+def test_bordered_matches_fresh_kkt_on_random_changes(bench, refinements):
+    # each step needs at most 16 new border columns, within the budget
+    definition = bench()
+    mesh = definition.initial_mesh()
+    for _ in range(refinements):
+        mesh = refine_rgb(mesh)
+    system = build_system(mesh, definition.data)
+    rng = np.random.default_rng(17)
+    base = rng.random(system.dofmap.n_multipliers) < 0.3
+    solves = _ActiveSetSolves(system)
+    solves.fresh(base)
+    for n_changes in (1, 4, 9, 4, 16):
+        act = random_changes(rng, base, n_changes)
+        free, mult, how = solves.solve(act)
+        ref_free, ref_mult, _ = _fresh_solve(system, act)
+        assert how == "bordered"
+        assert np.all(mult[~act] == 0.0)
+        assert (np.abs(free - ref_free).max()
+                <= 1e-10 * np.abs(ref_free).max())
+        assert (np.abs(mult - ref_mult).max()
+                <= 1e-10 * np.abs(ref_mult).max())
+    assert solves.factorizations == 1
+
+
+def corner_system(refinements):
+    definition = corner()
+    mesh = definition.initial_mesh()
+    for _ in range(refinements):
+        mesh = refine_rgb(mesh)
+    return build_system(mesh, definition.data)
+
+
+def test_refactors_when_new_columns_exceed_the_budget(monkeypatch):
+    monkeypatch.setattr(solver, "_REFACTOR_COLUMNS", 2)
+    system = corner_system(2)
+    base = np.zeros(system.dofmap.n_multipliers, dtype=bool)
+    base[::3] = True
+
+    def flipped(*indices):
+        act = base.copy()
+        act[list(indices)] = ~act[list(indices)]
+        return act
+
+    solves = _ActiveSetSolves(system)
+    solves.fresh(base)
+    assert solves.solve(flipped(0, 1))[2] == "bordered"
+    # columns 0 and 1 are cached: one new column is within the budget
+    assert solves.solve(flipped(0, 1, 2))[2] == "bordered"
+    assert solves.factorizations == 1
+    free, mult, how = solves.solve(flipped(3, 4, 5))
+    assert how == "fresh" and solves.factorizations == 2
+    ref_free, ref_mult, _ = _fresh_solve(system, flipped(3, 4, 5))
+    assert np.array_equal(free, ref_free) and np.array_equal(mult, ref_mult)
+
+
+def test_base_survives_an_unconstrained_iterate():
+    # base -> nothing active -> base again: the base is kept over the
+    # unconstrained solve and the repeated set needs no border column
+    system = corner_system(2)
+    base = np.zeros(system.dofmap.n_multipliers, dtype=bool)
+    base[::3] = True
+    solves = _ActiveSetSolves(system)
+    free0, mult0, how0 = solves.solve(base)
+    assert how0 == "fresh"
+    assert solves.solve(np.zeros_like(base))[2] == "unconstrained"
+    free, mult, how = solves.solve(base)
+    assert how == "bordered" and solves.factorizations == 1
+    assert np.array_equal(free, free0) and np.array_equal(mult, mult0)
+
+
+def test_bordered_dependent_column_falls_back_to_fresh_path():
+    # on a structured pyramid mesh the dual graph is bipartite with equal
+    # areas, so activating every element makes the constraints dependent;
+    # a base missing one element is regular, and adding it back must go to
+    # the fresh path and its minimum-norm fallback
+    system = structured_system(pyramid(), 8)
+    everything = np.ones(system.dofmap.n_multipliers, dtype=bool)
+    base = everything.copy()
+    base[0] = False
+    solves = _ActiveSetSolves(system)
+    solves.fresh(base)
+    free, mult, how = solves.solve(everything)
+    assert how == "fresh"
+    assert solves.factorizations == 2
+    ref_free, ref_mult, report = _fresh_solve(system, everything)
+    assert report is None          # the minimum-norm fallback answered
+    assert np.array_equal(free, ref_free) and np.array_equal(mult, ref_mult)
+
+
+def test_bordered_dependent_inconsistent_column_raises():
+    # the two elements of a 1x1 grid share their only free side: adding the
+    # second constraint to a base holding the first one is dependent, and
+    # with different mean targets the fresh path's diagnosis must surface
+    mesh = grid_mesh(1, 1)
+    data = ProblemData(name="incons", f=-50.0, chi=lambda p: p[..., 0],
+                       dirichlet_data=1.0)
+    system = build_system(mesh, data)
+    solves = _ActiveSetSolves(system)
+    solves.fresh(np.array([True, False]))
+    with pytest.raises(SingularConstraintError):
+        solves.solve(np.array([True, True]))
 
 
 # ----------------------------------------------------------------------

@@ -7,14 +7,15 @@ solves it by the primal-dual active-set iteration, a finitely terminating
 semismooth Newton method.
 
 Each iteration solves the equality-constrained problem of its active set.
-The first constrained iterate of a solve is factored fresh through
-:func:`~crobstacle.sparse.solve_kkt`; that factorisation is the *base*, and
-later active sets are solved as systems bordered onto it
-(:class:`~crobstacle.sparse.BorderedKkt`) until an active set needs more new
-border columns than one factorisation costs.  Bordered iterates only
-select the next active set: the iterate a solve returns always comes from a
-fresh factorisation, so the result is bitwise that of refactoring at every
-iteration as long as the active sets follow the same sequence.
+Iterates that only select the next active set go through the selector
+factorisation of :class:`~crobstacle.sparse.BorderedKkt`: the first
+constrained iterate of a solve is factored there, that factorisation is the
+*base*, and later active sets are solved as systems bordered onto it until
+an active set needs more new border columns than one factorisation costs.
+The iterate a solve returns always comes from
+:func:`~crobstacle.sparse.solve_kkt`, so the result is bitwise that of a
+fresh ``solve_kkt`` factorisation at every iteration as long as the active
+sets follow the same sequence.
 """
 from __future__ import annotations
 
@@ -181,8 +182,10 @@ class IterationRow:
 class SolveOutcome:
     """A constrained solve: full-dof solution field, multiplier, diagnostics.
 
-    ``factorizations`` counts the fresh saddle-point factorisations, the
-    final re-solve of a bordered iterate included.
+    ``factorizations`` counts the sparse saddle-point factorisations: the
+    selector ones (bases, and any the probe or residual bound rejects), the
+    :func:`~crobstacle.sparse.solve_kkt` fallbacks and the final
+    ``solve_kkt`` re-solve of the returned iterate.
     """
     solution: CrFunction
     multiplier: P0Function
@@ -219,9 +222,9 @@ def _fresh_solve(system: DiscreteObstacleSystem, act: np.ndarray):
     """Solve the equality-constrained problem of active set ``act`` afresh.
 
     Returns ``(free, multipliers, report)``; ``report`` is the
-    :func:`solve_kkt` report carrying its factorisation, or ``None`` when no
-    saddle-point system was factored (no free dofs, no active constraint,
-    or the minimum-norm fallback).
+    :func:`solve_kkt` report, or ``None`` when no saddle-point system was
+    solved (no free dofs, no active constraint, or the minimum-norm
+    fallback).
     """
     dm = system.dofmap
     if dm.n_free == 0:
@@ -252,65 +255,84 @@ def _fresh_solve(system: DiscreteObstacleSystem, act: np.ndarray):
     return free, mult, report
 
 
-#: border columns that cost about one fresh factorisation: a fresh
-#: :func:`solve_kkt` call took as long as 55 to 85 border-column solves
-#: against its factor on most saddle-point systems of the three benchmark
-#: workloads (up to 180 below 2,000 unknowns; 2-CPU Xeon, one BLAS thread).
-#: A count, not a timing, so that which iterates are bordered, and how many
+#: border columns that cost about one selector factorisation: building a
+#: :class:`BorderedKkt` (factor, probe, refinement) took as long as 55 to 106
+#: border-column solves against it (quartiles 65 to 84) on the systems of at
+#: least 2,000 unknowns of the three benchmark workloads, up to 500 below
+#: (2-CPU Xeon, one BLAS thread).  Budgets 32/48/64/96/128 gave corner
+#: 65/55/53/49/46 factorisations, pyramid 82/77/72/70/68 and ring-cold
+#: 33/32/32/31/31, with PDAS time flat within run-to-run noise.  A count,
+#: not a timing, so that which iterates are bordered, and how many
 #: factorisations a solve makes, depends on the active sets alone.
 _REFACTOR_COLUMNS = 64
 
 
 class _ActiveSetSolves:
-    """The linear solves of one PDAS run: a factored base plus bordered updates.
+    """The linear solves of one PDAS run: a selector base plus bordered updates.
 
-    A constrained active set is solved fresh when there is no base, and the
-    factorisation becomes the base.  A later active set is bordered onto the
-    base: a constraint added since the base is the border column ``[b_j; 0]``
-    with right-hand side ``g_j``; a dropped one is the unit column
+    A constrained active set is factored by the selector path
+    (:class:`BorderedKkt`) when there is no base, and the factorisation
+    becomes the base.  A later active set is bordered onto the base: a
+    constraint added since the base is the border column ``[b_j; 0]`` with
+    right-hand side ``g_j``; a dropped one is the unit column
     ``e_{n+pos(j)}`` with right-hand side 0, which pins its multiplier to 0.
     The base is refactored when more than ``_REFACTOR_COLUMNS`` border
-    columns not yet solved against it are needed; a singular Schur
-    complement falls back to a fresh solve.
+    columns not yet solved against it are needed.  A singular Schur
+    complement falls back to a new base, and a selector factorisation that
+    shows near-dependent constraints or misses its residual bound falls back
+    to :func:`_fresh_solve` with its diagnostics.  ``exact`` tells whether
+    the last solve came from :func:`_fresh_solve`.
     """
 
     def __init__(self, system: DiscreteObstacleSystem):
         self.system = system
         self.factorizations = 0
+        self.exact = False
         self._coupling = sp.csc_array(system.coupling)
-        self._base = None          # BorderedKkt of the last fresh factorisation
+        self._base = None          # BorderedKkt of the last selector factorisation
         self._base_active = None   # ... and its active mask
 
     def release(self):
         self._base = None
         self._base_active = None
 
-    def fresh(self, act, *, keep=True):
-        """Fresh solve of ``act``; with ``keep`` its factorisation becomes the base."""
+    def exact_solve(self, act):
+        """Solve ``act`` through :func:`_fresh_solve`."""
+        sys_ = self.system
+        free, mult, _ = _fresh_solve(sys_, act)
+        self.factorizations += bool(sys_.dofmap.n_free and act.any())
+        self.exact = True
+        return free, mult
+
+    def fresh(self, act):
+        """Selector factorisation of ``act``, kept as the base."""
         self.release()   # at most one factorisation alive at a time
         sys_ = self.system
-        free, mult, report = _fresh_solve(sys_, act)
-        self.factorizations += 1   # one solve_kkt call, min-norm fallback or not
-        if keep and report is not None:
-            cols = np.flatnonzero(act)
-            self._base = BorderedKkt(
-                report.factor,
-                np.concatenate([sys_.load, sys_.constraint_rhs[cols]]),
-                np.concatenate([free, mult[cols]]))
-            self._base_active = act.copy()
-        return free, mult
+        cols = np.flatnonzero(act)
+        self.factorizations += 1
+        try:
+            base = BorderedKkt(sys_.stiffness, self._coupling[:, cols],
+                               sys_.load, sys_.constraint_rhs[cols])
+        except LinearSolveError:
+            return self.exact_solve(act)
+        self._base, self._base_active = base, act.copy()
+        self.exact = False
+        n = sys_.dofmap.n_free
+        mult = np.zeros(sys_.dofmap.n_multipliers)
+        mult[cols] = base.solution[n:]
+        return base.solution[:n].copy(), mult
 
     def solve(self, act):
         """Solve active set ``act``; returns ``(free, mult, how)``."""
         if self.system.dofmap.n_free == 0 or not act.any():
-            free, mult, _ = _fresh_solve(self.system, act)
-            return free, mult, "unconstrained"
+            return (*self.exact_solve(act), "unconstrained")
         if self._base is not None:
             try:
                 solved = self._bordered(act)
             except LinearSolveError:
                 solved = None
             if solved is not None:
+                self.exact = False
                 return (*solved, "bordered")
         return (*self.fresh(act), "fresh")
 
@@ -396,12 +418,12 @@ def pdas_solve(mesh: Mesh | None = None, data: ProblemData | None = None, *,
     non-converged outcome with full diagnostics instead of raising; singular
     constraint blocks propagate as errors.
 
-    The first constrained iterate is factored fresh and later ones are
-    bordered onto that factorisation (:class:`_ActiveSetSolves`); bordered
-    iterates only choose the next active set.  When the returned iterate
-    was bordered, its active set is solved once more by a fresh
-    factorisation, so the result is bitwise that of refactoring at every
-    iteration whenever the sequence of active sets is the same.
+    The first constrained iterate gets a selector factorisation and later
+    ones are bordered onto it (:class:`_ActiveSetSolves`); these iterates
+    only choose the next active set.  The returned active set is solved once
+    more through :func:`solve_kkt` unless it already came from there, so the
+    result is bitwise that of a fresh ``solve_kkt`` at every iteration
+    whenever the sequence of active sets is the same.
     """
     if max_iter < 1:
         raise SolverError(f"max_iter must be at least 1, got {max_iter}")
@@ -436,8 +458,8 @@ def pdas_solve(mesh: Mesh | None = None, data: ProblemData | None = None, *,
             converged = True
             break
     solves.release()
-    if rows[-1].solve == "bordered":
-        free, mult = solves.fresh(act, keep=False)
+    if not solves.exact:
+        free, mult = solves.exact_solve(act)
 
     iterations = len(rows)
     state = PdasState(free_values=free, multipliers=mult, active=act,

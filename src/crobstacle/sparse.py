@@ -1,30 +1,37 @@
 """Linear solvers for the operators of the discrete obstacle problem.
 
-Operators are plain ``scipy.sparse`` CSR arrays; both solvers factor them
+Operators are plain ``scipy.sparse`` CSR arrays; the solvers factor them
 with SuperLU and are deterministic:
 
 * :func:`solve_spd` -- symmetric positive definite systems,
 * :func:`solve_kkt` -- symmetric saddle-point systems
   ``[[A, B], [B^T, 0]]`` with constraint-degeneracy diagnostics,
-* :class:`BorderedKkt` -- reuse of one :func:`solve_kkt` factorisation
-  ``K0`` (the *base*) for systems bordered onto it.
+* :class:`BorderedKkt` -- the *selector* factorisation of a saddle-point
+  matrix ``K0`` (the *base*), reused for systems bordered onto it.
 
-A bordered system ``[[K0, W], [W^T, 0]] [w; z] = [r0; r2]`` is solved through
-the dense Schur complement ``S = W^T K0^-1 W``: ``z = S^-1 (W^T w0 - r2)``
-with ``w0 = K0^-1 r0``, then ``w = K0^-1 (r0 - W z)``.  A border column
-``[b; 0]`` adds the constraint ``b``; a unit column ``e_{n+i}`` releases
-base constraint ``i`` and pins its multiplier to zero.  Border columns are
-solved against ``K0`` once per base and cached with their rows of ``S``.
-A bordered solution agrees with a fresh factorisation to round-off, not
-bitwise; :func:`crobstacle.solver.pdas_solve` therefore uses bordered
-solves only to pick the next active set and re-solves the iterate it
-returns through :func:`solve_kkt`, which keeps its results bitwise those of
-a fresh factorisation per iterate.
+The selector factorisation scales each constraint column to unit maximum
+and regularises the (2,2) block by ``-delta I``; the resulting
+quasi-definite matrix takes a symmetric fill-reducing ordering with no
+pivoting and has a third to a half of the fill of the LU of ``K0``.  Its
+solves are refined against the unregularised matrix.  A bordered system
+``[[K0, W], [W^T, 0]] [w; z] = [r0; r2]`` is solved through the dense Schur
+complement ``S = W^T M^-1 W`` of the regularised ``M``: ``z = S^-1 (W^T w0 -
+r2)`` with ``w0`` the base solution, then ``w = w0 - M^-1 W z``, refined
+against the bordered ``K0``.  A border column ``[b; 0]`` adds the
+constraint ``b``; a unit column ``e_{n+i}`` releases base constraint ``i``
+and pins its multiplier to zero.  Border columns are solved against the
+factor once per base and cached with their rows of ``S``.
+
+A selector solution agrees with :func:`solve_kkt` to round-off, not
+bitwise; :func:`crobstacle.solver.pdas_solve` therefore uses selector and
+bordered solves only to pick the next active set and re-solves the iterate
+it returns through :func:`solve_kkt`, which keeps its results bitwise those
+of a fresh factorisation per iterate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import time
 
 import numpy as np
@@ -60,18 +67,13 @@ class SingularConstraintError(Exception):
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Outcome of a linear solve.
-
-    ``factor`` is the SuperLU factorisation a :func:`solve_kkt` call made,
-    for reuse by :class:`BorderedKkt`; it does not take part in comparisons.
-    """
+    """Outcome of a linear solve."""
     method: str
     n: int
     nnz: int
     iterations: int
     residual_norm: float
     elapsed: float
-    factor: object = field(default=None, repr=False, compare=False)
 
 
 def solve_spd(A, b):
@@ -181,56 +183,128 @@ def solve_kkt(A, B, f, g):
     # unstructured vector; solution growth near 1/eps exposes the (near-)
     # dependent constraints, which are then named via a dense null-space
     # computation when the block is small enough.
-    probe = np.cos(0.7 * np.arange(n + m) + 0.3)
-    growth = float(np.linalg.norm(lu.solve(probe)) / np.linalg.norm(probe))
     block_scale = float(np.abs(K.data).max(initial=1.0))
-    if growth * block_scale > 1e13:
+    if _growth(lu) * block_scale > 1e13:
         offending = _dependent_columns(Bcsc)
         raise SingularConstraintError(
             "constraint block is rank deficient (linearly dependent "
             f"constraint rows: {offending})", constraints=offending)
     residual = float(np.linalg.norm(K @ sol - rhs))
     report = SolveReport("direct-lu", n + m, int(K.nnz), 1, residual,
-                         time.perf_counter() - t0, factor=lu)
+                         time.perf_counter() - t0)
     return x, y, report
 
 
+def _growth(lu):
+    """Solution growth of the factorisation ``lu`` on a dense, unstructured probe."""
+    probe = np.cos(0.7 * np.arange(lu.shape[0]) + 0.3)
+    return float(np.linalg.norm(lu.solve(probe)) / np.linalg.norm(probe))
 
+
+#: (2,2) block of a selector factorisation: ``-_DELTA I`` against constraint
+#: columns scaled to unit maximum
+_DELTA = 1e-10
+#: probe growth times ``max|K_delta|`` at or above which a selector
+#: factorisation counts as near-dependent.  A dependent constraint block
+#: gives a ``-1/delta`` eigenvalue, seen by the probe through its overlap
+#: with the null vector: 4.7e7 on the all-active 8x8 pyramid system and
+#: 5.6e6 at 32x32 (the probe overlaps the checkerboard null vector by
+#: 6e-4 at 8x8, so ``1e-2 / delta`` would miss it).  Regular systems stay at
+#: or below 95 over every selector factorisation of the three benchmark
+#: workloads.
+_PROBE_LIMIT = 1e-4 / _DELTA
+#: iterative-refinement steps of a selector solve against the unregularised
+#: (bordered) saddle-point matrix
+_REFINE_STEPS = 2
+#: bound on a refined selector residual (max norm) relative to ``1 + max|f|``,
+#: the residual contract of :func:`crobstacle.solver.pdas_solve`
+_RESIDUAL_TOL = 1e-10
 #: border columns solved against the base per SuperLU call; bounds the dense
 #: right-hand-side and solution buffers of :meth:`BorderedKkt.extend`
 BORDER_CHUNK = 16
 #: bound on ``1 / |S^-1|_1`` of the scaled Schur complement below which a
-#: bordered solve counts as singular
-SCHUR_INV_NORM_MIN = 1e-12
+#: bordered solve counts as singular.  On a ``delta``-regularised base a
+#: border column that depends on the base constraints shows at about
+#: ``delta``: 3.4e-12 to 1.7e-11 for the dependent pyramid (8x8, 16x16) and
+#: 1x1-grid columns of the tests, 1.2e-10 for a random dense one.  The
+#: smallest regular value over every bordered solve of the three benchmark
+#: workloads is 1.6e-7 (pyramid; ring 2.4e-6, corner 1.5e-5).
+SCHUR_INV_NORM_MIN = 100 * _DELTA
 
 
 class BorderedKkt:
-    """A factored saddle-point matrix ``K0`` reused for bordered systems.
+    """A selector factorisation of ``K0 = [[A, B], [B^T, 0]]``, reused for bordered systems.
 
-    ``factor`` is the SuperLU object of ``K0`` (``SolveReport.factor``),
-    ``rhs`` its right-hand side ``r0`` and ``solution`` the solve ``w0`` the
-    fresh path returned.  Border columns carry hashable keys: :meth:`extend`
-    solves new ones against ``K0`` and caches their rows of ``S`` and of
-    ``W^T w0``; :meth:`solve` solves the system bordered by any subset of the
-    cached columns.
+    The factor is that of the quasi-definite ``[[A, B D], [D B^T, -delta I]]``
+    with ``D = diag(1 / max|b_j|)``, so a raw solve applies ``M^-1`` for ``M =
+    [[A, B], [B^T, -delta D^-2]]``, which differs from ``K0`` in its (2,2)
+    block only.  Every solve is refined ``_REFINE_STEPS`` times against the
+    unregularised matrix, bordered or not.  ``solution`` solves ``K0 w0 = rhs``
+    with ``rhs = [f; g]``.  A probe growth that shows near-dependent
+    constraints, or a refined residual above ``_RESIDUAL_TOL (1 + max|f|)``,
+    raises :class:`LinearSolveError`: :func:`solve_kkt` is then the path that
+    diagnoses the constraints.
+
+    Border columns carry hashable keys: :meth:`extend` solves new ones against
+    ``M`` and caches their rows of ``S = W^T M^-1 W`` and of ``W^T w0``;
+    :meth:`solve` solves the system bordered by any subset of the cached
+    columns.
     """
 
-    def __init__(self, factor, rhs, solution):
-        self._lu = factor
-        self.rhs = np.asarray(rhs, dtype=float)
-        self.solution = np.asarray(solution, dtype=float)
+    def __init__(self, A, B, f, g):
+        self._A = sp.csr_array(A)
+        self._B = sp.csc_array(B)
+        n, m = self._B.shape
+        col_max = abs(self._B).max(axis=0).toarray()
+        if not np.all(col_max > 0.0):
+            raise LinearSolveError("a constraint column has empty support")
+        d = 1.0 / col_max
+        scaled = self._B @ sp.diags_array(d)
+        K = sp.bmat([[self._A, scaled],
+                     [scaled.T, sp.diags_array(np.full(m, -_DELTA))]], format="csc")
+        try:
+            self._lu = spla.splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                                 options={"SymmetricMode": True})
+        except RuntimeError as exc:
+            raise LinearSolveError(f"selector factorisation failed: {exc}") from exc
+        if _growth(self._lu) * float(np.abs(K.data).max()) >= _PROBE_LIMIT:
+            raise LinearSolveError("near-dependent constraints")
+        self._scale = np.concatenate([np.ones(n), d])
+        f = np.asarray(f, dtype=float)
+        self._tol = _RESIDUAL_TOL * (1.0 + np.abs(f).max(initial=0.0))
+        self.rhs = np.concatenate([f, np.asarray(g, dtype=float)])
+        sol = self._raw(self.rhs)
+        for _ in range(_REFINE_STEPS):
+            sol += self._raw(self.rhs - self._apply(sol))
+        self._check(self.rhs - self._apply(sol))
+        self.solution = sol
         self._index = {}
-        self._columns = sp.csc_array((self.rhs.size, 0))
+        self._columns = sp.csc_array((n + m, 0))
         self._schur = np.zeros((0, 0))
         self._projected = np.zeros(0)
         self._weights = np.zeros(0)
+
+    def _raw(self, r):
+        """``M^-1 r`` by one solve with the factor; ``r`` is a vector or a block."""
+        s = self._scale if r.ndim == 1 else self._scale[:, None]
+        return s * self._lu.solve(s * r)
+
+    def _apply(self, v):
+        """``K0 v``."""
+        n = self._A.shape[0]
+        return np.concatenate([self._A @ v[:n] + self._B @ v[n:], self._B.T @ v[:n]])
+
+    def _check(self, residual):
+        res = float(np.abs(residual).max(initial=0.0))
+        if not res <= self._tol:
+            raise LinearSolveError(f"refined residual {res:.1e} exceeds {self._tol:.1e}")
 
     def missing(self, keys) -> list:
         """The keys among ``keys`` whose column is not cached yet."""
         return [k for k in keys if k not in self._index]
 
     def extend(self, keys, columns):
-        """Solve the border ``columns`` (one per key) against ``K0`` and cache them."""
+        """Solve the border ``columns`` (one per key) against ``M`` and cache them."""
         cols = sp.csc_array(columns)
         k0, c = len(self._index), cols.shape[1]
         border = sp.hstack([self._columns, cols], format="csc")
@@ -240,11 +314,11 @@ class BorderedKkt:
         for start in range(0, c, BORDER_CHUNK):
             stop = min(start + BORDER_CHUNK, c)
             chunk = cols[:, start:stop].toarray(order="F")
-            solved = self._lu.solve(chunk)
+            solved = self._raw(chunk)
             schur[:, k0 + start:k0 + stop] = border.T @ solved
             weights[start:stop] = np.sqrt(np.linalg.norm(chunk, axis=0)
                                           * np.linalg.norm(solved, axis=0))
-        schur[k0:, :k0] = schur[:k0, k0:].T   # K0 is symmetric
+        schur[k0:, :k0] = schur[:k0, k0:].T   # M is symmetric
         self._schur = schur
         self._columns = border
         self._projected = np.concatenate([self._projected,
@@ -254,32 +328,38 @@ class BorderedKkt:
             self._index[key] = i
 
     def solve(self, keys, border_rhs):
-        """Solve ``[[K0, W], [W^T, 0]] [w; z] = [r0; border_rhs]``.
+        """Solve ``[[K0, W], [W^T, 0]] [w; z] = [rhs; border_rhs]``.
 
         ``W`` holds the cached columns of ``keys`` in that order.  Returns
-        ``(w, z)``; a singular or non-finite Schur complement raises
-        :class:`LinearSolveError`.
+        ``(w, z)``; a singular Schur complement or a refined residual above
+        the bound raises :class:`LinearSolveError`.
         """
         idx = np.fromiter((self._index[k] for k in keys), dtype=np.intp,
                           count=len(keys))
         if idx.size == 0:
             return self.solution.copy(), np.zeros(0)
-        schur = self._schur[np.ix_(idx, idx)]
-        rhs = self._projected[idx] - np.asarray(border_rhs, dtype=float)
-        z = _solve_schur(schur, rhs, self._weights[idx])
-        w = self._lu.solve(self.rhs - self._columns[:, idx] @ z)
-        if not np.all(np.isfinite(w)):
-            raise LinearSolveError("bordered solve produced non-finite values")
+        W = self._columns[:, idx]
+        schur_solve = _factor_schur(self._schur[np.ix_(idx, idx)], self._weights[idx])
+        r2 = np.asarray(border_rhs, dtype=float)
+        z = schur_solve(self._projected[idx] - r2)
+        w = self.solution - self._raw(W @ z)
+        for _ in range(_REFINE_STEPS):
+            dw = self._raw(self.rhs - self._apply(w) - W @ z)
+            dz = schur_solve(W.T @ (w + dw) - r2)
+            w += dw - self._raw(W @ dz)
+            z += dz
+        self._check(np.concatenate([self.rhs - self._apply(w) - W @ z,
+                                    r2 - W.T @ w]))
         return w, z
 
 
-def _solve_schur(schur, rhs, weights):
-    """Dense LU solve of a Schur complement ``S = W^T K0^-1 W``.
+def _factor_schur(schur, weights):
+    """Dense LU of a Schur complement ``S = W^T M^-1 W``; returns its solve.
 
     ``S`` is scaled symmetrically by ``1 / weights`` with ``weights_j**2 =
-    |W_j| |K0^-1 W_j|``, which bounds its diagonal by 1.  A border column
+    |W_j| |M^-1 W_j|``, which bounds its diagonal by 1.  A border column
     that depends on the base constraints and the other columns then shows as
-    ``1 / |S^-1|_1`` at round-off level, whatever the element sizes.
+    a small ``1 / |S^-1|_1``, whatever the element sizes.
     """
     if not (np.all(np.isfinite(schur)) and np.all(weights > 0.0)):
         raise LinearSolveError("Schur complement is singular or non-finite")
@@ -293,4 +373,4 @@ def _solve_schur(schur, rhs, weights):
     if not inv_norm_recip >= SCHUR_INV_NORM_MIN:
         raise LinearSolveError(
             f"Schur complement is singular (1/|S^-1| = {inv_norm_recip:.1e})")
-    return d * sla.lu_solve((lu, piv), d * rhs, check_finite=False)
+    return lambda rhs: d * sla.lu_solve((lu, piv), d * rhs, check_finite=False)

@@ -24,7 +24,13 @@ from crobstacle.solver import (
     build_system,
     pdas_solve,
 )
-from crobstacle.sparse import SingularConstraintError, solve_spd
+from crobstacle.sparse import (
+    BorderedKkt,
+    LinearSolveError,
+    SingularConstraintError,
+    solve_kkt,
+    solve_spd,
+)
 from crobstacle.spaces import (
     element_points,
     integrate_elementwise,
@@ -299,8 +305,9 @@ def structured_system(bench, divisions):
     return build_system(mesh, bench.data)
 
 
-def test_pdas_bitwise_fresh_cold_ring():
-    system = structured_system(ring(), 16)
+@pytest.mark.parametrize("divisions", [16, 32, 48])
+def test_pdas_bitwise_fresh_cold_ring(divisions):
+    system = structured_system(ring(), divisions)
     out = pdas_solve(system=system)
     assert any(row.solve == "bordered" for row in out.log)
     assert_same_iterate(out, fresh_pdas_solve(system=system))
@@ -347,8 +354,53 @@ def test_pdas_counts_fewer_factorizations_than_iterations(corner_warm_levels):
         assert out.factorizations < out.iterations
         kinds = [row.solve for row in out.log]
         assert kinds[0] == "fresh" and "bordered" in kinds
-        # the returned bordered iterate was solved once more, afresh
-        assert out.factorizations == kinds.count("fresh") + (kinds[-1] == "bordered")
+        # one selector factorisation per fresh iterate, plus the solve_kkt
+        # re-solve of the returned constrained iterate
+        assert out.factorizations == kinds.count("fresh") + (kinds[-1] != "unconstrained")
+
+
+def selector_case(name, corner_warm_levels):
+    """(system, active mask) of a benchmark system with its converged active set."""
+    if name == "corner":
+        _, _, out = corner_warm_levels[-1]
+        return out.system, out.state.active
+    if name == "ring":
+        system = structured_system(ring(), 24)
+    else:
+        mesh = refine_rgb(pyramid().initial_mesh())
+        system = build_system(mesh, pyramid().data)
+    return system, pdas_solve(system=system).state.active
+
+
+@pytest.mark.parametrize("name", ["ring", "corner", "pyramid"])
+def test_selector_factor_matches_solve_kkt(name, corner_warm_levels):
+    system, act = selector_case(name, corner_warm_levels)
+    cols = np.flatnonzero(act)
+    args = (system.stiffness, system.coupling[:, cols], system.load,
+            system.constraint_rhs[cols])
+    base = BorderedKkt(*args)
+    free, mult, _ = solve_kkt(*args)
+    n = system.dofmap.n_free
+    assert cols.size > 0
+    assert np.abs(base.solution[:n] - free).max() <= 1e-10 * np.abs(free).max()
+    assert np.abs(base.solution[n:] - mult).max() <= 1e-10 * np.abs(mult).max()
+
+
+def test_probe_sends_dependent_selector_to_min_norm():
+    # every element of the structured 8x8 pyramid mesh active: the
+    # constraint block has a one-dimensional null space
+    system = structured_system(pyramid(), 8)
+    everything = np.ones(system.dofmap.n_multipliers, dtype=bool)
+    cols = np.flatnonzero(everything)
+    with pytest.raises(LinearSolveError, match="near-dependent"):
+        BorderedKkt(system.stiffness, system.coupling[:, cols], system.load,
+                    system.constraint_rhs[cols])
+    solves = _ActiveSetSolves(system)
+    free, mult, how = solves.solve(everything)
+    assert how == "fresh" and solves.exact
+    ref_free, ref_mult, report = _fresh_solve(system, everything)
+    assert report is None          # the minimum-norm fallback answered
+    assert np.array_equal(free, ref_free) and np.array_equal(mult, ref_mult)
 
 
 def random_changes(rng, act, n_changes):
@@ -411,7 +463,8 @@ def test_refactors_when_new_columns_exceed_the_budget(monkeypatch):
     free, mult, how = solves.solve(flipped(3, 4, 5))
     assert how == "fresh" and solves.factorizations == 2
     ref_free, ref_mult, _ = _fresh_solve(system, flipped(3, 4, 5))
-    assert np.array_equal(free, ref_free) and np.array_equal(mult, ref_mult)
+    assert np.abs(free - ref_free).max() <= 1e-10 * np.abs(ref_free).max()
+    assert np.abs(mult - ref_mult).max() <= 1e-10 * np.abs(ref_mult).max()
 
 
 def test_base_survives_an_unconstrained_iterate():
@@ -442,7 +495,8 @@ def test_bordered_dependent_column_falls_back_to_fresh_path():
     solves.fresh(base)
     free, mult, how = solves.solve(everything)
     assert how == "fresh"
-    assert solves.factorizations == 2
+    # the base, the selector factorisation the probe rejects, and solve_kkt
+    assert solves.factorizations == 3
     ref_free, ref_mult, report = _fresh_solve(system, everything)
     assert report is None          # the minimum-norm fallback answered
     assert np.array_equal(free, ref_free) and np.array_equal(mult, ref_mult)

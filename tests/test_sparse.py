@@ -86,10 +86,7 @@ class TestBorderedKkt:
         B = rng.normal(size=(n, m))
         f = rng.normal(size=n)
         g = rng.normal(size=m)
-        x, y, report = solve_kkt(sp.csr_array(A), sp.csr_array(B[:, :m0]),
-                                 f, g[:m0])
-        kkt = BorderedKkt(report.factor, np.concatenate([f, g[:m0]]),
-                          np.concatenate([x, y]))
+        kkt = BorderedKkt(sp.csr_array(A), sp.csr_array(B[:, :m0]), f, g[:m0])
         return A, B, f, g, kkt
 
     @staticmethod
@@ -115,6 +112,20 @@ class TestBorderedKkt:
         assert abs(w[n + 1]) <= 1e-12          # the dropped multiplier is pinned
         assert np.allclose(w[n + np.array([0, 2, 3])], expected[n:n + 3], atol=1e-10)
         assert np.allclose(z[0], expected[n + 3], atol=1e-10)
+
+    def test_base_solution_against_dense_oracle(self):
+        A, B, f, g, kkt = self.base(10)
+        K = np.block([[A, B[:, :4]], [B[:, :4].T, np.zeros((4, 4))]])
+        expected = np.linalg.solve(K, np.concatenate([f, g[:4]]))
+        assert np.allclose(kkt.solution, expected, rtol=0.0, atol=1e-12)
+
+    def test_near_dependent_constraints_raise(self):
+        A = random_spd(8, seed=14)
+        B = np.random.default_rng(15).normal(size=(8, 3))
+        B[:, 2] = B[:, 0] - 0.5 * B[:, 1]
+        with pytest.raises(LinearSolveError, match="near-dependent"):
+            BorderedKkt(sp.csr_array(A), sp.csr_array(B), np.ones(8),
+                        B.T @ np.ones(8))
 
     def test_empty_border_returns_base_solution(self):
         _, _, _, _, kkt = self.base(12)

@@ -136,6 +136,9 @@ def build_system(mesh: Mesh, data: ProblemData) -> DiscreteObstacleSystem:
     data.validate_on(mesh, side_values=obstacle_side_values)
 
     stiffness_full = assemble_stiffness_full(mesh)
+    # keeps the explicit zeros of right-angled elements (about a quarter of
+    # the entries): solve_kkt's ordering, and so every record's bits, depends
+    # on them, and the selector factor runs up to 3x slower without them
     stiffness = stiffness_full[dofmap.free_sides][:, dofmap.free_sides]
     boundary_values = dirichlet_dof_values(mesh, data)
     _, f_h = assemble_load(mesh, data, dofmap)
@@ -182,10 +185,10 @@ class IterationRow:
 class SolveOutcome:
     """A constrained solve: full-dof solution field, multiplier, diagnostics.
 
-    ``factorizations`` counts the sparse saddle-point factorisations: the
-    selector ones (bases, and any the probe or residual bound rejects), the
-    :func:`~crobstacle.sparse.solve_kkt` fallbacks and the final
-    ``solve_kkt`` re-solve of the returned iterate.
+    ``factorizations`` counts the sparse factorisations of the active-set
+    systems: the selector ones (bases, and any the probe or residual bound
+    rejects), the :func:`~crobstacle.sparse.solve_kkt` fallbacks and the
+    final ``solve_kkt`` re-solve of the returned iterate.
     """
     solution: CrFunction
     multiplier: P0Function
@@ -256,13 +259,13 @@ def _fresh_solve(system: DiscreteObstacleSystem, act: np.ndarray):
 
 
 #: border columns that cost about one selector factorisation: building a
-#: :class:`BorderedKkt` (factor, probe, refinement) took as long as 55 to 106
-#: border-column solves against it (quartiles 65 to 84) on the systems of at
-#: least 2,000 unknowns of the three benchmark workloads, up to 500 below
-#: (2-CPU Xeon, one BLAS thread).  Budgets 32/48/64/96/128 gave corner
-#: 65/55/53/49/46 factorisations, pyramid 82/77/72/70/68 and ring-cold
-#: 33/32/32/31/31, with PDAS time flat within run-to-run noise.  A count,
-#: not a timing, so that which iterates are bordered, and how many
+#: :class:`BorderedKkt` (assembly, factor, probe, refinement) took as long
+#: as 40 to 140 border-column solves against it (quartiles 55 to 69) on the
+#: systems of at least 2,000 unknowns of the three benchmark workloads, up
+#: to 300 below (2-CPU Xeon, one BLAS thread).  Budgets 32/48/64/96/128 gave
+#: corner 65/55/53/49/46 factorisations, pyramid 82/77/72/70/68 and
+#: ring-cold 33/32/32/31/31, with PDAS time flat within run-to-run noise.
+#: A count, not a timing, so that which iterates are bordered, and how many
 #: factorisations a solve makes, depends on the active sets alone.
 _REFACTOR_COLUMNS = 64
 

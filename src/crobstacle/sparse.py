@@ -10,10 +10,12 @@ with SuperLU and are deterministic:
   matrix ``K0`` (the *base*), reused for systems bordered onto it.
 
 The selector factorisation scales each constraint column to unit maximum
-and regularises the (2,2) block by ``-delta I``; the resulting
-quasi-definite matrix takes a symmetric fill-reducing ordering with no
-pivoting and has a third to a half of the fill of the LU of ``K0``.  Its
-solves are refined against the unregularised matrix.  A bordered system
+and regularises the (2,2) block by ``-delta I``.  It eliminates that block
+exactly and factors the symmetric positive definite ``A + B~ B~^T / delta``
+(``B~`` the scaled constraints) in a symmetric fill-reducing ordering with no
+pivoting; a constraint couples only the free sides of one element, so that
+matrix has the stiffness matrix's own sparsity pattern.  Its solves are
+refined against the unregularised matrix.  A bordered system
 ``[[K0, W], [W^T, 0]] [w; z] = [r0; r2]`` is solved through the dense Schur
 complement ``S = W^T M^-1 W`` of the regularised ``M``: ``z = S^-1 (W^T w0 -
 r2)`` with ``w0`` the base solution, then ``w = w0 - M^-1 W z``, refined
@@ -184,7 +186,7 @@ def solve_kkt(A, B, f, g):
     # dependent constraints, which are then named via a dense null-space
     # computation when the block is small enough.
     block_scale = float(np.abs(K.data).max(initial=1.0))
-    if _growth(lu) * block_scale > 1e13:
+    if _growth(lu.solve, n + m) * block_scale > 1e13:
         offending = _dependent_columns(Bcsc)
         raise SingularConstraintError(
             "constraint block is rank deficient (linearly dependent "
@@ -195,23 +197,23 @@ def solve_kkt(A, B, f, g):
     return x, y, report
 
 
-def _growth(lu):
-    """Solution growth of the factorisation ``lu`` on a dense, unstructured probe."""
-    probe = np.cos(0.7 * np.arange(lu.shape[0]) + 0.3)
-    return float(np.linalg.norm(lu.solve(probe)) / np.linalg.norm(probe))
+def _growth(solve, size):
+    """Solution growth of ``solve`` on a dense, unstructured probe of length ``size``."""
+    probe = np.cos(0.7 * np.arange(size) + 0.3)
+    return float(np.linalg.norm(solve(probe)) / np.linalg.norm(probe))
 
 
 #: (2,2) block of a selector factorisation: ``-_DELTA I`` against constraint
 #: columns scaled to unit maximum
 _DELTA = 1e-10
-#: probe growth times ``max|K_delta|`` at or above which a selector
-#: factorisation counts as near-dependent.  A dependent constraint block
-#: gives a ``-1/delta`` eigenvalue, seen by the probe through its overlap
-#: with the null vector: 4.7e7 on the all-active 8x8 pyramid system and
-#: 5.6e6 at 32x32 (the probe overlaps the checkerboard null vector by
-#: 6e-4 at 8x8, so ``1e-2 / delta`` would miss it).  Regular systems stay at
-#: or below 95 over every selector factorisation of the three benchmark
-#: workloads.
+#: probe growth of ``K_delta^-1`` times ``max|K_delta|`` at or above which a
+#: selector factorisation counts as near-dependent.  A dependent constraint
+#: block gives a ``-1/delta`` eigenvalue, seen by the probe through its
+#: overlap with the null vector: 4.7e7 on the all-active 8x8 pyramid system,
+#: 1.6e7 at 16x16 and 5.6e6 at 32x32 (the probe overlaps the checkerboard
+#: null vector by 6e-4 at 8x8, so ``1e-2 / delta`` would miss it).  Regular
+#: systems stay at or below 95 over every selector factorisation of the three
+#: benchmark workloads.
 _PROBE_LIMIT = 1e-4 / _DELTA
 #: iterative-refinement steps of a selector solve against the unregularised
 #: (bordered) saddle-point matrix
@@ -232,18 +234,31 @@ BORDER_CHUNK = 16
 SCHUR_INV_NORM_MIN = 100 * _DELTA
 
 
+def _condensed(A, Bs):
+    """``A + Bs Bs^T / delta`` in CSC form, summed as COO so that ``A``'s explicit zeros stay."""
+    A = A.tocoo()
+    BBt = (Bs @ Bs.T).tocoo()
+    return sp.csc_array((np.concatenate([A.data, BBt.data / _DELTA]),
+                         (np.concatenate([A.row, BBt.row]),
+                          np.concatenate([A.col, BBt.col]))), shape=A.shape)
+
+
 class BorderedKkt:
     """A selector factorisation of ``K0 = [[A, B], [B^T, 0]]``, reused for bordered systems.
 
-    The factor is that of the quasi-definite ``[[A, B D], [D B^T, -delta I]]``
-    with ``D = diag(1 / max|b_j|)``, so a raw solve applies ``M^-1`` for ``M =
-    [[A, B], [B^T, -delta D^-2]]``, which differs from ``K0`` in its (2,2)
-    block only.  Every solve is refined ``_REFINE_STEPS`` times against the
-    unregularised matrix, bordered or not.  ``solution`` solves ``K0 w0 = rhs``
-    with ``rhs = [f; g]``.  A probe growth that shows near-dependent
-    constraints, or a refined residual above ``_RESIDUAL_TOL (1 + max|f|)``,
-    raises :class:`LinearSolveError`: :func:`solve_kkt` is then the path that
-    diagnoses the constraints.
+    A raw solve applies ``M^-1`` for ``M = [[A, B], [B^T, -delta D^-2]]`` with
+    ``D = diag(1 / max|b_j|)``, which differs from ``K0`` in its (2,2) block
+    only.  In the scaled variables ``M`` is the quasi-definite ``K_delta =
+    [[A, B~], [B~^T, -delta I]]``, ``B~ = B D``; its multiplier block is
+    eliminated, so only the ``n x n`` matrix ``P = A + B~ B~^T / delta`` is
+    factored, and ``K_delta^-1 [q1; q2]`` is ``u = P^-1 (q1 + B~ q2 / delta)``,
+    ``y~ = (B~^T u - q2) / delta``.  A raw solve is accurate to about ``eps /
+    delta`` relative, so every solve is refined ``_REFINE_STEPS`` times
+    against the unregularised matrix, bordered or not.  ``solution`` solves
+    ``K0 w0 = rhs`` with ``rhs = [f; g]``.  A probe growth that shows
+    near-dependent constraints, or a refined residual above ``_RESIDUAL_TOL
+    (1 + max|f|)``, raises :class:`LinearSolveError`: :func:`solve_kkt` is
+    then the path that diagnoses the constraints.
 
     Border columns carry hashable keys: :meth:`extend` solves new ones against
     ``M`` and caches their rows of ``S = W^T M^-1 W`` and of ``W^T w0``;
@@ -259,15 +274,16 @@ class BorderedKkt:
         if not np.all(col_max > 0.0):
             raise LinearSolveError("a constraint column has empty support")
         d = 1.0 / col_max
-        scaled = self._B @ sp.diags_array(d)
-        K = sp.bmat([[self._A, scaled],
-                     [scaled.T, sp.diags_array(np.full(m, -_DELTA))]], format="csc")
+        self._scaled = self._B @ sp.diags_array(d)
         try:
-            self._lu = spla.splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+            self._lu = spla.splu(_condensed(self._A, self._scaled),
+                                 permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                                  options={"SymmetricMode": True})
         except RuntimeError as exc:
             raise LinearSolveError(f"selector factorisation failed: {exc}") from exc
-        if _growth(self._lu) * float(np.abs(K.data).max()) >= _PROBE_LIMIT:
+        k_max = max(float(np.abs(self._A.data).max(initial=0.0)),
+                    float(np.abs(self._scaled.data).max()), _DELTA)
+        if _growth(self._solve, n + m) * k_max >= _PROBE_LIMIT:
             raise LinearSolveError("near-dependent constraints")
         self._scale = np.concatenate([np.ones(n), d])
         f = np.asarray(f, dtype=float)
@@ -284,10 +300,17 @@ class BorderedKkt:
         self._projected = np.zeros(0)
         self._weights = np.zeros(0)
 
+    def _solve(self, q):
+        """``K_delta^-1 q`` through the factor of ``P``; ``q`` is a vector or a block."""
+        n = self._A.shape[0]
+        q2 = q[n:]
+        u = self._lu.solve(q[:n] + self._scaled @ q2 / _DELTA)
+        return np.concatenate([u, (self._scaled.T @ u - q2) / _DELTA])
+
     def _raw(self, r):
         """``M^-1 r`` by one solve with the factor; ``r`` is a vector or a block."""
         s = self._scale if r.ndim == 1 else self._scale[:, None]
-        return s * self._lu.solve(s * r)
+        return s * self._solve(s * r)
 
     def _apply(self, v):
         """``K0 v``."""

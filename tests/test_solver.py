@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from crobstacle import solver
+from crobstacle import solver, sparse
 from crobstacle.adaptivity import AfemConfig, afem_run
 from crobstacle.assembly import AssemblyError, ProblemData, build_dofmap
 from crobstacle.benchmarks import corner, pyramid, ring
@@ -359,13 +359,13 @@ def test_pdas_counts_fewer_factorizations_than_iterations(corner_warm_levels):
         assert out.factorizations == kinds.count("fresh") + (kinds[-1] != "unconstrained")
 
 
-def selector_case(name, corner_warm_levels):
+def selector_case(name, corner_warm_levels, ring_divisions=24):
     """(system, active mask) of a benchmark system with its converged active set."""
     if name == "corner":
         _, _, out = corner_warm_levels[-1]
         return out.system, out.state.active
     if name == "ring":
-        system = structured_system(ring(), 24)
+        system = structured_system(ring(), ring_divisions)
     else:
         mesh = refine_rgb(pyramid().initial_mesh())
         system = build_system(mesh, pyramid().data)
@@ -384,6 +384,34 @@ def test_selector_factor_matches_solve_kkt(name, corner_warm_levels):
     assert cols.size > 0
     assert np.abs(base.solution[:n] - free).max() <= 1e-10 * np.abs(free).max()
     assert np.abs(base.solution[n:] - mult).max() <= 1e-10 * np.abs(mult).max()
+
+
+@pytest.mark.parametrize("active", ["converged", "random"])
+@pytest.mark.parametrize("name", ["ring", "corner", "pyramid"])
+def test_selector_matrix_has_the_stiffness_pattern(name, active, corner_warm_levels,
+                                                   monkeypatch):
+    # each constraint couples the free sides of one element, which the
+    # stiffness already couples: A + B B^T / delta adds no entry, and A's
+    # explicit zeros stay stored
+    system, act = selector_case(name, corner_warm_levels, ring_divisions=16)
+    if active == "random":
+        act = np.random.default_rng(3).random(act.size) < 0.3
+    factored = []
+    splu = sparse.spla.splu
+
+    def capture(matrix, **kwargs):
+        factored.append(matrix)
+        return splu(matrix, **kwargs)
+
+    monkeypatch.setattr(sparse.spla, "splu", capture)
+    cols = np.flatnonzero(act)
+    BorderedKkt(system.stiffness, system.coupling[:, cols], system.load,
+                system.constraint_rhs[cols])
+    stiffness = system.stiffness.tocsc()
+    [matrix] = factored
+    assert cols.size > 0 and np.any(stiffness.data == 0.0)
+    assert np.array_equal(matrix.indptr, stiffness.indptr)
+    assert np.array_equal(matrix.indices, stiffness.indices)
 
 
 def test_probe_sends_dependent_selector_to_min_norm():

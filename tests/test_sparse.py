@@ -8,6 +8,7 @@ from crobstacle.sparse import (
     BorderedKkt,
     LinearSolveError,
     SingularConstraintError,
+    _DELTA,
     solve_kkt,
     solve_spd,
 )
@@ -118,6 +119,27 @@ class TestBorderedKkt:
         K = np.block([[A, B[:, :4]], [B[:, :4].T, np.zeros((4, 4))]])
         expected = np.linalg.solve(K, np.concatenate([f, g[:4]]))
         assert np.allclose(kkt.solution, expected, rtol=0.0, atol=1e-12)
+
+    def test_raw_solve_against_dense_regularised_oracle(self):
+        # the eliminated multiplier block: a raw solve applies M^-1 for
+        # M = [[A, B], [B^T, -delta D^-2]], D = diag(1 / max|b_j|).  The
+        # -delta block costs about eps / delta of relative accuracy, so the
+        # raw solve is held to (n + m) eps / delta; one refinement step
+        # against M then squares that relative error away.
+        A, B, _, _, kkt = self.base(16)
+        B0 = B[:, :4]
+        size = A.shape[0] + 4
+        d = 1.0 / np.abs(B0).max(axis=0)
+        M = np.block([[A, B0], [B0.T, -_DELTA * np.diag(d ** -2.0)]])
+        rng = np.random.default_rng(17)
+        for r in (rng.normal(size=size), rng.normal(size=(size, 3))):
+            expected = np.linalg.solve(M, r)
+            scale = np.abs(expected).max()
+            raw = kkt._raw(r)
+            assert (np.abs(raw - expected).max()
+                    <= size * np.finfo(float).eps / _DELTA * scale)
+            refined = raw + kkt._raw(r - M @ raw)
+            assert np.abs(refined - expected).max() <= 1e-10 * scale
 
     def test_near_dependent_constraints_raise(self):
         A = random_spd(8, seed=14)

@@ -7,12 +7,11 @@ solves it by the primal-dual active-set iteration, a finitely terminating
 semismooth Newton method.
 
 Each iteration solves the equality-constrained problem of its active set.
-Iterates that only select the next active set go through the selector
-factorisation of :class:`~crobstacle.sparse.BorderedKkt`: the first
-constrained iterate of a solve is factored there, that factorisation is the
-*base*, and later active sets are solved as systems bordered onto it until
-an active set needs more new border columns than one factorisation costs.
-The iterate a solve returns always comes from
+Iterates that only select the next active set go through
+:class:`~crobstacle.sparse.BorderedKkt`: the first constrained iterate of a
+solve gets a selector factorisation, the *base*, and later active sets are
+bordered onto it until one needs more new border columns than a
+factorisation costs.  The iterate a solve returns always comes from
 :func:`~crobstacle.sparse.solve_kkt`, so the result is bitwise that of a
 fresh ``solve_kkt`` factorisation at every iteration as long as the active
 sets follow the same sequence.
@@ -173,7 +172,12 @@ class PdasState:
 
 @dataclass(frozen=True)
 class IterationRow:
-    """One PDAS iterate; ``solve`` is ``"fresh"``, ``"bordered"`` or ``"unconstrained"``."""
+    """One PDAS iterate.
+
+    ``solve`` is ``"bordered"`` (onto the base), ``"fresh"`` (a new selector
+    factorisation, or :func:`_fresh_solve` where the selector misses its
+    residual bound) or ``"unconstrained"``.
+    """
     iteration: int
     n_active: int
     step_inf_norm: float
@@ -186,9 +190,9 @@ class SolveOutcome:
     """A constrained solve: full-dof solution field, multiplier, diagnostics.
 
     ``factorizations`` counts the sparse factorisations of the active-set
-    systems: the selector ones (bases, and any the probe or residual bound
-    rejects), the :func:`~crobstacle.sparse.solve_kkt` fallbacks and the
-    final ``solve_kkt`` re-solve of the returned iterate.
+    systems: the selector ones (bases, and any that miss the residual
+    bound), the :func:`_fresh_solve` fallbacks and the final ``solve_kkt``
+    re-solve of the returned iterate.
     """
     solution: CrFunction
     multiplier: P0Function
@@ -197,7 +201,6 @@ class SolveOutcome:
     iterations: int
     residual: float
     log: tuple
-    method: str
     system: DiscreteObstacleSystem
     factorizations: int = 0
 
@@ -258,127 +261,6 @@ def _fresh_solve(system: DiscreteObstacleSystem, act: np.ndarray):
     return free, mult, report
 
 
-#: border columns that cost about one selector factorisation: building a
-#: :class:`BorderedKkt` (assembly, factor, probe, refinement) took as long
-#: as 40 to 140 border-column solves against it (quartiles 55 to 69) on the
-#: systems of at least 2,000 unknowns of the three benchmark workloads, up
-#: to 300 below (2-CPU Xeon, one BLAS thread).  Budgets 32/48/64/96/128 gave
-#: corner 65/55/53/49/46 factorisations, pyramid 82/77/72/70/68 and
-#: ring-cold 33/32/32/31/31, with PDAS time flat within run-to-run noise.
-#: A count, not a timing, so that which iterates are bordered, and how many
-#: factorisations a solve makes, depends on the active sets alone.
-_REFACTOR_COLUMNS = 64
-
-
-class _ActiveSetSolves:
-    """The linear solves of one PDAS run: a selector base plus bordered updates.
-
-    A constrained active set is factored by the selector path
-    (:class:`BorderedKkt`) when there is no base, and the factorisation
-    becomes the base.  A later active set is bordered onto the base: a
-    constraint added since the base is the border column ``[b_j; 0]`` with
-    right-hand side ``g_j``; a dropped one is the unit column
-    ``e_{n+pos(j)}`` with right-hand side 0, which pins its multiplier to 0.
-    The base is refactored when more than ``_REFACTOR_COLUMNS`` border
-    columns not yet solved against it are needed.  A singular Schur
-    complement falls back to a new base, and a selector factorisation that
-    shows near-dependent constraints or misses its residual bound falls back
-    to :func:`_fresh_solve` with its diagnostics.  ``exact`` tells whether
-    the last solve came from :func:`_fresh_solve`.
-    """
-
-    def __init__(self, system: DiscreteObstacleSystem):
-        self.system = system
-        self.factorizations = 0
-        self.exact = False
-        self._coupling = sp.csc_array(system.coupling)
-        self._base = None          # BorderedKkt of the last selector factorisation
-        self._base_active = None   # ... and its active mask
-
-    def release(self):
-        self._base = None
-        self._base_active = None
-
-    def exact_solve(self, act):
-        """Solve ``act`` through :func:`_fresh_solve`."""
-        sys_ = self.system
-        free, mult, _ = _fresh_solve(sys_, act)
-        self.factorizations += bool(sys_.dofmap.n_free and act.any())
-        self.exact = True
-        return free, mult
-
-    def fresh(self, act):
-        """Selector factorisation of ``act``, kept as the base."""
-        self.release()   # at most one factorisation alive at a time
-        sys_ = self.system
-        cols = np.flatnonzero(act)
-        self.factorizations += 1
-        try:
-            base = BorderedKkt(sys_.stiffness, self._coupling[:, cols],
-                               sys_.load, sys_.constraint_rhs[cols])
-        except LinearSolveError:
-            return self.exact_solve(act)
-        self._base, self._base_active = base, act.copy()
-        self.exact = False
-        n = sys_.dofmap.n_free
-        mult = np.zeros(sys_.dofmap.n_multipliers)
-        mult[cols] = base.solution[n:]
-        return base.solution[:n].copy(), mult
-
-    def solve(self, act):
-        """Solve active set ``act``; returns ``(free, mult, how)``."""
-        if self.system.dofmap.n_free == 0 or not act.any():
-            return (*self.exact_solve(act), "unconstrained")
-        if self._base is not None:
-            try:
-                solved = self._bordered(act)
-            except LinearSolveError:
-                solved = None
-            if solved is not None:
-                self.exact = False
-                return (*solved, "bordered")
-        return (*self.fresh(act), "fresh")
-
-    def _bordered(self, act):
-        base, base_act = self._base, self._base_active
-        changed = np.flatnonzero(act != base_act)
-        missing = np.asarray(base.missing(changed.tolist()), dtype=np.int64)
-        if missing.size > _REFACTOR_COLUMNS:
-            return None
-        if missing.size:
-            self._extend(missing)
-        sys_ = self.system
-        n = sys_.dofmap.n_free
-        added = changed[act[changed]]
-        dropped = changed[~act[changed]]
-        w, z = base.solve(np.concatenate([added, dropped]).tolist(),
-                          np.concatenate([sys_.constraint_rhs[added],
-                                          np.zeros(dropped.size)]))
-        mult = np.zeros(sys_.dofmap.n_multipliers)
-        mult[base_act] = w[n:]
-        mult[dropped] = 0.0
-        mult[added] = z[:added.size]
-        return w[:n], mult
-
-    def _extend(self, keys):
-        """Solve the border columns of constraints ``keys`` against the base."""
-        base_act = self._base_active
-        n = self.system.dofmap.n_free
-        added = keys[~base_act[keys]]
-        dropped = keys[base_act[keys]]
-        block = self._coupling[:, added]
-        rows = np.concatenate([
-            block.indices,
-            n + np.searchsorted(np.flatnonzero(base_act), dropped)])
-        cols = np.concatenate([
-            np.repeat(np.arange(added.size), np.diff(block.indptr)),
-            added.size + np.arange(dropped.size)])
-        data = np.concatenate([block.data, np.ones(dropped.size)])
-        border = sp.csc_array((data, (rows, cols)),
-                              shape=(n + base_act.sum(), keys.size))
-        self._base.extend(np.concatenate([added, dropped]).tolist(), border)
-
-
 _MIN_NORM_DENSE_LIMIT = 4000
 
 
@@ -421,11 +303,14 @@ def pdas_solve(mesh: Mesh | None = None, data: ProblemData | None = None, *,
     non-converged outcome with full diagnostics instead of raising; singular
     constraint blocks propagate as errors.
 
-    The first constrained iterate gets a selector factorisation and later
-    ones are bordered onto it (:class:`_ActiveSetSolves`); these iterates
-    only choose the next active set.  The returned active set is solved once
-    more through :func:`solve_kkt` unless it already came from there, so the
-    result is bitwise that of a fresh ``solve_kkt`` at every iteration
+    Each constrained iterate is bordered onto the base selector
+    factorisation (:class:`BorderedKkt`) when there is one; otherwise, or
+    when that solve fails, it gets a new selector factorisation, which
+    becomes the base; a selector that misses its residual bound falls back
+    to :func:`_fresh_solve` and its diagnostics.  These iterates only choose
+    the next active set.  The returned active set is solved once more through
+    :func:`solve_kkt` unless it already came from :func:`_fresh_solve`, so
+    the result is bitwise that of a fresh ``solve_kkt`` at every iteration
     whenever the sequence of active sets is the same.
     """
     if max_iter < 1:
@@ -440,7 +325,9 @@ def pdas_solve(mesh: Mesh | None = None, data: ProblemData | None = None, *,
     else:
         free, mult = _coerce_init(init, sys_)
 
-    solves = _ActiveSetSolves(sys_)
+    base = None            # BorderedKkt of the last selector factorisation
+    exact = False          # whether the last iterate came from _fresh_solve
+    factorizations = 0
     rows = []
     prev_active = None
     converged = False
@@ -452,7 +339,28 @@ def pdas_solve(mesh: Mesh | None = None, data: ProblemData | None = None, *,
             act = prev_active
             break
         old = free
-        free, mult, how = solves.solve(act)
+        if not (dm.n_free and act.any()):
+            how, exact = "unconstrained", True
+            free, mult, _ = _fresh_solve(sys_, act)
+        else:
+            how, exact, solved = "bordered", False, None
+            if base is not None:
+                try:
+                    solved = base.solve(act)
+                except LinearSolveError:
+                    pass
+            if solved is None:
+                how, base = "fresh", None   # one factorisation alive at a time
+                factorizations += 1
+                try:
+                    base = BorderedKkt(sys_.stiffness, sys_.coupling, sys_.load,
+                                       sys_.constraint_rhs, act)
+                    solved = base.solve(act)
+                except LinearSolveError:
+                    solved = _fresh_solve(sys_, act)[:2]
+                    factorizations += 1
+                    exact = True
+            free, mult = solved
         step = float(np.abs(free - old).max()) if dm.n_free else 0.0
         res = sys_.residual_inf(free, mult)
         rows.append(IterationRow(it, int(act.sum()), step, res, how))
@@ -460,9 +368,10 @@ def pdas_solve(mesh: Mesh | None = None, data: ProblemData | None = None, *,
         if step == 0.0:
             converged = True
             break
-    solves.release()
-    if not solves.exact:
-        free, mult = solves.exact_solve(act)
+    base = None
+    if not exact:
+        free, mult, _ = _fresh_solve(sys_, act)
+        factorizations += 1
 
     iterations = len(rows)
     state = PdasState(free_values=free, multipliers=mult, active=act,
@@ -472,5 +381,4 @@ def pdas_solve(mesh: Mesh | None = None, data: ProblemData | None = None, *,
         multiplier=sys_.multiplier_field(mult),
         state=state, converged=converged, iterations=iterations,
         residual=sys_.residual_inf(free, mult), log=tuple(rows),
-        method="active-set",
-        system=sys_, factorizations=solves.factorizations)
+        system=sys_, factorizations=factorizations)

@@ -6,23 +6,19 @@ with SuperLU and are deterministic:
 * :func:`solve_spd` -- symmetric positive definite systems,
 * :func:`solve_kkt` -- symmetric saddle-point systems
   ``[[A, B], [B^T, 0]]`` with constraint-degeneracy diagnostics,
-* :class:`BorderedKkt` -- the *selector* factorisation of a saddle-point
-  matrix ``K0`` (the *base*), reused for systems bordered onto it.
+* :class:`BorderedKkt` -- the saddle-point systems of the active sets of one
+  PDAS solve: one *selector* factorisation (the *base*), with the systems of
+  other active sets bordered onto it.
 
 The selector factorisation scales each constraint column to unit maximum
 and regularises the (2,2) block by ``-delta I``.  It eliminates that block
 exactly and factors the symmetric positive definite ``A + B~ B~^T / delta``
 (``B~`` the scaled constraints) in a symmetric fill-reducing ordering with no
 pivoting; a constraint couples only the free sides of one element, so that
-matrix has the stiffness matrix's own sparsity pattern.  Its solves are
-refined against the unregularised matrix.  A bordered system
-``[[K0, W], [W^T, 0]] [w; z] = [r0; r2]`` is solved through the dense Schur
-complement ``S = W^T M^-1 W`` of the regularised ``M``: ``z = S^-1 (W^T w0 -
-r2)`` with ``w0`` the base solution, then ``w = w0 - M^-1 W z``, refined
-against the bordered ``K0``.  A border column ``[b; 0]`` adds the
-constraint ``b``; a unit column ``e_{n+i}`` releases base constraint ``i``
-and pins its multiplier to zero.  Border columns are solved against the
-factor once per base and cached with their rows of ``S``.
+matrix has the stiffness matrix's own sparsity pattern.  It exists for every
+active set, dependent constraints included.  Its solves are refined against
+the unregularised matrix, and a refined residual above its bound (an
+inconsistent active set gives one) raises :class:`LinearSolveError`.
 
 A selector solution agrees with :func:`solve_kkt` to round-off, not
 bitwise; :func:`crobstacle.solver.pdas_solve` therefore uses selector and
@@ -112,14 +108,18 @@ def _duplicate_columns(Bcsc):
     return sorted(set(dups))
 
 
-def _dependent_columns(Bcsc, size_limit=4_000_000):
+#: entries of a constraint block above which no dense null space is computed
+_NULL_SPACE_ENTRIES = 4_000_000
+
+
+def _dependent_columns(Bcsc):
     """Indices of constraint columns participating in a linear dependence.
 
     Uses a dense null-space computation; for blocks too large to densify the
     duplicate-column heuristic is the only diagnostic returned.
     """
     n, m = Bcsc.shape
-    if n * m > size_limit:
+    if n * m > _NULL_SPACE_ENTRIES:
         return _duplicate_columns(Bcsc)
     dense = Bcsc.toarray()
     _, sv, vt = np.linalg.svd(dense, full_matrices=True)
@@ -186,35 +186,30 @@ def solve_kkt(A, B, f, g):
     # dependent constraints, which are then named via a dense null-space
     # computation when the block is small enough.
     block_scale = float(np.abs(K.data).max(initial=1.0))
-    if _growth(lu.solve, n + m) * block_scale > 1e13:
+    probe = np.cos(0.7 * np.arange(n + m) + 0.3)
+    growth = float(np.linalg.norm(lu.solve(probe)) / np.linalg.norm(probe))
+    if growth * block_scale > 1e13:
         offending = _dependent_columns(Bcsc)
+        if offending:
+            detail = f"linearly dependent constraint rows: {offending}"
+        elif n * m > _NULL_SPACE_ENTRIES:
+            detail = (f"the dependent rows cannot be named: the {n} x {m} block "
+                      "is too large for a dense null space and has no duplicate "
+                      "columns")
+        else:
+            detail = ("the dependent rows cannot be named: no null vector above "
+                      "round-off and no duplicate columns")
         raise SingularConstraintError(
-            "constraint block is rank deficient (linearly dependent "
-            f"constraint rows: {offending})", constraints=offending)
+            f"constraint block is rank deficient ({detail})", constraints=offending)
     residual = float(np.linalg.norm(K @ sol - rhs))
     report = SolveReport("direct-lu", n + m, int(K.nnz), 1, residual,
                          time.perf_counter() - t0)
     return x, y, report
 
 
-def _growth(solve, size):
-    """Solution growth of ``solve`` on a dense, unstructured probe of length ``size``."""
-    probe = np.cos(0.7 * np.arange(size) + 0.3)
-    return float(np.linalg.norm(solve(probe)) / np.linalg.norm(probe))
-
-
 #: (2,2) block of a selector factorisation: ``-_DELTA I`` against constraint
 #: columns scaled to unit maximum
 _DELTA = 1e-10
-#: probe growth of ``K_delta^-1`` times ``max|K_delta|`` at or above which a
-#: selector factorisation counts as near-dependent.  A dependent constraint
-#: block gives a ``-1/delta`` eigenvalue, seen by the probe through its
-#: overlap with the null vector: 4.7e7 on the all-active 8x8 pyramid system,
-#: 1.6e7 at 16x16 and 5.6e6 at 32x32 (the probe overlaps the checkerboard
-#: null vector by 6e-4 at 8x8, so ``1e-2 / delta`` would miss it).  Regular
-#: systems stay at or below 95 over every selector factorisation of the three
-#: benchmark workloads.
-_PROBE_LIMIT = 1e-4 / _DELTA
 #: iterative-refinement steps of a selector solve against the unregularised
 #: (bordered) saddle-point matrix
 _REFINE_STEPS = 2
@@ -222,15 +217,12 @@ _REFINE_STEPS = 2
 #: the residual contract of :func:`crobstacle.solver.pdas_solve`
 _RESIDUAL_TOL = 1e-10
 #: border columns solved against the base per SuperLU call; bounds the dense
-#: right-hand-side and solution buffers of :meth:`BorderedKkt.extend`
+#: right-hand-side and solution buffers of :meth:`BorderedKkt._extend`
 BORDER_CHUNK = 16
-#: bound on ``1 / |S^-1|_1`` of the scaled Schur complement below which a
-#: bordered solve counts as singular.  On a ``delta``-regularised base a
-#: border column that depends on the base constraints shows at about
-#: ``delta``: 3.4e-12 to 1.7e-11 for the dependent pyramid (8x8, 16x16) and
-#: 1x1-grid columns of the tests, 1.2e-10 for a random dense one.  The
-#: smallest regular value over every bordered solve of the three benchmark
-#: workloads is 1.6e-7 (pyramid; ring 2.4e-6, corner 1.5e-5).
+#: new border columns of one solve that cost about one selector factorisation
+_REFACTOR_COLUMNS = 64
+#: ``1 / |S^-1|_1`` of the scaled Schur complement below which a bordered
+#: solve is singular: a dependent border column shows at about ``delta``
 SCHUR_INV_NORM_MIN = 100 * _DELTA
 
 
@@ -244,31 +236,40 @@ def _condensed(A, Bs):
 
 
 class BorderedKkt:
-    """A selector factorisation of ``K0 = [[A, B], [B^T, 0]]``, reused for bordered systems.
+    """The active-set systems of one PDAS solve: a selector base and systems bordered onto it.
 
-    A raw solve applies ``M^-1`` for ``M = [[A, B], [B^T, -delta D^-2]]`` with
-    ``D = diag(1 / max|b_j|)``, which differs from ``K0`` in its (2,2) block
-    only.  In the scaled variables ``M`` is the quasi-definite ``K_delta =
-    [[A, B~], [B~^T, -delta I]]``, ``B~ = B D``; its multiplier block is
-    eliminated, so only the ``n x n`` matrix ``P = A + B~ B~^T / delta`` is
-    factored, and ``K_delta^-1 [q1; q2]`` is ``u = P^-1 (q1 + B~ q2 / delta)``,
-    ``y~ = (B~^T u - q2) / delta``.  A raw solve is accurate to about ``eps /
-    delta`` relative, so every solve is refined ``_REFINE_STEPS`` times
-    against the unregularised matrix, bordered or not.  ``solution`` solves
-    ``K0 w0 = rhs`` with ``rhs = [f; g]``.  A probe growth that shows
-    near-dependent constraints, or a refined residual above ``_RESIDUAL_TOL
-    (1 + max|f|)``, raises :class:`LinearSolveError`: :func:`solve_kkt` is
-    then the path that diagnoses the constraints.
+    The system of active mask ``act`` is ``[[A, B_act], [B_act^T, 0]] [u; y]
+    = [f; g_act]``; ``B`` holds every constraint column and ``g`` every
+    target.  The constructor factors the base ``K0``, the system of
+    ``active``, on the selector path.  A raw solve applies ``M^-1`` for ``M = [[A, B0], [B0^T,
+    -delta D^-2]]`` with ``B0 = B_active`` and ``D = diag(1 / max|b_j|)``,
+    which differs from ``K0`` in its (2,2) block only.  In the scaled
+    variables ``M`` is the quasi-definite ``K_delta = [[A, B~], [B~^T, -delta
+    I]]``, ``B~ = B0 D``; its multiplier block is eliminated, so only the ``n
+    x n`` matrix ``P = A + B~ B~^T / delta`` is factored, and ``K_delta^-1
+    [q1; q2]`` is ``u = P^-1 (q1 + B~ q2 / delta)``, ``y~ = (B~^T u - q2) /
+    delta``.  ``P`` is positive definite whatever the rank of ``B0``.  A raw
+    solve is accurate to about ``eps / delta`` relative, so every solve is
+    refined ``_REFINE_STEPS`` times against the unregularised matrix,
+    bordered or not; the refined base solution ``w0`` solves ``K0 w0 = [f;
+    g_active]``.  On a consistent dependent active set it carries a
+    regularised representative of the multiplier family.
 
-    Border columns carry hashable keys: :meth:`extend` solves new ones against
-    ``M`` and caches their rows of ``S = W^T M^-1 W`` and of ``W^T w0``;
-    :meth:`solve` solves the system bordered by any subset of the cached
-    columns.
+    Any other active set is the base bordered by ``W``: a constraint ``j``
+    added since the base is the column ``[b_j; 0]`` with target ``g_j``, a
+    dropped one the unit column ``e_{n+pos(j)}`` with target 0, which pins
+    its multiplier to zero.  Then ``z = S^-1 (W^T w0 - r2)`` with the dense
+    Schur complement ``S = W^T M^-1 W`` and ``w = w0 - M^-1 W z``, refined
+    against the bordered ``K0``.  Each border column is solved against ``M``
+    once per base and cached, with its rows of ``S`` and of ``W^T w0``, at
+    position ``_slot[j]``.
     """
 
-    def __init__(self, A, B, f, g):
+    def __init__(self, A, B, f, g, active):
         self._A = sp.csr_array(A)
-        self._B = sp.csc_array(B)
+        self._all = sp.csc_array(B)
+        self._active = np.array(active, dtype=bool)
+        self._B = self._all[:, np.flatnonzero(self._active)]
         n, m = self._B.shape
         col_max = abs(self._B).max(axis=0).toarray()
         if not np.all(col_max > 0.0):
@@ -281,20 +282,17 @@ class BorderedKkt:
                                  options={"SymmetricMode": True})
         except RuntimeError as exc:
             raise LinearSolveError(f"selector factorisation failed: {exc}") from exc
-        k_max = max(float(np.abs(self._A.data).max(initial=0.0)),
-                    float(np.abs(self._scaled.data).max()), _DELTA)
-        if _growth(self._solve, n + m) * k_max >= _PROBE_LIMIT:
-            raise LinearSolveError("near-dependent constraints")
         self._scale = np.concatenate([np.ones(n), d])
         f = np.asarray(f, dtype=float)
+        self._g = np.asarray(g, dtype=float)
         self._tol = _RESIDUAL_TOL * (1.0 + np.abs(f).max(initial=0.0))
-        self.rhs = np.concatenate([f, np.asarray(g, dtype=float)])
-        sol = self._raw(self.rhs)
+        self._rhs = np.concatenate([f, self._g[self._active]])
+        sol = self._raw(self._rhs)
         for _ in range(_REFINE_STEPS):
-            sol += self._raw(self.rhs - self._apply(sol))
-        self._check(self.rhs - self._apply(sol))
-        self.solution = sol
-        self._index = {}
+            sol += self._raw(self._rhs - self._apply(sol))
+        self._check(self._rhs - self._apply(sol))
+        self._solution = sol
+        self._slot = np.full(self._active.size, -1, dtype=np.intp)
         self._columns = sp.csc_array((n + m, 0))
         self._schur = np.zeros((0, 0))
         self._projected = np.zeros(0)
@@ -322,21 +320,22 @@ class BorderedKkt:
         if not res <= self._tol:
             raise LinearSolveError(f"refined residual {res:.1e} exceeds {self._tol:.1e}")
 
-    def missing(self, keys) -> list:
-        """The keys among ``keys`` whose column is not cached yet."""
-        return [k for k in keys if k not in self._index]
-
-    def extend(self, keys, columns):
-        """Solve the border ``columns`` (one per key) against ``M`` and cache them."""
-        cols = sp.csc_array(columns)
-        k0, c = len(self._index), cols.shape[1]
-        border = sp.hstack([self._columns, cols], format="csc")
+    def _extend(self, keys):
+        """Solve the border columns of constraints ``keys`` against ``M`` and cache them."""
+        n, m = self._B.shape
+        added = keys[~self._active[keys]]
+        dropped = keys[self._active[keys]]
+        units = n + np.searchsorted(np.flatnonzero(self._active), dropped)
+        new = sp.hstack([sp.vstack([self._all[:, added], sp.csc_array((m, added.size))]),
+                         sp.eye_array(n + m, format="csc")[:, units]], format="csc")
+        k0, c = self._columns.shape[1], keys.size
+        border = sp.hstack([self._columns, new], format="csc")
         schur = np.empty((k0 + c, k0 + c))
         schur[:k0, :k0] = self._schur
         weights = np.empty(c)
         for start in range(0, c, BORDER_CHUNK):
             stop = min(start + BORDER_CHUNK, c)
-            chunk = cols[:, start:stop].toarray(order="F")
+            chunk = new[:, start:stop].toarray(order="F")
             solved = self._raw(chunk)
             schur[:, k0 + start:k0 + stop] = border.T @ solved
             weights[start:stop] = np.sqrt(np.linalg.norm(chunk, axis=0)
@@ -344,36 +343,49 @@ class BorderedKkt:
         schur[k0:, :k0] = schur[:k0, k0:].T   # M is symmetric
         self._schur = schur
         self._columns = border
-        self._projected = np.concatenate([self._projected,
-                                          cols.T @ self.solution])
+        self._projected = np.concatenate([self._projected, new.T @ self._solution])
         self._weights = np.concatenate([self._weights, weights])
-        for i, key in enumerate(keys, start=k0):
-            self._index[key] = i
+        self._slot[np.concatenate([added, dropped])] = np.arange(k0, k0 + c)
 
-    def solve(self, keys, border_rhs):
-        """Solve ``[[K0, W], [W^T, 0]] [w; z] = [rhs; border_rhs]``.
+    def solve(self, act):
+        """Solve the system of active mask ``act``; returns ``(u, multipliers)``.
 
-        ``W`` holds the cached columns of ``keys`` in that order.  Returns
-        ``(w, z)``; a singular Schur complement or a refined residual above
-        the bound raises :class:`LinearSolveError`.
+        The multipliers cover every constraint and are zero off ``act``.
+        More than ``_REFACTOR_COLUMNS`` border columns not cached yet, a
+        singular Schur complement or a refined residual above the bound raise
+        :class:`LinearSolveError`.
         """
-        idx = np.fromiter((self._index[k] for k in keys), dtype=np.intp,
-                          count=len(keys))
-        if idx.size == 0:
-            return self.solution.copy(), np.zeros(0)
+        n = self._A.shape[0]
+        changed = np.flatnonzero(act != self._active)
+        missing = changed[self._slot[changed] < 0]
+        if missing.size > _REFACTOR_COLUMNS:
+            raise LinearSolveError(
+                f"{missing.size} new border columns exceed {_REFACTOR_COLUMNS}")
+        if missing.size:
+            self._extend(missing)
+        mult = np.zeros(self._active.size)
+        if changed.size == 0:
+            mult[self._active] = self._solution[n:]
+            return self._solution[:n].copy(), mult
+        added = changed[act[changed]]
+        dropped = changed[~act[changed]]
+        idx = self._slot[np.concatenate([added, dropped])]
         W = self._columns[:, idx]
         schur_solve = _factor_schur(self._schur[np.ix_(idx, idx)], self._weights[idx])
-        r2 = np.asarray(border_rhs, dtype=float)
+        r2 = np.concatenate([self._g[added], np.zeros(dropped.size)])
         z = schur_solve(self._projected[idx] - r2)
-        w = self.solution - self._raw(W @ z)
+        w = self._solution - self._raw(W @ z)
         for _ in range(_REFINE_STEPS):
-            dw = self._raw(self.rhs - self._apply(w) - W @ z)
+            dw = self._raw(self._rhs - self._apply(w) - W @ z)
             dz = schur_solve(W.T @ (w + dw) - r2)
             w += dw - self._raw(W @ dz)
             z += dz
-        self._check(np.concatenate([self.rhs - self._apply(w) - W @ z,
+        self._check(np.concatenate([self._rhs - self._apply(w) - W @ z,
                                     r2 - W.T @ w]))
-        return w, z
+        mult[self._active] = w[n:]
+        mult[dropped] = 0.0
+        mult[added] = z[:added.size]
+        return w[:n], mult
 
 
 def _factor_schur(schur, weights):

@@ -96,7 +96,7 @@ def fresh_pdas_solve(mesh: Mesh | None = None, data: ProblemData | None = None,
         multiplier=sys_.multiplier_field(mult),
         state=state, converged=converged, iterations=len(rows),
         residual=sys_.residual_inf(free, mult), log=tuple(rows),
-        method="active-set", system=sys_, factorizations=factorizations)
+        system=sys_, factorizations=factorizations)
 
 
 # ----------------------------------------------------------------------
@@ -280,4 +280,4 @@ def brute_force_solve(mesh: Mesh | None = None, data: ProblemData | None = None,
         multiplier=sys_.multiplier_field(mult),
         state=state, converged=True, iterations=0,
         residual=sys_.residual_inf(free, mult), log=(),
-        method="brute-force", system=sys_)
+        system=sys_)

@@ -18,8 +18,8 @@ from crobstacle.benchmarks import corner, pyramid, ring
 from crobstacle.mesh import build_structured, refine_rgb
 from crobstacle.solver import (
     SolverError,
-    _ActiveSetSolves,
     _fresh_solve,
+    _min_norm_kkt,
     active_set,
     build_system,
     pdas_solve,
@@ -314,8 +314,9 @@ def test_pdas_bitwise_fresh_cold_ring(divisions):
 
 
 def test_pdas_bitwise_fresh_cold_pyramid_min_norm():
-    # the first iterate activates every element: the dependent constraint
-    # block goes through the dense minimum-norm fallback
+    # the first iterate activates every element, a dependent constraint
+    # block: the selector takes a regularised multiplier, only the oracle
+    # takes the dense minimum-norm path, and both pick the same next set
     system = structured_system(pyramid(), 8)
     out = pdas_solve(system=system)
     assert out.log[0].solve == "fresh"
@@ -372,18 +373,26 @@ def selector_case(name, corner_warm_levels, ring_divisions=24):
     return system, pdas_solve(system=system).state.active
 
 
+def selector(system, act):
+    """The selector factorisation of ``system`` with base ``act``."""
+    return BorderedKkt(system.stiffness, system.coupling, system.load,
+                       system.constraint_rhs, act)
+
+
+def relative_error(value, reference):
+    return np.abs(value - reference).max() / np.abs(reference).max()
+
+
 @pytest.mark.parametrize("name", ["ring", "corner", "pyramid"])
 def test_selector_factor_matches_solve_kkt(name, corner_warm_levels):
     system, act = selector_case(name, corner_warm_levels)
     cols = np.flatnonzero(act)
-    args = (system.stiffness, system.coupling[:, cols], system.load,
-            system.constraint_rhs[cols])
-    base = BorderedKkt(*args)
-    free, mult, _ = solve_kkt(*args)
-    n = system.dofmap.n_free
-    assert cols.size > 0
-    assert np.abs(base.solution[:n] - free).max() <= 1e-10 * np.abs(free).max()
-    assert np.abs(base.solution[n:] - mult).max() <= 1e-10 * np.abs(mult).max()
+    free, mult = selector(system, act).solve(act)
+    ref_free, ref_mult, _ = solve_kkt(system.stiffness, system.coupling[:, cols],
+                                      system.load, system.constraint_rhs[cols])
+    assert cols.size > 0 and np.all(mult[~act] == 0.0)
+    assert relative_error(free, ref_free) <= 1e-10
+    assert relative_error(mult[cols], ref_mult) <= 1e-10
 
 
 @pytest.mark.parametrize("active", ["converged", "random"])
@@ -404,31 +413,41 @@ def test_selector_matrix_has_the_stiffness_pattern(name, active, corner_warm_lev
         return splu(matrix, **kwargs)
 
     monkeypatch.setattr(sparse.spla, "splu", capture)
-    cols = np.flatnonzero(act)
-    BorderedKkt(system.stiffness, system.coupling[:, cols], system.load,
-                system.constraint_rhs[cols])
+    selector(system, act)
     stiffness = system.stiffness.tocsc()
     [matrix] = factored
-    assert cols.size > 0 and np.any(stiffness.data == 0.0)
+    assert act.any() and np.any(stiffness.data == 0.0)
     assert np.array_equal(matrix.indptr, stiffness.indptr)
     assert np.array_equal(matrix.indices, stiffness.indices)
 
 
-def test_probe_sends_dependent_selector_to_min_norm():
-    # every element of the structured 8x8 pyramid mesh active: the
-    # constraint block has a one-dimensional null space
-    system = structured_system(pyramid(), 8)
+@pytest.mark.parametrize("divisions", [8, 16])
+def test_selector_accepts_dependent_all_active_pyramid(divisions):
+    # every element of the structured pyramid mesh active: the constraint
+    # block has a one-dimensional null space (checkerboard of equal areas).
+    # The regularised selector accepts the consistent system; its multiplier
+    # is a representative of the family close to the minimum-norm one.
+    system = structured_system(pyramid(), divisions)
     everything = np.ones(system.dofmap.n_multipliers, dtype=bool)
-    cols = np.flatnonzero(everything)
-    with pytest.raises(LinearSolveError, match="near-dependent"):
-        BorderedKkt(system.stiffness, system.coupling[:, cols], system.load,
-                    system.constraint_rhs[cols])
-    solves = _ActiveSetSolves(system)
-    free, mult, how = solves.solve(everything)
-    assert how == "fresh" and solves.exact
-    ref_free, ref_mult, report = _fresh_solve(system, everything)
-    assert report is None          # the minimum-norm fallback answered
-    assert np.array_equal(free, ref_free) and np.array_equal(mult, ref_mult)
+    args = (system.stiffness, system.coupling, system.load, system.constraint_rhs)
+    with pytest.raises(SingularConstraintError):
+        solve_kkt(*args)
+    free, mult = selector(system, everything).solve(everything)
+    ref_free, ref_mult = _min_norm_kkt(*args, system.scale, None)
+    assert relative_error(free, ref_free) <= 1e-10
+    assert relative_error(mult, ref_mult) <= 1e-6
+
+
+def test_unnamed_dependent_constraints_give_a_clear_error(monkeypatch):
+    # a block too large for the dense null space and without duplicate
+    # columns: the message says why no constraint is named
+    monkeypatch.setattr(sparse, "_NULL_SPACE_ENTRIES", 0)
+    system = structured_system(pyramid(), 8)
+    with pytest.raises(SingularConstraintError, match="cannot be named") as err:
+        solve_kkt(system.stiffness, system.coupling, system.load,
+                  system.constraint_rhs)
+    assert err.value.constraints == ()
+    assert "[]" not in str(err.value)
 
 
 def random_changes(rng, act, n_changes):
@@ -448,19 +467,14 @@ def test_bordered_matches_fresh_kkt_on_random_changes(bench, refinements):
     system = build_system(mesh, definition.data)
     rng = np.random.default_rng(17)
     base = rng.random(system.dofmap.n_multipliers) < 0.3
-    solves = _ActiveSetSolves(system)
-    solves.fresh(base)
+    kkt = selector(system, base)
     for n_changes in (1, 4, 9, 4, 16):
         act = random_changes(rng, base, n_changes)
-        free, mult, how = solves.solve(act)
+        free, mult = kkt.solve(act)
         ref_free, ref_mult, _ = _fresh_solve(system, act)
-        assert how == "bordered"
         assert np.all(mult[~act] == 0.0)
-        assert (np.abs(free - ref_free).max()
-                <= 1e-10 * np.abs(ref_free).max())
-        assert (np.abs(mult - ref_mult).max()
-                <= 1e-10 * np.abs(ref_mult).max())
-    assert solves.factorizations == 1
+        assert relative_error(free, ref_free) <= 1e-10
+        assert relative_error(mult, ref_mult) <= 1e-10
 
 
 def corner_system(refinements):
@@ -471,8 +485,14 @@ def corner_system(refinements):
     return build_system(mesh, definition.data)
 
 
+def script_active_sets(monkeypatch, masks):
+    """Make ``pdas_solve`` visit the active sets ``masks`` in order."""
+    script = iter(masks)
+    monkeypatch.setattr(solver, "active_set", lambda *_: next(script).copy())
+
+
 def test_refactors_when_new_columns_exceed_the_budget(monkeypatch):
-    monkeypatch.setattr(solver, "_REFACTOR_COLUMNS", 2)
+    monkeypatch.setattr(sparse, "_REFACTOR_COLUMNS", 2)
     system = corner_system(2)
     base = np.zeros(system.dofmap.n_multipliers, dtype=bool)
     base[::3] = True
@@ -482,66 +502,88 @@ def test_refactors_when_new_columns_exceed_the_budget(monkeypatch):
         act[list(indices)] = ~act[list(indices)]
         return act
 
-    solves = _ActiveSetSolves(system)
-    solves.fresh(base)
-    assert solves.solve(flipped(0, 1))[2] == "bordered"
+    kkt = selector(system, base)
+    kkt.solve(flipped(0, 1))
     # columns 0 and 1 are cached: one new column is within the budget
-    assert solves.solve(flipped(0, 1, 2))[2] == "bordered"
-    assert solves.factorizations == 1
-    free, mult, how = solves.solve(flipped(3, 4, 5))
-    assert how == "fresh" and solves.factorizations == 2
+    kkt.solve(flipped(0, 1, 2))
+    with pytest.raises(LinearSolveError, match="exceed"):
+        kkt.solve(flipped(3, 4, 5))
+    # pdas_solve then refactors onto a new base
+    script_active_sets(monkeypatch, [base, flipped(0, 1), flipped(0, 1, 2),
+                                     flipped(3, 4, 5), flipped(3, 4, 5)])
+    out = pdas_solve(system=system)
+    assert [row.solve for row in out.log] == ["fresh", "bordered", "bordered", "fresh"]
+    # two selector bases and the solve_kkt re-solve of the returned set
+    assert out.factorizations == 3
     ref_free, ref_mult, _ = _fresh_solve(system, flipped(3, 4, 5))
-    assert np.abs(free - ref_free).max() <= 1e-10 * np.abs(ref_free).max()
-    assert np.abs(mult - ref_mult).max() <= 1e-10 * np.abs(ref_mult).max()
+    assert np.array_equal(out.state.free_values, ref_free)
+    assert np.array_equal(out.state.multipliers, ref_mult)
 
 
-def test_base_survives_an_unconstrained_iterate():
+def test_base_survives_an_unconstrained_iterate(monkeypatch):
     # base -> nothing active -> base again: the base is kept over the
     # unconstrained solve and the repeated set needs no border column
     system = corner_system(2)
     base = np.zeros(system.dofmap.n_multipliers, dtype=bool)
     base[::3] = True
-    solves = _ActiveSetSolves(system)
-    free0, mult0, how0 = solves.solve(base)
-    assert how0 == "fresh"
-    assert solves.solve(np.zeros_like(base))[2] == "unconstrained"
-    free, mult, how = solves.solve(base)
-    assert how == "bordered" and solves.factorizations == 1
-    assert np.array_equal(free, free0) and np.array_equal(mult, mult0)
+    script_active_sets(monkeypatch, [base, np.zeros_like(base), base, base])
+    out = pdas_solve(system=system)
+    assert [row.solve for row in out.log] == ["fresh", "unconstrained", "bordered"]
+    assert out.factorizations == 2
+    assert out.log[2].residual == out.log[0].residual
 
 
-def test_bordered_dependent_column_falls_back_to_fresh_path():
+def test_bordered_dependent_column_goes_to_a_fresh_selector(monkeypatch):
     # on a structured pyramid mesh the dual graph is bipartite with equal
     # areas, so activating every element makes the constraints dependent;
-    # a base missing one element is regular, and adding it back must go to
-    # the fresh path and its minimum-norm fallback
+    # a base missing one element is regular, adding it back gives a
+    # singular Schur complement, and a new selector takes the system
     system = structured_system(pyramid(), 8)
     everything = np.ones(system.dofmap.n_multipliers, dtype=bool)
     base = everything.copy()
     base[0] = False
-    solves = _ActiveSetSolves(system)
-    solves.fresh(base)
-    free, mult, how = solves.solve(everything)
-    assert how == "fresh"
-    # the base, the selector factorisation the probe rejects, and solve_kkt
-    assert solves.factorizations == 3
+    with pytest.raises(LinearSolveError, match="singular"):
+        selector(system, base).solve(everything)
+    script_active_sets(monkeypatch, [base, everything, everything])
+    out = pdas_solve(system=system)
+    assert [row.solve for row in out.log] == ["fresh", "fresh"]
+    # two selector bases and the final re-solve, which takes the
+    # minimum-norm fallback
+    assert out.factorizations == 3
     ref_free, ref_mult, report = _fresh_solve(system, everything)
-    assert report is None          # the minimum-norm fallback answered
-    assert np.array_equal(free, ref_free) and np.array_equal(mult, ref_mult)
+    assert report is None
+    assert np.array_equal(out.state.free_values, ref_free)
+    assert np.array_equal(out.state.multipliers, ref_mult)
 
 
-def test_bordered_dependent_inconsistent_column_raises():
+def test_bordered_dependent_inconsistent_column_raises(monkeypatch):
     # the two elements of a 1x1 grid share their only free side: adding the
     # second constraint to a base holding the first one is dependent, and
-    # with different mean targets the fresh path's diagnosis must surface
+    # with different mean targets no solution exists.  Neither the bordered
+    # nor a fresh selector solve meets its residual bound, and the
+    # diagnosis of the fresh path must surface.
     mesh = grid_mesh(1, 1)
     data = ProblemData(name="incons", f=-50.0, chi=lambda p: p[..., 0],
                        dirichlet_data=1.0)
     system = build_system(mesh, data)
-    solves = _ActiveSetSolves(system)
-    solves.fresh(np.array([True, False]))
+    first, both = np.array([True, False]), np.array([True, True])
+    with pytest.raises(LinearSolveError):
+        selector(system, first).solve(both)
+    with pytest.raises(LinearSolveError, match="refined residual"):
+        selector(system, both)
+    script_active_sets(monkeypatch, [first, both])
     with pytest.raises(SingularConstraintError):
-        solves.solve(np.array([True, True]))
+        pdas_solve(system=system)
+
+
+@pytest.mark.parametrize("divisions", [32, 64])
+def test_pdas_cold_pyramid_converges(divisions):
+    system = structured_system(pyramid(), divisions)
+    out = pdas_solve(system=system)
+    assert out.converged
+    assert out.log[0].n_active == system.dofmap.n_multipliers
+    assert np.all(out.state.multipliers <= 0.0)
+    assert out.residual <= 1e-10 * system.scale
 
 
 # ----------------------------------------------------------------------

@@ -79,6 +79,22 @@ class TestSolveKkt:
 
 
 
+def dense_kkt_solution(A, B, f, g, act):
+    """``(u, multipliers over every constraint)`` of active mask ``act`` by dense LU."""
+    n, cols = A.shape[0], np.flatnonzero(act)
+    K = np.block([[A, B[:, cols]], [B[:, cols].T, np.zeros((cols.size, cols.size))]])
+    sol = np.linalg.solve(K, np.concatenate([f, g[cols]]))
+    mult = np.zeros(B.shape[1])
+    mult[cols] = sol[n:]
+    return sol[:n], mult
+
+
+def mask(m, indices):
+    out = np.zeros(m, dtype=bool)
+    out[list(indices)] = True
+    return out
+
+
 class TestBorderedKkt:
     @staticmethod
     def base(seed, n=14, m=6, m0=4):
@@ -87,38 +103,28 @@ class TestBorderedKkt:
         B = rng.normal(size=(n, m))
         f = rng.normal(size=n)
         g = rng.normal(size=m)
-        kkt = BorderedKkt(sp.csr_array(A), sp.csr_array(B[:, :m0]), f, g[:m0])
+        kkt = BorderedKkt(sp.csr_array(A), sp.csr_array(B), f, g, mask(m, range(m0)))
         return A, B, f, g, kkt
-
-    @staticmethod
-    def border(B, m0, added, dropped):
-        n = B.shape[0]
-        W = np.zeros((n + m0, len(added) + len(dropped)))
-        W[:n, :len(added)] = B[:, added]
-        W[n + np.asarray(dropped, dtype=int),
-          len(added) + np.arange(len(dropped))] = 1.0
-        return W
 
     def test_added_and_dropped_columns_against_dense_oracle(self):
         A, B, f, g, kkt = self.base(11)
-        n = A.shape[0]
-        kkt.extend([4, 5, 1], sp.csc_array(self.border(B, 4, [4, 5], [1])))
-        assert kkt.missing([5, 2, 1]) == [2]
-        # active set {0, 2, 3, 5}: constraint 4 cached but not used
-        w, z = kkt.solve([5, 1], [g[5], 0.0])
-        act = [0, 2, 3, 5]
-        K = np.block([[A, B[:, act]], [B[:, act].T, np.zeros((4, 4))]])
-        expected = np.linalg.solve(K, np.concatenate([f, g[act]]))
-        assert np.allclose(w[:n], expected[:n], atol=1e-10)
-        assert abs(w[n + 1]) <= 1e-12          # the dropped multiplier is pinned
-        assert np.allclose(w[n + np.array([0, 2, 3])], expected[n:n + 3], atol=1e-10)
-        assert np.allclose(z[0], expected[n + 3], atol=1e-10)
+        # {0, 2, 3, 4} adds column 4 and drops 1; {0, 2, 3, 5} then adds 5
+        # and reuses the cached drop of 1, with 4 cached but not used
+        for act in (mask(6, [0, 2, 3, 4]), mask(6, [0, 2, 3, 5])):
+            u, mult = kkt.solve(act)
+            expected_u, expected_mult = dense_kkt_solution(A, B, f, g, act)
+            assert np.allclose(u, expected_u, atol=1e-10)
+            assert np.allclose(mult, expected_mult, atol=1e-10)
+            assert np.all(mult[~act] == 0.0)     # the dropped multiplier is pinned
+        assert np.flatnonzero(kkt._slot >= 0).tolist() == [1, 4, 5]
 
     def test_base_solution_against_dense_oracle(self):
         A, B, f, g, kkt = self.base(10)
-        K = np.block([[A, B[:, :4]], [B[:, :4].T, np.zeros((4, 4))]])
-        expected = np.linalg.solve(K, np.concatenate([f, g[:4]]))
-        assert np.allclose(kkt.solution, expected, rtol=0.0, atol=1e-12)
+        act = mask(6, range(4))
+        u, mult = kkt.solve(act)
+        expected_u, expected_mult = dense_kkt_solution(A, B, f, g, act)
+        assert np.allclose(u, expected_u, rtol=0.0, atol=1e-12)
+        assert np.allclose(mult, expected_mult, rtol=0.0, atol=1e-12)
 
     def test_raw_solve_against_dense_regularised_oracle(self):
         # the eliminated multiplier block: a raw solve applies M^-1 for
@@ -141,23 +147,18 @@ class TestBorderedKkt:
             refined = raw + kkt._raw(r - M @ raw)
             assert np.abs(refined - expected).max() <= 1e-10 * scale
 
-    def test_near_dependent_constraints_raise(self):
-        A = random_spd(8, seed=14)
-        B = np.random.default_rng(15).normal(size=(8, 3))
-        B[:, 2] = B[:, 0] - 0.5 * B[:, 1]
-        with pytest.raises(LinearSolveError, match="near-dependent"):
-            BorderedKkt(sp.csr_array(A), sp.csr_array(B), np.ones(8),
-                        B.T @ np.ones(8))
-
     def test_empty_border_returns_base_solution(self):
         _, _, _, _, kkt = self.base(12)
-        w, z = kkt.solve([], [])
-        assert np.array_equal(w, kkt.solution) and z.size == 0
+        act = mask(6, range(4))
+        u, mult = kkt.solve(act)
+        u_again, mult_again = kkt.solve(act.copy())
+        assert np.array_equal(u, u_again) and np.array_equal(mult, mult_again)
+        assert u is not u_again and np.all(kkt._slot < 0)
 
     def test_dependent_column_raises(self):
-        A, B, f, g, kkt = self.base(13)
-        dependent = B[:, 0] - 2.0 * B[:, 3]
-        column = np.concatenate([dependent, np.zeros(4)])[:, None]
-        kkt.extend(["dep"], sp.csc_array(column))
+        A, B, f, g, _ = self.base(13, m=4)
+        B = np.column_stack([B, B[:, 0] - 2.0 * B[:, 3]])
+        g = np.append(g, 0.0)
+        kkt = BorderedKkt(sp.csr_array(A), sp.csr_array(B), f, g, mask(5, range(4)))
         with pytest.raises(LinearSolveError, match="singular"):
-            kkt.solve(["dep"], [0.0])
+            kkt.solve(np.ones(5, dtype=bool))

@@ -100,10 +100,6 @@ class PostprocessedField:
         """Values at shared barycentric points; shape (n_elements, nq)."""
         return self.sample(bary, points).values
 
-    def gradients_on(self, bary, points=None):
-        """Active-branch gradients at shared barycentric points."""
-        return self.sample(bary, points).gradients()
-
     def sample(self, bary, points=None) -> "FieldSample":
         """The nodal part and the obstacle at shared barycentric points."""
         if points is None:

@@ -12,11 +12,15 @@ with SuperLU and are deterministic:
 
 The selector factorisation scales each constraint column to unit maximum
 and regularises the (2,2) block by ``-delta I``.  It eliminates that block
-exactly and factors the symmetric positive definite ``A + B~ B~^T / delta``
-(``B~`` the scaled constraints) in a symmetric fill-reducing ordering with no
-pivoting; a constraint couples only the free sides of one element, so that
-matrix has the stiffness matrix's own sparsity pattern.  It exists for every
-active set, dependent constraints included.  Its solves are refined against
+exactly and factors the symmetric positive definite ``P = A + B~ B~^T /
+delta`` (``B~`` the scaled constraints).  A constraint couples only the free
+sides of one element, so ``P`` is filled into the stiffness matrix's own CSC
+pattern, explicit zeros included; a constraint that couples two unknowns the
+stiffness does not couple raises :class:`LinearSolveError`.  SuperLU factors
+``P`` in the minimum-degree ordering of ``P^T + P`` (``MMD_AT_PLUS_A``),
+without pivoting (``diag_pivot_thresh=0``, ``SymmetricMode``) and with
+one-column panels (``panel_size=1``).  It exists for every active set,
+dependent constraints included.  Its solves are refined against
 the unregularised matrix, and a refined residual above its bound (an
 inconsistent active set gives one) raises :class:`LinearSolveError`.
 
@@ -226,13 +230,37 @@ _REFACTOR_COLUMNS = 64
 SCHUR_INV_NORM_MIN = 100 * _DELTA
 
 
-def _condensed(A, Bs):
-    """``A + Bs Bs^T / delta`` in CSC form, summed as COO so that ``A``'s explicit zeros stay."""
-    A = A.tocoo()
-    BBt = (Bs @ Bs.T).tocoo()
-    return sp.csc_array((np.concatenate([A.data, BBt.data / _DELTA]),
-                         (np.concatenate([A.row, BBt.row]),
-                          np.concatenate([A.col, BBt.col]))), shape=A.shape)
+def _keys(M):
+    """``col * n + row`` of each stored entry of the CSC matrix ``M``, in storage order."""
+    n = M.shape[0]
+    return np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(M.indptr)) + M.indices
+
+
+def _condensed(A, Bs, constraints):
+    """``A + Bs Bs^T / delta`` in CSC form, filled into ``A``'s own pattern.
+
+    ``P`` starts as a copy of ``A``'s CSC data, explicit zeros included, and
+    each entry of ``Bs Bs^T / delta`` is added at its position, found by
+    ``searchsorted`` among the keys of ``A``'s sorted CSC pattern.  An entry
+    outside that pattern raises :class:`LinearSolveError` naming a
+    constraint (``constraints`` labels the columns of ``Bs``) that couples
+    it.
+    """
+    P = A.tocsc(copy=True)   # from CSR: rows sorted within each column
+    keys = _keys(P)
+    BBt = sp.csc_array(Bs @ Bs.T)
+    wanted = _keys(BBt)
+    pos = np.searchsorted(keys, wanted)
+    found = pos < keys.size
+    found[found] = keys[pos[found]] == wanted[found]
+    if not found.all():
+        c, r = divmod(int(wanted[np.argmin(found)]), P.shape[0])
+        j = np.flatnonzero(abs(Bs[[r, c], :]).min(axis=0).toarray())[0]
+        raise LinearSolveError(
+            f"constraint {int(constraints[j])} couples unknowns {r} and {c}, "
+            "which the stiffness matrix does not couple")
+    P.data[pos] += BBt.data / _DELTA
+    return P
 
 
 class BorderedKkt:
@@ -241,19 +269,22 @@ class BorderedKkt:
     The system of active mask ``act`` is ``[[A, B_act], [B_act^T, 0]] [u; y]
     = [f; g_act]``; ``B`` holds every constraint column and ``g`` every
     target.  The constructor factors the base ``K0``, the system of
-    ``active``, on the selector path.  A raw solve applies ``M^-1`` for ``M = [[A, B0], [B0^T,
-    -delta D^-2]]`` with ``B0 = B_active`` and ``D = diag(1 / max|b_j|)``,
-    which differs from ``K0`` in its (2,2) block only.  In the scaled
-    variables ``M`` is the quasi-definite ``K_delta = [[A, B~], [B~^T, -delta
-    I]]``, ``B~ = B0 D``; its multiplier block is eliminated, so only the ``n
-    x n`` matrix ``P = A + B~ B~^T / delta`` is factored, and ``K_delta^-1
-    [q1; q2]`` is ``u = P^-1 (q1 + B~ q2 / delta)``, ``y~ = (B~^T u - q2) /
-    delta``.  ``P`` is positive definite whatever the rank of ``B0``.  A raw
-    solve is accurate to about ``eps / delta`` relative, so every solve is
-    refined ``_REFINE_STEPS`` times against the unregularised matrix,
-    bordered or not; the refined base solution ``w0`` solves ``K0 w0 = [f;
-    g_active]``.  On a consistent dependent active set it carries a
-    regularised representative of the multiplier family.
+    ``active``, on the selector path.  A raw solve applies ``M^-1`` for ``M
+    = [[A, B0], [B0^T, -delta D^-2]]`` with ``B0 = B_active`` and ``D =
+    diag(1 / max|b_j|)``, which differs from ``K0`` in its (2,2) block only.
+    In the scaled variables ``M`` is the quasi-definite ``K_delta = [[A,
+    B~], [B~^T, -delta I]]``, ``B~ = B0 D``; its multiplier block is
+    eliminated, so only the ``n x n`` matrix ``P = A + B~ B~^T / delta`` is
+    factored, and ``K_delta^-1 [q1; q2]`` is ``u = P^-1 (q1 + B~ q2 /
+    delta)``, ``y~ = (B~^T u - q2) / delta``.  ``P`` is positive definite
+    whatever the rank of ``B0``; it is filled into ``A``'s CSC pattern
+    (:func:`_condensed`) and factored by SuperLU with ``MMD_AT_PLUS_A``, no
+    pivoting, ``SymmetricMode`` and one-column panels.  A raw solve is
+    accurate to about ``eps / delta`` relative, so every solve is refined
+    ``_REFINE_STEPS`` times against the unregularised matrix, bordered or
+    not; the refined base solution ``w0`` solves ``K0 w0 = [f; g_active]``.
+    On a consistent dependent active set it carries a regularised
+    representative of the multiplier family.
 
     Any other active set is the base bordered by ``W``: a constraint ``j``
     added since the base is the column ``[b_j; 0]`` with target ``g_j``, a
@@ -269,7 +300,8 @@ class BorderedKkt:
         self._A = sp.csr_array(A)
         self._all = sp.csc_array(B)
         self._active = np.array(active, dtype=bool)
-        self._B = self._all[:, np.flatnonzero(self._active)]
+        columns = np.flatnonzero(self._active)
+        self._B = self._all[:, columns]
         n, m = self._B.shape
         col_max = abs(self._B).max(axis=0).toarray()
         if not np.all(col_max > 0.0):
@@ -277,9 +309,11 @@ class BorderedKkt:
         d = 1.0 / col_max
         self._scaled = self._B @ sp.diags_array(d)
         try:
-            self._lu = spla.splu(_condensed(self._A, self._scaled),
+            # one-column panels factor the pipeline's P fastest; P dies with
+            # this call (held through the refinement, it raised peak RSS)
+            self._lu = spla.splu(_condensed(self._A, self._scaled, columns),
                                  permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                                 options={"SymmetricMode": True})
+                                 panel_size=1, options={"SymmetricMode": True})
         except RuntimeError as exc:
             raise LinearSolveError(f"selector factorisation failed: {exc}") from exc
         self._scale = np.concatenate([np.ones(n), d])

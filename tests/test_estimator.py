@@ -110,7 +110,7 @@ def ring_study():
         errs = exact_errors(out.solution, flux, out.multiplier, data)
         bary = triangle_rule(12).bary
         i_v = energy_primal_continuous(mesh, data, res.field.values_on(bary),
-                                       res.field.gradients_on(bary))
+                                       res.field.sample(bary).gradients())
         rho_full = rho_reduced(res.field, out.solution, out.multiplier, data)
         rho_energy = rho_reduced(res.field, out.solution, out.multiplier,
                                  data, include_exact_terms=False)
@@ -135,7 +135,7 @@ def test_postprocess_is_vertex_averaging_when_obstacle_far():
     nodal = interp_av(u)
     rule = triangle_rule(3)
     assert np.array_equal(v.values_on(rule.bary), nodal.eval_at(rule.bary))
-    grads = v.gradients_on(rule.bary)
+    grads = v.sample(rule.bary).gradients()
     expected = np.broadcast_to(nodal.gradient().values[:, None, :],
                                grads.shape)
     assert np.array_equal(grads, expected)
@@ -153,7 +153,7 @@ def test_postprocess_zero_solution_nonpositive_obstacle():
     v = postprocess_conforming(u, data)
     rule = triangle_rule(4)
     assert np.all(v.values_on(rule.bary) == 0.0)
-    assert np.all(v.gradients_on(rule.bary) == 0.0)
+    assert np.all(v.sample(rule.bary).gradients() == 0.0)
 
 
 def test_postprocess_takes_pointwise_maximum():
@@ -196,7 +196,7 @@ def test_postprocess_gradient_uses_active_obstacle_branch():
     data = ProblemData(name="branch", f=0.0, chi=chi, chi_grad=chi_grad)
     v = postprocess_conforming(u, data)
     rule = triangle_rule(3)
-    grads = v.gradients_on(rule.bary)
+    grads = v.sample(rule.bary).gradients()
     x = element_points(mesh, rule.bary)[..., 0]
     active = x > 0.5
     assert np.allclose(grads[active], [1.0, 0.0], atol=1e-14)
@@ -206,7 +206,7 @@ def test_postprocess_gradient_uses_active_obstacle_branch():
     v_bare = postprocess_conforming(u, bare)
     v_bare.values_on(rule.bary)  # values never need the obstacle gradient
     with pytest.raises(EstimatorError):
-        v_bare.gradients_on(rule.bary)
+        v_bare.sample(rule.bary).gradients()
 
 
 def test_postprocess_physical_point_evaluation_consistent():
@@ -227,11 +227,11 @@ def test_postprocess_physical_point_evaluation_consistent():
                      v.nodal.gradient().values[:, None, :])
     assert np.allclose(values, v.values_on(rule.bary),
                        atol=1e-12, rtol=1e-12)
-    assert np.allclose(grads, v.gradients_on(rule.bary),
+    assert np.allclose(grads, v.sample(rule.bary).gradients(),
                        atol=1e-12, rtol=1e-12)
     assert np.array_equal(v.values_on(rule.bary, pts), v.values_on(rule.bary))
-    assert np.array_equal(v.gradients_on(rule.bary, pts),
-                          v.gradients_on(rule.bary))
+    assert np.array_equal(v.sample(rule.bary, pts).gradients(),
+                          v.sample(rule.bary).gradients())
 
 
 def test_postprocess_pyramid_feasible_at_quadrature_nodes():
@@ -609,7 +609,7 @@ def test_rho_reduced_variant_drops_exact_solution_terms(ring_study):
     v = lvl.result.field
     bary = triangle_rule(12).bary
     i_v = energy_primal_continuous(lvl.mesh, data, v.values_on(bary),
-                                   v.gradients_on(bary))
+                                   v.sample(bary).gradients())
     assert lvl.rho_energy == pytest.approx(i_v - RING_ENERGY, abs=1e-10)
     # the dropped terms: broken gradient error squared plus the pairing of
     # the discrete constraint force with the exact gap

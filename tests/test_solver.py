@@ -10,6 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from crobstacle import solver, sparse
 from crobstacle.adaptivity import AfemConfig, afem_run
@@ -409,16 +410,84 @@ def test_selector_matrix_has_the_stiffness_pattern(name, active, corner_warm_lev
     splu = sparse.spla.splu
 
     def capture(matrix, **kwargs):
-        factored.append(matrix)
+        factored.append((matrix, kwargs))
         return splu(matrix, **kwargs)
 
     monkeypatch.setattr(sparse.spla, "splu", capture)
     selector(system, act)
     stiffness = system.stiffness.tocsc()
-    [matrix] = factored
+    [(matrix, options)] = factored
     assert act.any() and np.any(stiffness.data == 0.0)
     assert np.array_equal(matrix.indptr, stiffness.indptr)
     assert np.array_equal(matrix.indices, stiffness.indices)
+    # symmetric fill-reducing order, no pivoting, one-column panels
+    assert options == {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
+                       "panel_size": 1, "options": {"SymmetricMode": True}}
+
+
+def coo_condensed(A, Bs):
+    """``A + Bs Bs^T / delta`` summed as COO: the scatter's oracle."""
+    A = A.tocoo()
+    BBt = (Bs @ Bs.T).tocoo()
+    return sp.csc_array((np.concatenate([A.data, BBt.data / sparse._DELTA]),
+                         (np.concatenate([A.row, BBt.row]),
+                          np.concatenate([A.col, BBt.col]))), shape=A.shape)
+
+
+@pytest.mark.parametrize("active", ["converged", "random"])
+@pytest.mark.parametrize("name", ["ring", "corner", "pyramid"])
+def test_condensed_matches_the_coo_sum(name, active, corner_warm_levels, monkeypatch):
+    system, act = selector_case(name, corner_warm_levels)
+    if active == "random":
+        act = np.random.default_rng(4).random(act.size) < 0.3
+    scattered = []
+    condensed = sparse._condensed
+
+    def capture(A, Bs, constraints):
+        scattered.append((A, Bs, condensed(A, Bs, constraints)))
+        return scattered[-1][2]
+
+    monkeypatch.setattr(sparse, "_condensed", capture)
+    selector(system, act)
+    [(A, Bs, matrix)] = scattered
+    expected = coo_condensed(A, Bs)
+    assert np.array_equal(matrix.indptr, expected.indptr)
+    assert np.array_equal(matrix.indices, expected.indices)
+    assert np.all(np.abs(matrix.data - expected.data) <= np.spacing(np.abs(expected.data)))
+
+
+@pytest.mark.parametrize("name, active", [("ring", "converged"), ("ring", "random"),
+                                          ("corner", "converged"),
+                                          ("pyramid", "converged")])
+def test_refined_selector_solve_does_not_depend_on_the_panel_width(
+        name, active, corner_warm_levels, monkeypatch):
+    # the panel width changes only the rounding order of the factor; two
+    # refinement steps take both raw solves to the same iterate
+    system, act = selector_case(name, corner_warm_levels)
+    rng = np.random.default_rng(5)
+    if active == "random":
+        act = rng.random(act.size) < 0.3
+    chosen = selector(system, act)
+    splu = sparse.spla.splu
+
+    def default_panel(matrix, **kwargs):
+        del kwargs["panel_size"]
+        return splu(matrix, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sparse.spla, "splu", default_panel)
+        default = selector(system, act)
+    sets = [act]
+    for count in (1, 4, 16):
+        changed = act.copy()
+        flip = rng.choice(act.size, size=count, replace=False)
+        changed[flip] = ~changed[flip]
+        sets.append(changed)
+    for changed in sets:
+        free, mult = chosen.solve(changed)
+        ref_free, ref_mult = default.solve(changed)
+        assert relative_error(free, ref_free) <= 1e-12
+        assert relative_error(mult, ref_mult) <= 1e-12
 
 
 @pytest.mark.parametrize("divisions", [8, 16])

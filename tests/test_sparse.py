@@ -162,3 +162,18 @@ class TestBorderedKkt:
         kkt = BorderedKkt(sp.csr_array(A), sp.csr_array(B), f, g, mask(5, range(4)))
         with pytest.raises(LinearSolveError, match="singular"):
             kkt.solve(np.ones(5, dtype=bool))
+
+    def test_coupling_outside_the_stiffness_pattern_raises(self):
+        # P is filled into A's pattern: a constraint that couples two
+        # unknowns A does not couple is named, never scattered elsewhere
+        n = 5
+        A = sp.diags_array([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)],
+                           offsets=[-1, 0, 1], format="csr")
+        B = np.zeros((n, 3))
+        B[[0, 1], 0] = 1.0
+        B[[1, 2], 1] = 1.0
+        B[[0, 3], 2] = 1.0
+        args = (A, sp.csr_array(B), np.ones(n), np.zeros(3))
+        BorderedKkt(*args, mask(3, [0, 1]))
+        with pytest.raises(LinearSolveError, match="constraint 2 couples unknowns"):
+            BorderedKkt(*args, mask(3, [0, 2]))

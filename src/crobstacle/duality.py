@@ -49,6 +49,17 @@ class DualityError(Exception):
     """Raised when a flux reconstruction is inconsistent (solver bug)."""
 
 
+#: relative normal-flux jump across an interior side above which
+#: :func:`marini_flux` rejects its input
+_JUMP_TOL = 1e-10
+#: relative slack of the obstacle constraint in :func:`energy_primal_discrete`
+_FEASIBILITY_TOL = 1e-10
+#: relative slack of the residual-load sign condition of the dual energies
+_SIGN_TOL = 1e-12
+#: Gauss points per side of the boundary pairing of :func:`energy_dual_continuous`
+_BOUNDARY_POINTS = 8
+
+
 # ----------------------------------------------------------------------
 # flux reconstruction
 # ----------------------------------------------------------------------
@@ -71,7 +82,7 @@ class DualField:
 
 
 def marini_flux(solution: CrFunction, multiplier: P0Function,
-                f_h: P0Function, jump_tol: float = 1e-10) -> DualField:
+                f_h: P0Function) -> DualField:
     """Reconstruct the normal-continuous flux of a constrained solve.
 
     Per element the field is ``grad_h u + c_T (x - x_T)`` with
@@ -79,7 +90,7 @@ def marini_flux(solution: CrFunction, multiplier: P0Function,
     component is constant along each (straight) side, so evaluating at side
     midpoints yields the lowest-order flux coefficients.  For a pair coming
     from a converged solve the two elemental values on an interior side
-    coincide; a jump beyond ``jump_tol`` (relative) indicates an
+    coincide; a jump beyond ``_JUMP_TOL`` (relative) indicates an
     inconsistent input and raises :class:`DualityError`.
     """
     mesh = solution.mesh
@@ -103,11 +114,11 @@ def marini_flux(solution: CrFunction, multiplier: P0Function,
     scale = 1.0 + float(max(np.abs(flux_minus).max(initial=0.0),
                             np.abs(flux_plus).max(initial=0.0)))
     max_jump = float(jumps.max(initial=0.0))
-    if max_jump > jump_tol * scale:
+    if max_jump > _JUMP_TOL * scale:
         worst = int(jumps.argmax())
         raise DualityError(
             f"normal-flux jump {max_jump:.3e} across side {worst} exceeds "
-            f"{jump_tol:.1e} * {scale:.3e}; the (solution, multiplier, load) "
+            f"{_JUMP_TOL:.1e} * {scale:.3e}; the (solution, multiplier, load) "
             "triple is not a stationary point")
 
     fluxes = np.where(has_plus, 0.5 * (flux_minus + flux_plus), flux_minus)
@@ -120,8 +131,7 @@ def marini_flux(solution: CrFunction, multiplier: P0Function,
 # ----------------------------------------------------------------------
 # discrete energies
 # ----------------------------------------------------------------------
-def energy_primal_discrete(u: CrFunction, f_h: P0Function, chi_h: P0Function,
-                           feasibility_tol: float = 1e-10):
+def energy_primal_discrete(u: CrFunction, f_h: P0Function, chi_h: P0Function):
     """Broken Dirichlet energy ``1/2 ||grad_h u||^2 - (f_h, means(u))``.
 
     Inputs whose element means undercut the obstacle means (beyond a
@@ -129,8 +139,8 @@ def energy_primal_discrete(u: CrFunction, f_h: P0Function, chi_h: P0Function,
     """
     mesh = u.mesh
     means = u.element_means()
-    slack = feasibility_tol * (1.0 + float(np.abs(means).max(initial=0.0))
-                               + float(np.abs(chi_h.values).max(initial=0.0)))
+    slack = _FEASIBILITY_TOL * (1.0 + float(np.abs(means).max(initial=0.0))
+                                + float(np.abs(chi_h.values).max(initial=0.0)))
     if float((means - chi_h.values).min(initial=0.0)) < -slack:
         return math.inf
     grads = u.gradient().values
@@ -139,8 +149,7 @@ def energy_primal_discrete(u: CrFunction, f_h: P0Function, chi_h: P0Function,
 
 
 def energy_dual_discrete(y, f_h: P0Function, chi_h: P0Function,
-                         boundary_dof_values: np.ndarray | None = None,
-                         sign_tol: float = 1e-12):
+                         boundary_dof_values: np.ndarray | None = None):
     """Discrete dual energy of a flux field.
 
     ``-1/2 ||means(y)||^2 - (div y + f_h, chi_h)`` plus, for inhomogeneous
@@ -156,7 +165,7 @@ def energy_dual_discrete(y, f_h: P0Function, chi_h: P0Function,
         means = y.element_means().values
     mesh = flux.mesh
     residual_load = div + f_h.values
-    slack = sign_tol * (1.0 + float(np.abs(f_h.values).max(initial=0.0)))
+    slack = _SIGN_TOL * (1.0 + float(np.abs(f_h.values).max(initial=0.0)))
     if float(residual_load.max(initial=0.0)) > slack:
         return -math.inf
     value = float(-0.5 * (mesh.areas * (means ** 2).sum(axis=1)).sum()
@@ -195,9 +204,7 @@ def energy_primal_continuous(mesh: Mesh, data: ProblemData, values, gradients,
 
 
 def energy_dual_continuous(mesh: Mesh, data: ProblemData, field: DualField,
-                           f_h: P0Function, degree: int = HIGH_ORDER_DEGREE,
-                           boundary_points: int = 8,
-                           sign_tol: float = 1e-12):
+                           f_h: P0Function, degree: int = HIGH_ORDER_DEGREE):
     """Continuous dual energy of a reconstructed flux.
 
     ``-1/2 ||y||^2`` is integrated exactly (the integrand is quadratic per
@@ -208,7 +215,7 @@ def energy_dual_continuous(mesh: Mesh, data: ProblemData, field: DualField,
     ``sum_S flux_S int_S g``.  A positive residual load maps to ``-inf``.
     """
     residual_load = field.divergence.values + f_h.values
-    slack = sign_tol * (1.0 + float(np.abs(f_h.values).max(initial=0.0)))
+    slack = _SIGN_TOL * (1.0 + float(np.abs(f_h.values).max(initial=0.0)))
     if float(residual_load.max(initial=0.0)) > slack:
         return -math.inf
 
@@ -229,7 +236,7 @@ def energy_dual_continuous(mesh: Mesh, data: ProblemData, field: DualField,
     if data.dirichlet_data is not None:
         mask = mesh.dirichlet_side_mask
         if mask.any():
-            srule = segment_rule(boundary_points)
+            srule = segment_rule(_BOUNDARY_POINTS)
             pts_s = side_points(mesh, srule, mask)
             g_vals = data.dirichlet_values_at(
                 pts_s.reshape(-1, 2)).reshape(len(pts_s), -1)

@@ -7,14 +7,16 @@ solves it by the primal-dual active-set iteration, a finitely terminating
 semismooth Newton method.
 
 Each iteration solves the equality-constrained problem of its active set.
-Iterates that only select the next active set go through
-:class:`~crobstacle.sparse.BorderedKkt`: the first constrained iterate of a
-solve gets a selector factorisation, the *base*, and later active sets are
-bordered onto it until one needs more new border columns than a
-factorisation costs.  The iterate a solve returns always comes from
-:func:`~crobstacle.sparse.solve_kkt`, so the result is bitwise that of a
-fresh ``solve_kkt`` factorisation at every iteration as long as the active
-sets follow the same sequence.
+Constrained iterates go through :class:`~crobstacle.sparse.BorderedKkt`:
+the first one of a solve gets a selector factorisation, the *base*, and
+later active sets are bordered onto it until one needs more new border
+columns than a factorisation costs.  The selector accepts dependent
+constraints; an active set it cannot solve is inconsistent and raises
+:class:`SolverError`.  The constrained iterate a solve returns is solved
+once more by :func:`~crobstacle.sparse.solve_kkt`, so the result is bitwise
+that of a fresh ``solve_kkt`` factorisation at every iteration as long as
+the active sets follow the same sequence; where ``solve_kkt`` refuses the
+set (dependent constraints), the selector's iterate is returned.
 """
 from __future__ import annotations
 
@@ -35,13 +37,7 @@ from .assembly import (
     find_excluded_element,
 )
 from .mesh import Mesh
-from .sparse import (
-    BorderedKkt,
-    LinearSolveError,
-    SingularConstraintError,
-    solve_kkt,
-    solve_spd,
-)
+from .sparse import BorderedKkt, LinearSolveError, solve_kkt, solve_spd
 from .spaces import CrFunction, P0Function
 
 __all__ = [
@@ -175,8 +171,7 @@ class IterationRow:
     """One PDAS iterate.
 
     ``solve`` is ``"bordered"`` (onto the base), ``"fresh"`` (a new selector
-    factorisation, or :func:`_fresh_solve` where the selector misses its
-    residual bound) or ``"unconstrained"``.
+    factorisation) or ``"unconstrained"``.
     """
     iteration: int
     n_active: int
@@ -190,9 +185,8 @@ class SolveOutcome:
     """A constrained solve: full-dof solution field, multiplier, diagnostics.
 
     ``factorizations`` counts the sparse factorisations of the active-set
-    systems: the selector ones (bases, and any that miss the residual
-    bound), the :func:`_fresh_solve` fallbacks and the final ``solve_kkt``
-    re-solve of the returned iterate.
+    systems: the selector bases and the final ``solve_kkt`` re-solve of a
+    constrained returned iterate, whether or not ``solve_kkt`` accepts it.
     """
     solution: CrFunction
     multiplier: P0Function
@@ -224,60 +218,6 @@ def active_set(element_means, multipliers, obstacle_means) -> np.ndarray:
 # ----------------------------------------------------------------------
 # primal-dual active-set iteration
 # ----------------------------------------------------------------------
-def _fresh_solve(system: DiscreteObstacleSystem, act: np.ndarray):
-    """Solve the equality-constrained problem of active set ``act`` afresh.
-
-    Returns ``(free, multipliers, report)``; ``report`` is the
-    :func:`solve_kkt` report, or ``None`` when no saddle-point system was
-    solved (no free dofs, no active constraint, or the minimum-norm
-    fallback).
-    """
-    dm = system.dofmap
-    if dm.n_free == 0:
-        return np.zeros(0), np.zeros(dm.n_multipliers), None
-    if not act.any():
-        free, _ = solve_spd(system.stiffness, system.load)
-        return free, np.zeros(dm.n_multipliers), None
-    cols = np.flatnonzero(act)
-    constraint = system.coupling[:, cols]
-    report = None
-    try:
-        free, active_mult, report = solve_kkt(
-            system.stiffness, constraint,
-            system.load, system.constraint_rhs[cols])
-    except SingularConstraintError as exc:
-        # A fully (or almost fully) constrained iterate on a structured mesh
-        # can carry linearly dependent constraints: the multiplier is then a
-        # one-parameter family and an arbitrary representative would keep the
-        # active test churning forever.  When the system is consistent the
-        # minimum-norm solution projects out the dependence and gives the
-        # symmetric representative, letting the active set settle; an
-        # inconsistent system re-raises the constraint diagnosis.
-        free, active_mult = _min_norm_kkt(
-            system.stiffness, constraint,
-            system.load, system.constraint_rhs[cols], system.scale, exc)
-    mult = np.zeros(dm.n_multipliers)
-    mult[cols] = active_mult
-    return free, mult, report
-
-
-_MIN_NORM_DENSE_LIMIT = 4000
-
-
-def _min_norm_kkt(A, B, f, g, scale, original):
-    n, m = B.shape
-    if n + m > _MIN_NORM_DENSE_LIMIT:
-        raise original
-    kkt = np.block([[A.toarray(), B.toarray()],
-                    [B.toarray().T, np.zeros((m, m))]])
-    rhs = np.concatenate([f, g])
-    sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-    residual = float(np.abs(kkt @ sol - rhs).max())
-    if residual > 1e-9 * scale:
-        raise original
-    return sol[:n], sol[n:]
-
-
 def _coerce_init(init, system: DiscreteObstacleSystem):
     free, mult = init
     free = np.asarray(free, dtype=float)
@@ -300,33 +240,32 @@ def pdas_solve(mesh: Mesh | None = None, data: ProblemData | None = None, *,
     multipliers) unless ``init`` provides an iterate as a pair ``(free
     values, multipliers)``; terminates when the active set repeats or the
     primal update is exactly zero.  Exhausting ``max_iter`` returns a
-    non-converged outcome with full diagnostics instead of raising; singular
-    constraint blocks propagate as errors.
+    non-converged outcome with full diagnostics instead of raising.
 
     Each constrained iterate is bordered onto the base selector
     factorisation (:class:`BorderedKkt`) when there is one; otherwise, or
     when that solve fails, it gets a new selector factorisation, which
-    becomes the base; a selector that misses its residual bound falls back
-    to :func:`_fresh_solve` and its diagnostics.  These iterates only choose
-    the next active set.  The returned active set is solved once more through
-    :func:`solve_kkt` unless it already came from :func:`_fresh_solve`, so
-    the result is bitwise that of a fresh ``solve_kkt`` at every iteration
-    whenever the sequence of active sets is the same.
+    becomes the base.  A new selector that misses its refined-residual bound
+    means an inconsistent active set and raises :class:`SolverError` naming
+    the iteration and the number of active constraints.  The returned
+    constrained active set is solved once more through :func:`solve_kkt`,
+    so the result is bitwise that of a fresh ``solve_kkt`` at every
+    iteration whenever the sequence of active sets is the same.  Where
+    ``solve_kkt`` refuses that set (its probe or a singular factor: the
+    constraints are dependent), the refined selector or bordered iterate of
+    the same set is returned.
     """
     if max_iter < 1:
         raise SolverError(f"max_iter must be at least 1, got {max_iter}")
     sys_ = system if system is not None else build_system(mesh, data)
     dm = sys_.dofmap
 
-    if init is None:
-        free, _ = (solve_spd(sys_.stiffness, sys_.load) if dm.n_free
-                   else (np.zeros(0), None))
-        mult = np.zeros(dm.n_multipliers)
-    else:
-        free, mult = _coerce_init(init, sys_)
+    def unconstrained():
+        free = solve_spd(sys_.stiffness, sys_.load)[0] if dm.n_free else np.zeros(0)
+        return free, np.zeros(dm.n_multipliers)
 
+    free, mult = unconstrained() if init is None else _coerce_init(init, sys_)
     base = None            # BorderedKkt of the last selector factorisation
-    exact = False          # whether the last iterate came from _fresh_solve
     factorizations = 0
     rows = []
     prev_active = None
@@ -340,10 +279,10 @@ def pdas_solve(mesh: Mesh | None = None, data: ProblemData | None = None, *,
             break
         old = free
         if not (dm.n_free and act.any()):
-            how, exact = "unconstrained", True
-            free, mult, _ = _fresh_solve(sys_, act)
+            how = "unconstrained"
+            free, mult = unconstrained()
         else:
-            how, exact, solved = "bordered", False, None
+            how, solved = "bordered", None
             if base is not None:
                 try:
                     solved = base.solve(act)
@@ -355,11 +294,11 @@ def pdas_solve(mesh: Mesh | None = None, data: ProblemData | None = None, *,
                 try:
                     base = BorderedKkt(sys_.stiffness, sys_.coupling, sys_.load,
                                        sys_.constraint_rhs, act)
-                    solved = base.solve(act)
-                except LinearSolveError:
-                    solved = _fresh_solve(sys_, act)[:2]
-                    factorizations += 1
-                    exact = True
+                except LinearSolveError as exc:
+                    raise SolverError(
+                        f"PDAS iteration {it}: the active set of {int(act.sum())} "
+                        f"constraints has no solution ({exc})") from exc
+                solved = base.solve(act)
             free, mult = solved
         step = float(np.abs(free - old).max()) if dm.n_free else 0.0
         res = sys_.residual_inf(free, mult)
@@ -369,9 +308,17 @@ def pdas_solve(mesh: Mesh | None = None, data: ProblemData | None = None, *,
             converged = True
             break
     base = None
-    if not exact:
-        free, mult, _ = _fresh_solve(sys_, act)
+    if dm.n_free and act.any():
         factorizations += 1
+        cols = np.flatnonzero(act)
+        try:
+            free, active_mult, _ = solve_kkt(sys_.stiffness, sys_.coupling[:, cols],
+                                             sys_.load, sys_.constraint_rhs[cols])
+        except LinearSolveError:
+            pass   # dependent constraints: keep the selector iterate
+        else:
+            mult = np.zeros(dm.n_multipliers)
+            mult[cols] = active_mult
 
     iterations = len(rows)
     state = PdasState(free_values=free, multipliers=mult, active=act,

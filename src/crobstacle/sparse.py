@@ -5,7 +5,8 @@ with SuperLU and are deterministic:
 
 * :func:`solve_spd` -- symmetric positive definite systems,
 * :func:`solve_kkt` -- symmetric saddle-point systems
-  ``[[A, B], [B^T, 0]]`` with constraint-degeneracy diagnostics,
+  ``[[A, B], [B^T, 0]]`` with independent constraints; a growth probe
+  refuses dependent ones,
 * :class:`BorderedKkt` -- the saddle-point systems of the active sets of one
   PDAS solve: one *selector* factorisation (the *base*), with the systems of
   other active sets bordered onto it.
@@ -24,11 +25,12 @@ dependent constraints included.  Its solves are refined against
 the unregularised matrix, and a refined residual above its bound (an
 inconsistent active set gives one) raises :class:`LinearSolveError`.
 
-A selector solution agrees with :func:`solve_kkt` to round-off, not
-bitwise; :func:`crobstacle.solver.pdas_solve` therefore uses selector and
-bordered solves only to pick the next active set and re-solves the iterate
-it returns through :func:`solve_kkt`, which keeps its results bitwise those
-of a fresh factorisation per iterate.
+:class:`BorderedKkt` is the one solver of the package for a dependent
+active set.  A selector solution agrees with :func:`solve_kkt` to
+round-off, not bitwise; :func:`crobstacle.solver.pdas_solve` therefore
+re-solves the iterate it returns through :func:`solve_kkt`, which keeps
+its results bitwise those of a fresh factorisation per iterate, and keeps
+the selector's iterate where :func:`solve_kkt` refuses the set.
 """
 
 from __future__ import annotations
@@ -55,11 +57,12 @@ class LinearSolveError(Exception):
     """Raised when a linear solve fails to produce a usable solution."""
 
 
-class SingularConstraintError(Exception):
+class SingularConstraintError(LinearSolveError):
     """Raised when a saddle-point system has degenerate constraints.
 
     ``constraints`` holds the offending constraint indices (rows of the
-    constraint block).
+    constraint block) where they are known: only an empty support names
+    them.
     """
 
     def __init__(self, message, constraints=()):
@@ -98,49 +101,14 @@ def solve_spd(A, b):
                           time.perf_counter() - t0)
 
 
-def _duplicate_columns(Bcsc):
-    """Indices of constraint columns that duplicate an earlier column."""
-    seen = {}
-    dups = []
-    for j in range(Bcsc.shape[1]):
-        sl = slice(Bcsc.indptr[j], Bcsc.indptr[j + 1])
-        key = (tuple(Bcsc.indices[sl]), tuple(np.round(Bcsc.data[sl], 14)))
-        if key in seen:
-            dups.extend((seen[key], j))
-        else:
-            seen[key] = j
-    return sorted(set(dups))
-
-
-#: entries of a constraint block above which no dense null space is computed
-_NULL_SPACE_ENTRIES = 4_000_000
-
-
-def _dependent_columns(Bcsc):
-    """Indices of constraint columns participating in a linear dependence.
-
-    Uses a dense null-space computation; for blocks too large to densify the
-    duplicate-column heuristic is the only diagnostic returned.
-    """
-    n, m = Bcsc.shape
-    if n * m > _NULL_SPACE_ENTRIES:
-        return _duplicate_columns(Bcsc)
-    dense = Bcsc.toarray()
-    _, sv, vt = np.linalg.svd(dense, full_matrices=True)
-    tol = max(n, m) * np.finfo(float).eps * (sv[0] if sv.size else 1.0)
-    null_rows = vt[np.sum(sv > tol):]
-    if null_rows.size == 0:
-        return _duplicate_columns(Bcsc)
-    support = np.abs(null_rows).max(axis=0)
-    return sorted(np.flatnonzero(support > 1e-8 * support.max()).tolist())
-
-
 def solve_kkt(A, B, f, g):
     """Solve the saddle-point system ``[[A, B], [B^T, 0]] [x; y] = [f; g]``.
 
     ``A`` is ``n x n`` symmetric, ``B`` is ``n x m`` with full column rank.
-    Degenerate constraints raise :class:`SingularConstraintError` naming the
-    offending constraint indices.  Returns ``(x, y, SolveReport)``.
+    A constraint column with empty support raises
+    :class:`SingularConstraintError` naming it; a singular factor, or one
+    whose growth probe exposes dependent constraints, raises it without
+    names.  Returns ``(x, y, SolveReport)``.
     """
     Acsr = sp.csr_array(A)
     Bcsr = sp.csr_array(B)
@@ -153,8 +121,7 @@ def solve_kkt(A, B, f, g):
 
     Bcsc = sp.csc_array(Bcsr)
     Bcsc.eliminate_zeros()
-    col_nnz = np.diff(Bcsc.indptr)
-    empty = np.flatnonzero(col_nnz == 0)
+    empty = np.flatnonzero(np.diff(Bcsc.indptr) == 0)
     if empty.size:
         raise SingularConstraintError(
             f"constraints {empty.tolist()} have empty support "
@@ -165,46 +132,26 @@ def solve_kkt(A, B, f, g):
     try:
         lu = spla.splu(K)
     except RuntimeError as exc:
-        dups = _duplicate_columns(Bcsc)
-        if dups:
-            raise SingularConstraintError(
-                f"constraints {dups} are duplicates of each other "
-                "(linearly dependent constraint rows)", constraints=dups) from exc
-        raise LinearSolveError(f"saddle-point factorisation failed: {exc}") from exc
+        raise SingularConstraintError(
+            f"saddle-point factorisation failed: {exc}") from exc
     rhs = np.concatenate([f, g])
     sol = lu.solve(rhs)
     x, y = sol[:n], sol[n:]
     if not np.all(np.isfinite(sol)):
-        dups = _duplicate_columns(Bcsc)
-        if dups:
-            raise SingularConstraintError(
-                f"constraints {dups} are duplicates of each other "
-                "(linearly dependent constraint rows)", constraints=dups)
-        raise LinearSolveError("saddle-point solve produced non-finite values")
+        raise SingularConstraintError("saddle-point solve produced non-finite values")
 
     # A consistent right-hand side can hide a rank-deficient constraint
     # block: the LU then factors a roundoff-perturbed nonsingular matrix and
     # returns one particular solution, with the multiplier polluted by an
     # arbitrary null-space component.  Probe the factorization with a dense,
-    # unstructured vector; solution growth near 1/eps exposes the (near-)
-    # dependent constraints, which are then named via a dense null-space
-    # computation when the block is small enough.
+    # unstructured vector; solution growth near 1/eps exposes (near-)
+    # dependent constraints.
     block_scale = float(np.abs(K.data).max(initial=1.0))
     probe = np.cos(0.7 * np.arange(n + m) + 0.3)
     growth = float(np.linalg.norm(lu.solve(probe)) / np.linalg.norm(probe))
     if growth * block_scale > 1e13:
-        offending = _dependent_columns(Bcsc)
-        if offending:
-            detail = f"linearly dependent constraint rows: {offending}"
-        elif n * m > _NULL_SPACE_ENTRIES:
-            detail = (f"the dependent rows cannot be named: the {n} x {m} block "
-                      "is too large for a dense null space and has no duplicate "
-                      "columns")
-        else:
-            detail = ("the dependent rows cannot be named: no null vector above "
-                      "round-off and no duplicate columns")
         raise SingularConstraintError(
-            f"constraint block is rank deficient ({detail})", constraints=offending)
+            f"constraint block is rank deficient (solution growth {growth:.1e})")
     residual = float(np.linalg.norm(K @ sol - rhs))
     report = SolveReport("direct-lu", n + m, int(K.nnz), 1, residual,
                          time.perf_counter() - t0)

@@ -5,10 +5,13 @@
 * :func:`penalized_solve` -- quadratic penalization with a semismooth Newton
   inner solver (independent cross-check route),
 * :func:`fresh_pdas_solve` -- the active-set iteration with a fresh KKT
-  factorisation at every iterate (the reference the bordered updates of
-  :func:`~crobstacle.solver.pdas_solve` must reproduce bitwise).
+  factorisation at every iterate (:func:`fresh_solve`; the reference the
+  bordered updates of :func:`~crobstacle.solver.pdas_solve` must reproduce
+  bitwise),
+* :func:`min_norm_kkt` -- the dense minimum-norm solution of a saddle-point
+  system, the reference multiplier of a dependent active set.
 
-Neither runs in the package pipeline; they live with the tests.
+None of them runs in the package pipeline; they live with the tests.
 """
 from __future__ import annotations
 
@@ -26,12 +29,11 @@ from crobstacle.solver import (
     PdasState,
     SolveOutcome,
     SolverError,
-    _fresh_solve,
     active_set,
     build_system,
 )
 from crobstacle.spaces import CrFunction, P0Function
-from crobstacle.sparse import solve_spd
+from crobstacle.sparse import SingularConstraintError, solve_kkt, solve_spd
 
 MAX_BRUTE_FORCE_MULTIPLIERS = 20
 _BATCH = 4096
@@ -54,6 +56,45 @@ class PenalizedOutcome:
 # ----------------------------------------------------------------------
 # refactor-every-iteration active-set route
 # ----------------------------------------------------------------------
+def min_norm_kkt(A, B, f, g):
+    """Minimum-norm solution of ``[[A, B], [B^T, 0]] [x; y] = [f; g]`` by dense lstsq.
+
+    Returns ``(x, y, residual)`` with the max-norm residual of the solution.
+    """
+    n, m = B.shape
+    kkt = np.block([[A.toarray(), B.toarray()],
+                    [B.toarray().T, np.zeros((m, m))]])
+    rhs = np.concatenate([f, g])
+    sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
+    return sol[:n], sol[n:], float(np.abs(kkt @ sol - rhs).max())
+
+
+def fresh_solve(system: DiscreteObstacleSystem, act: np.ndarray):
+    """``(free, multipliers)`` of active set ``act``, factored afresh.
+
+    No active constraint takes ``solve_spd``, any other set ``solve_kkt``.
+    Where ``solve_kkt`` refuses dependent constraints and the system is
+    consistent, the minimum-norm solution gives the symmetric multiplier
+    representative; an inconsistent system re-raises.
+    """
+    dm = system.dofmap
+    mult = np.zeros(dm.n_multipliers)
+    if dm.n_free == 0:
+        return np.zeros(0), mult
+    if not act.any():
+        return solve_spd(system.stiffness, system.load)[0], mult
+    cols = np.flatnonzero(act)
+    args = (system.stiffness, system.coupling[:, cols], system.load,
+            system.constraint_rhs[cols])
+    try:
+        free, mult[cols], _ = solve_kkt(*args)
+    except SingularConstraintError:
+        free, mult[cols], residual = min_norm_kkt(*args)
+        if residual > 1e-9 * system.scale:
+            raise
+    return free, mult
+
+
 def fresh_pdas_solve(mesh: Mesh | None = None, data: ProblemData | None = None,
                      *, system: DiscreteObstacleSystem | None = None,
                      init=None, max_iter: int = 50) -> SolveOutcome:
@@ -61,8 +102,7 @@ def fresh_pdas_solve(mesh: Mesh | None = None, data: ProblemData | None = None,
     sys_ = system if system is not None else build_system(mesh, data)
     dm = sys_.dofmap
     if init is None:
-        free = solve_spd(sys_.stiffness, sys_.load)[0] if dm.n_free else np.zeros(0)
-        mult = np.zeros(dm.n_multipliers)
+        free, mult = fresh_solve(sys_, np.zeros(dm.n_multipliers, dtype=bool))
     else:
         free, mult = (np.asarray(v, dtype=float) for v in init)
 
@@ -78,7 +118,7 @@ def fresh_pdas_solve(mesh: Mesh | None = None, data: ProblemData | None = None,
             act = prev_active
             break
         old = free
-        free, mult, _ = _fresh_solve(sys_, act)
+        free, mult = fresh_solve(sys_, act)
         how = "fresh" if dm.n_free and act.any() else "unconstrained"
         factorizations += how == "fresh"
         step = float(np.abs(free - old).max()) if dm.n_free else 0.0

@@ -12,7 +12,10 @@ import sys
 import textwrap
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 #: prints the default error degree, then every name in a module's
 #: ``__all__`` or re-exported by the package that does not resolve, then
@@ -54,3 +57,19 @@ def test_package_imports_in_fresh_interpreter():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n")[:3] == ["12", "[]", "[]"], proc.stdout
+
+
+def test_console_scripts_resolve():
+    # every [project.scripts] target must import and be callable, or the
+    # installed script fails with ModuleNotFoundError
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"].get("scripts", {})
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    for name, target in scripts.items():
+        module, _, attr = target.partition(":")
+        check = (f"import importlib; assert callable(getattr("
+                 f"importlib.import_module({module!r}), {attr!r}))")
+        proc = subprocess.run([sys.executable, "-c", check], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, f"{name} = {target}: {proc.stderr}"

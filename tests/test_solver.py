@@ -19,8 +19,6 @@ from crobstacle.benchmarks import corner, pyramid, ring
 from crobstacle.mesh import build_structured, refine_rgb
 from crobstacle.solver import (
     SolverError,
-    _fresh_solve,
-    _min_norm_kkt,
     active_set,
     build_system,
     pdas_solve,
@@ -39,7 +37,13 @@ from crobstacle.spaces import (
     triangle_rule,
 )
 from crobstacle.spaces import prolong_cr, prolong_p0
-from oracles import brute_force_solve, fresh_pdas_solve, penalized_solve
+from oracles import (
+    brute_force_solve,
+    fresh_pdas_solve,
+    fresh_solve,
+    min_norm_kkt,
+    penalized_solve,
+)
 from util import (
     broken_energy,
     grid_mesh,
@@ -252,8 +256,9 @@ def test_pdas_iteration_log_wellformed():
 def test_degenerate_consistent_constraints_recover_symmetric_multiplier():
     # one free side shared by two elements whose remaining sides are all
     # constrained: both multiplier columns coincide.  The two constraints ask
-    # for the same thing (mean zero), so the solve is consistent and the
-    # minimum-norm recovery must settle on the symmetric multiplier split:
+    # for the same thing (mean zero), so the solve is consistent; solve_kkt
+    # refuses it, and the regularised selector's multiplier must be the
+    # symmetric split:
     # the single stationarity row reads (1/6)(L_0 + L_1) = 2*(1/6)*(-10).
     mesh = grid_mesh(1, 1)
     data = ProblemData(name="sing", f=-10.0, chi=0.0)
@@ -267,12 +272,14 @@ def test_degenerate_consistent_constraints_recover_symmetric_multiplier():
 def test_degenerate_inconsistent_constraints_raise():
     # same dependent columns, but an affine obstacle gives the two elements
     # different mean targets: no solution exists for that active set, so the
-    # constraint diagnosis must surface to the caller
+    # selector misses its residual bound and the error names the iteration
+    # and the active count
     mesh = grid_mesh(1, 1)
     data = ProblemData(name="incons", f=-50.0, chi=lambda p: p[..., 0],
                        dirichlet_data=1.0)
-    with pytest.raises(SingularConstraintError):
+    with pytest.raises(SolverError, match=r"PDAS iteration 1: .* of 2 constraints") as err:
         pdas_solve(mesh, data)
+    assert isinstance(err.value.__cause__, LinearSolveError)
 
 
 def test_all_dirichlet_element_excluded_and_multiplier_zero():
@@ -502,21 +509,10 @@ def test_selector_accepts_dependent_all_active_pyramid(divisions):
     with pytest.raises(SingularConstraintError):
         solve_kkt(*args)
     free, mult = selector(system, everything).solve(everything)
-    ref_free, ref_mult = _min_norm_kkt(*args, system.scale, None)
+    ref_free, ref_mult, residual = min_norm_kkt(*args)
+    assert residual <= 1e-9 * system.scale
     assert relative_error(free, ref_free) <= 1e-10
     assert relative_error(mult, ref_mult) <= 1e-6
-
-
-def test_unnamed_dependent_constraints_give_a_clear_error(monkeypatch):
-    # a block too large for the dense null space and without duplicate
-    # columns: the message says why no constraint is named
-    monkeypatch.setattr(sparse, "_NULL_SPACE_ENTRIES", 0)
-    system = structured_system(pyramid(), 8)
-    with pytest.raises(SingularConstraintError, match="cannot be named") as err:
-        solve_kkt(system.stiffness, system.coupling, system.load,
-                  system.constraint_rhs)
-    assert err.value.constraints == ()
-    assert "[]" not in str(err.value)
 
 
 def random_changes(rng, act, n_changes):
@@ -540,7 +536,7 @@ def test_bordered_matches_fresh_kkt_on_random_changes(bench, refinements):
     for n_changes in (1, 4, 9, 4, 16):
         act = random_changes(rng, base, n_changes)
         free, mult = kkt.solve(act)
-        ref_free, ref_mult, _ = _fresh_solve(system, act)
+        ref_free, ref_mult = fresh_solve(system, act)
         assert np.all(mult[~act] == 0.0)
         assert relative_error(free, ref_free) <= 1e-10
         assert relative_error(mult, ref_mult) <= 1e-10
@@ -584,7 +580,7 @@ def test_refactors_when_new_columns_exceed_the_budget(monkeypatch):
     assert [row.solve for row in out.log] == ["fresh", "bordered", "bordered", "fresh"]
     # two selector bases and the solve_kkt re-solve of the returned set
     assert out.factorizations == 3
-    ref_free, ref_mult, _ = _fresh_solve(system, flipped(3, 4, 5))
+    ref_free, ref_mult = fresh_solve(system, flipped(3, 4, 5))
     assert np.array_equal(out.state.free_values, ref_free)
     assert np.array_equal(out.state.multipliers, ref_mult)
 
@@ -616,21 +612,24 @@ def test_bordered_dependent_column_goes_to_a_fresh_selector(monkeypatch):
     script_active_sets(monkeypatch, [base, everything, everything])
     out = pdas_solve(system=system)
     assert [row.solve for row in out.log] == ["fresh", "fresh"]
-    # two selector bases and the final re-solve, which takes the
-    # minimum-norm fallback
+    # two selector bases and the final solve_kkt attempt, which refuses the
+    # dependent set: the selector iterate is returned
     assert out.factorizations == 3
-    ref_free, ref_mult, report = _fresh_solve(system, everything)
-    assert report is None
-    assert np.array_equal(out.state.free_values, ref_free)
-    assert np.array_equal(out.state.multipliers, ref_mult)
+    free, mult = selector(system, everything).solve(everything)
+    assert np.array_equal(out.state.free_values, free)
+    assert np.array_equal(out.state.multipliers, mult)
+    ref_free, ref_mult, _ = min_norm_kkt(system.stiffness, system.coupling,
+                                         system.load, system.constraint_rhs)
+    assert relative_error(free, ref_free) <= 1e-10
+    assert relative_error(mult, ref_mult) <= 1e-6
 
 
 def test_bordered_dependent_inconsistent_column_raises(monkeypatch):
     # the two elements of a 1x1 grid share their only free side: adding the
     # second constraint to a base holding the first one is dependent, and
     # with different mean targets no solution exists.  Neither the bordered
-    # nor a fresh selector solve meets its residual bound, and the
-    # diagnosis of the fresh path must surface.
+    # nor a fresh selector solve meets its residual bound, and the error
+    # names the iteration and the active count.
     mesh = grid_mesh(1, 1)
     data = ProblemData(name="incons", f=-50.0, chi=lambda p: p[..., 0],
                        dirichlet_data=1.0)
@@ -641,8 +640,23 @@ def test_bordered_dependent_inconsistent_column_raises(monkeypatch):
     with pytest.raises(LinearSolveError, match="refined residual"):
         selector(system, both)
     script_active_sets(monkeypatch, [first, both])
-    with pytest.raises(SingularConstraintError):
+    with pytest.raises(SolverError, match=r"PDAS iteration 2: .* of 2 constraints") as err:
         pdas_solve(system=system)
+    assert isinstance(err.value.__cause__, LinearSolveError)
+
+
+def test_dependent_final_set_above_the_dense_size(monkeypatch):
+    # every element of the structured 32x32 pyramid mesh active twice: the
+    # final set is dependent (3,008 free dofs, 2,048 constraints), solve_kkt
+    # refuses it, and the selector iterate is returned
+    system = structured_system(pyramid(), 32)
+    everything = np.ones(system.dofmap.n_multipliers, dtype=bool)
+    script_active_sets(monkeypatch, [everything, everything])
+    out = pdas_solve(system=system)
+    assert out.converged
+    assert out.residual <= 1e-10 * system.scale
+    means = system.element_means(out.state.free_values)
+    assert np.abs(means - system.obstacle_means).max() <= 1e-12
 
 
 @pytest.mark.parametrize("divisions", [32, 64])

@@ -41,7 +41,6 @@ from .spaces import (
     Rt0Function,
     SpaceError,
     VertexFunction,
-    gradient_h,
     interp_av,
     interp_cr,
     interp_rt,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import HIGH_ORDER_DEGREE, ProblemData
+from .assembly import ProblemData
 from .duality import (
     DualField,
     energy_dual_discrete,
@@ -31,7 +31,7 @@ from .estimator import (
 )
 from .mesh import Mesh, export_vtk, refine_rgb
 from .solver import SolveOutcome, build_system, pdas_solve
-from .spaces import interp_av, prolong_cr, prolong_p0
+from .spaces import prolong_cr, prolong_p0
 
 __all__ = [
     "AdaptivityError",
@@ -61,19 +61,12 @@ class AdaptivityError(Exception):
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class AfemConfig:
-    """Loop controls: marking fraction, stopping tests, refinement mode.
-
-    ``error_degree`` is the quadrature degree of the exact-error measures
-    (:func:`exact_errors`) and of the reduced measure (:func:`rho_reduced`);
-    it must be at least 1.  The estimator keeps its own fixed rule, so this
-    knob does not change the squared estimator.
-    """
+    """Loop controls: marking fraction, stopping tests, refinement mode."""
     theta: float = 0.5
     eps_stop: float = 1e-12
     max_levels: int = 25
     uniform: bool = False
     max_elements: int = 200_000
-    error_degree: int = HIGH_ORDER_DEGREE
 
     def __post_init__(self):
         if not (0.0 < self.theta < 1.0):
@@ -88,9 +81,6 @@ class AfemConfig:
         if self.max_elements < 1:
             raise AdaptivityError(
                 f"max_elements must be at least 1, got {self.max_elements}")
-        if self.error_degree < 1:
-            raise AdaptivityError(
-                f"error_degree must be at least 1, got {self.error_degree}")
 
 
 @dataclass(frozen=True)
@@ -227,12 +217,10 @@ def afem_run(data: ProblemData, config: AfemConfig, mesh0: Mesh) -> AfemHistory:
         errs = None
         reduced_sq = math.nan
         if data.exact is not None:
-            errs = exact_errors(out.solution, flux, out.multiplier, data,
-                                degree=config.error_degree)
+            errs = exact_errors(out.solution, flux, out.multiplier, data)
             if getattr(data.exact, "energy", None) is not None:
                 reduced_sq = rho_reduced(result.field, out.solution,
-                                         out.multiplier, data,
-                                         degree=config.error_degree)
+                                         out.multiplier, data)
         primal = energy_primal_discrete(out.solution, sysd.f_h, sysd.chi_h)
         dual = energy_dual_discrete(flux, sysd.f_h, sysd.chi_h,
                                     boundary_dof_values=sysd.boundary_values)
@@ -274,7 +262,8 @@ def dump_level_vtk(level: AfemLevel, path) -> None:
 
     Cell fields carry the element means, the constraint force, the contact
     mask, the flux components, and the estimator breakdown; the vertex
-    field ``solution`` is the node-averaged conforming representative.
+    field ``solution`` is the nodal part of ``level.field``: the node-averaged
+    conforming representative, with the boundary data on Dirichlet vertices.
     """
     cell = {
         "solution_mean": level.outcome.solution.element_means(),
@@ -284,5 +273,5 @@ def dump_level_vtk(level: AfemLevel, path) -> None:
         "flux_y": level.flux.cell_average.values[:, 1],
     }
     cell.update(level.breakdown.cell_data())
-    point = {"solution": interp_av(level.outcome.solution).values}
+    point = {"solution": level.field.nodal.values}
     export_vtk(level.mesh, path, cell_data=cell, point_data=point)

@@ -15,7 +15,7 @@ are excluded from the multiplier enumeration (:func:`find_excluded_element`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -24,8 +24,6 @@ import scipy.sparse as sp
 from .mesh import Mesh
 from .spaces import (
     P0Function,
-    QuadratureRule,
-    SegmentRule,
     element_points,  # noqa: F401  (perfbench/tracing.py counts calls through it)
     interp_cr,
     project_p0,
@@ -145,9 +143,9 @@ class ProblemData:
                 "the obstacle must be a scalar or a callable, got "
                 f"{type(self.chi).__name__}")
 
-    def chi_side_values(self, mesh: Mesh, rule: SegmentRule | None = None) -> np.ndarray:
+    def chi_side_values(self, mesh: Mesh) -> np.ndarray:
         """Side-average interpolant values of the obstacle (one per side)."""
-        return interp_cr(self.chi, mesh, rule).dofs
+        return interp_cr(self.chi, mesh).dofs
 
     def dirichlet_values_at(self, points: np.ndarray):
         if self.dirichlet_data is None:
@@ -156,8 +154,8 @@ class ProblemData:
             return np.full(len(points), float(self.dirichlet_data))
         return np.asarray(self.dirichlet_data(points), dtype=float)
 
-    def validate_on(self, mesh: Mesh, tol: float = 1e-12, *, side_values=None):
-        """Check that the obstacle does not exceed the boundary data on Dirichlet sides.
+    def validate_on(self, mesh: Mesh, *, side_values=None):
+        """Check that the obstacle stays within 1e-12 of the boundary data on Dirichlet sides.
 
         ``side_values`` are the obstacle's :meth:`chi_side_values` on
         ``mesh`` when the caller already has them.
@@ -171,7 +169,7 @@ class ProblemData:
         chi_vals = side_values[dmask]
         bdry = self.dirichlet_values_at(mids)
         worst = float((chi_vals - bdry).max())
-        if worst > tol:
+        if worst > 1e-12:
             raise AssemblyError(
                 f"obstacle exceeds the Dirichlet data on the boundary by {worst:.3e}")
 
@@ -218,33 +216,24 @@ def find_excluded_element(P: sp.csr_array):
 # ----------------------------------------------------------------------
 # Vectors
 # ----------------------------------------------------------------------
-def assemble_obstacle_vectors(mesh: Mesh, data: ProblemData, dofmap: DofMap,
-                              rule: SegmentRule | None = None):
+def assemble_obstacle_vectors(mesh: Mesh, data: ProblemData):
     """Side values of the interpolated obstacle and their element means.
 
     Returns ``(X, chi_h)`` where ``X[s]`` is the side-average interpolant of
     the obstacle on side ``s`` and ``chi_h`` is the piecewise constant of its
     element means (the discrete obstacle for the barycentric constraint).
     """
-    X = data.chi_side_values(mesh, rule)
+    X = data.chi_side_values(mesh)
     chi_h = P0Function(mesh, X[mesh.elem_sides].mean(axis=1))
     return X, chi_h
 
 
-def assemble_load(mesh: Mesh, data: ProblemData, dofmap: DofMap,
-                  quad: QuadratureRule | None = None):
-    """Element load vector and the projected load.
-
-    Returns ``(F, f_h)`` with ``F_T = f_h|_T * |T|`` (the element integral of
-    the projected load) over all elements and ``f_h`` the element-mean
-    projection of ``f`` (default quadrature degree 5).
-    """
-    f_h = project_p0(data.f, mesh, quad or triangle_rule(DATA_PROJECTION_DEGREE))
-    return f_h.values * mesh.areas, f_h
+def assemble_load(mesh: Mesh, data: ProblemData) -> P0Function:
+    """The projected load ``f_h``: element means of ``f`` by the degree-5 rule."""
+    return project_p0(data.f, mesh, triangle_rule(DATA_PROJECTION_DEGREE))
 
 
-def dirichlet_dof_values(mesh: Mesh, data: ProblemData,
-                         rule: SegmentRule | None = None) -> np.ndarray:
+def dirichlet_dof_values(mesh: Mesh, data: ProblemData) -> np.ndarray:
     """Full-length side vector: boundary-data side averages on Dirichlet sides, else 0."""
     values = np.zeros(mesh.n_sides)
     dmask = mesh.dirichlet_side_mask
@@ -253,7 +242,7 @@ def dirichlet_dof_values(mesh: Mesh, data: ProblemData,
     if np.isscalar(data.dirichlet_data):
         values[dmask] = float(data.dirichlet_data)
         return values
-    rule = rule or segment_rule(2)
+    rule = segment_rule(2)
     sides = np.flatnonzero(dmask)
     pts = side_points(mesh, rule, sides)
     values[sides] = np.asarray(data.dirichlet_data(pts)) @ rule.weights

@@ -60,26 +60,24 @@ def _xy(points):
     return pts[..., 0], pts[..., 1]
 
 
+# Piecewise closed forms work on whole arrays: a branch either clamps its
+# argument (the clamped value gives the other branch's +0 or 1 exactly) or is
+# selected by ``np.where`` from a safe argument, so no point raises a warning.
+
+
 # ----------------------------------------------------------------------
 # ring: flat obstacle, constant load, radial solution
 # ----------------------------------------------------------------------
 def _ring_solution(points):
     x, y = _xy(points)
-    r = np.hypot(x, y)
-    out = np.zeros_like(r)
-    m = r >= 1.0
-    rm = r[m]
-    out[m] = 0.5 * rm * rm - np.log(rm) - 0.5
-    return out
+    r = np.maximum(np.hypot(x, y), 1.0)     # the disc r < 1 gives +0
+    return 0.5 * r * r - np.log(r) - 0.5
 
 
 def _ring_gradient(points):
     pts = np.asarray(points, dtype=float)
-    r2 = pts[..., 0] ** 2 + pts[..., 1] ** 2
-    factor = np.zeros_like(r2)
-    m = r2 >= 1.0
-    factor[m] = 1.0 - 1.0 / r2[m]
-    return pts * factor[..., None]
+    r2 = np.maximum(pts[..., 0] ** 2 + pts[..., 1] ** 2, 1.0)
+    return pts * (1.0 - 1.0 / r2)[..., None]
 
 
 def _ring_multiplier(points):
@@ -117,31 +115,20 @@ def ring() -> BenchmarkDefinition:
 # ----------------------------------------------------------------------
 def _step(s):
     """C^2 quintic step: 1 for s <= 0, 0 for s >= 1, monotone in between."""
-    s = np.asarray(s, dtype=float)
-    out = np.ones_like(s)
-    out[s >= 1.0] = 0.0
-    mid = (s > 0.0) & (s < 1.0)
-    sm = s[mid]
-    out[mid] = 1.0 + sm ** 3 * (-10.0 + sm * (15.0 - 6.0 * sm))
-    return out
+    s = np.clip(s, 0.0, 1.0)
+    return 1.0 + s ** 3 * (-10.0 + s * (15.0 - 6.0 * s))
+
+
+def _band(s):
+    return (s > 0.0) & (s < 1.0)
 
 
 def _step_d1(s):
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    mid = (s > 0.0) & (s < 1.0)
-    sm = s[mid]
-    out[mid] = -30.0 * sm * sm * (sm - 1.0) ** 2
-    return out
+    return np.where(_band(s), -30.0 * s * s * (s - 1.0) ** 2, 0.0)
 
 
 def _step_d2(s):
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    mid = (s > 0.0) & (s < 1.0)
-    sm = s[mid]
-    out[mid] = -60.0 * sm * (2.0 * sm - 1.0) * (sm - 1.0)
-    return out
+    return np.where(_band(s), -60.0 * s * (2.0 * s - 1.0) * (s - 1.0), 0.0)
 
 
 def _corner_polar(points):
@@ -171,15 +158,11 @@ def _corner_solution(points):
 
 def _corner_source_radial(r):
     """Radial factor of the load where the cutoff is active; zero elsewhere."""
-    r = np.asarray(r, dtype=float)
-    out = np.zeros_like(r)
     s = _cutoff_arg(r)
-    mid = (s > 0.0) & (s < 1.0)
-    rm = r[mid]
-    d1 = _CUTOFF_SCALE * _step_d1(s[mid])
-    d2 = _CUTOFF_SCALE ** 2 * _step_d2(s[mid])
-    out[mid] = -(np.cbrt(rm) ** 2 * d2 + (7.0 / 3.0) * d1 / np.cbrt(rm))
-    return out
+    cbrt = np.cbrt(np.maximum(r, _CUTOFF_SHIFT))   # r in the band exceeds the shift
+    d1 = _CUTOFF_SCALE * _step_d1(s)
+    d2 = _CUTOFF_SCALE ** 2 * _step_d2(s)
+    return np.where(_band(s), -(cbrt ** 2 * d2 + (7.0 / 3.0) * d1 / cbrt), 0.0)
 
 
 def _corner_contact_weight(r):
@@ -195,21 +178,19 @@ def _corner_load(points):
 
 def _corner_gradient(points):
     r, phi = _corner_polar(points)
-    out = np.zeros(r.shape + (2,))
-    m = r > 0.0
-    rm, pm = r[m], phi[m]
-    g = _step(_cutoff_arg(rm))
-    d1 = _CUTOFF_SCALE * _step_d1(_cutoff_arg(rm))
-    cbrt = np.cbrt(rm)
+    away = r > 0.0
+    r = np.where(away, r, 1.0)          # the gradient at the corner is 0
+    g = _step(_cutoff_arg(r))
+    d1 = _CUTOFF_SCALE * _step_d1(_cutoff_arg(r))
+    cbrt = np.cbrt(r)
     radial = cbrt ** 2 * g
     radial_d1 = (2.0 / 3.0) * g / cbrt + cbrt ** 2 * d1
-    ang = 2.0 * pm / 3.0
+    ang = 2.0 * phi / 3.0
     dr = radial_d1 * np.sin(ang)
-    dphi = (2.0 / 3.0) * (radial / rm) * np.cos(ang)
-    cos, sin = np.cos(pm), np.sin(pm)
-    out[m, 0] = dr * cos - dphi * sin
-    out[m, 1] = dr * sin + dphi * cos
-    return out
+    dphi = (2.0 / 3.0) * (radial / r) * np.cos(ang)
+    cos, sin = np.cos(phi), np.sin(phi)
+    grad = np.stack([dr * cos - dphi * sin, dr * sin + dphi * cos], axis=-1)
+    return np.where(away[..., None], grad, 0.0)
 
 
 def _corner_multiplier(points):

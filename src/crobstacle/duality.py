@@ -183,17 +183,16 @@ def energy_dual_discrete(y, f_h: P0Function, chi_h: P0Function,
 # continuous energies
 # ----------------------------------------------------------------------
 def energy_primal_continuous(mesh: Mesh, data: ProblemData, values, gradients,
-                             degree: int = HIGH_ORDER_DEGREE,
                              points: np.ndarray | None = None) -> float:
     """Dirichlet energy ``1/2 ||grad v||^2 - (f, v)`` by high-order quadrature.
 
     ``values`` ``(n_elements, nq)`` and ``gradients`` ``(n_elements, nq, 2)``
     are ``v`` and ``grad v`` sampled at the points of
-    ``triangle_rule(degree)``.  ``points`` are those element points when the
-    caller already built them; they serve only to sample the load.
-    Feasibility of ``v`` is the caller's responsibility.
+    ``triangle_rule(HIGH_ORDER_DEGREE)``.  ``points`` are those element
+    points when the caller already built them; they serve only to sample the
+    load.  Feasibility of ``v`` is the caller's responsibility.
     """
-    rule = triangle_rule(degree)
+    rule = triangle_rule(HIGH_ORDER_DEGREE)
     grads = np.asarray(gradients, dtype=float)
     density = 0.5 * (grads[..., 0] ** 2 + grads[..., 1] ** 2)
     if points is None and callable(data.f):
@@ -204,7 +203,7 @@ def energy_primal_continuous(mesh: Mesh, data: ProblemData, values, gradients,
 
 
 def energy_dual_continuous(mesh: Mesh, data: ProblemData, field: DualField,
-                           f_h: P0Function, degree: int = HIGH_ORDER_DEGREE):
+                           f_h: P0Function):
     """Continuous dual energy of a reconstructed flux.
 
     ``-1/2 ||y||^2`` is integrated exactly (the integrand is quadratic per
@@ -224,7 +223,7 @@ def energy_dual_continuous(mesh: Mesh, data: ProblemData, field: DualField,
     norm_sq = float(integrate_elementwise(
         mesh, exact2, (y_vals ** 2).sum(axis=-1)).sum())
 
-    rule = triangle_rule(degree)
+    rule = triangle_rule(HIGH_ORDER_DEGREE)
     pts = element_points(mesh, rule.bary)
     chi_vals = sample_data(data.chi, mesh, pts)
     f_vals = shared_sample(data.f, mesh, rule, pts)

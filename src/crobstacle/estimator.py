@@ -96,9 +96,9 @@ class PostprocessedField:
     nodal: VertexFunction
     data: ProblemData
 
-    def values_on(self, bary, points=None):
+    def values_on(self, bary):
         """Values at shared barycentric points; shape (n_elements, nq)."""
-        return self.sample(bary, points).values
+        return self.sample(bary).values
 
     def sample(self, bary, points=None) -> "FieldSample":
         """The nodal part and the obstacle at shared barycentric points."""
@@ -180,28 +180,28 @@ def postprocess_conforming(u: CrFunction, data: ProblemData) -> PostprocessedFie
 # ----------------------------------------------------------------------
 # Estimator contributions (per-element squared values)
 # ----------------------------------------------------------------------
-def eta_A(v: PostprocessedField, u: CrFunction, rule=None,
+def eta_A(v: PostprocessedField, u: CrFunction,
           sample: FieldSample | None = None) -> np.ndarray:
     """Per-element squared flux discrepancy ``|grad v - grad_h u|^2``.
 
-    ``sample`` is ``v`` sampled on the points of ``rule``, when the caller
-    shares one pass between several parts.
+    ``sample`` is ``v`` sampled on the points of the high-order rule, when
+    the caller shares one pass between several parts.
     """
-    rule = rule or triangle_rule(HIGH_ORDER_DEGREE)
+    rule = triangle_rule(HIGH_ORDER_DEGREE)
     sample = sample or v.sample(rule.bary)
     return integrate_elementwise(
         v.mesh, rule, sample.gradient_error_sq(u.gradient().values))
 
 
 def eta_B(v: PostprocessedField, multiplier: P0Function, data: ProblemData,
-          rule=None, sample: FieldSample | None = None) -> np.ndarray:
+          sample: FieldSample | None = None) -> np.ndarray:
     """Per-element complementarity discrepancy ``(-mult)·|T|·mean(v - chi)``.
 
     Requires a nonpositive multiplier and ``v >= chi``; any per-element
     value below ``-1e-12`` signals a violated precondition and raises.
     ``data`` must be the data ``v`` was post-processed with.
     """
-    rule = rule or triangle_rule(HIGH_ORDER_DEGREE)
+    rule = triangle_rule(HIGH_ORDER_DEGREE)
     sample = sample or v.sample(rule.bary)
     gap = integrate_elementwise(v.mesh, rule, sample.excess)
     per_element = (-multiplier.values) * gap
@@ -221,15 +221,15 @@ def eta_C(multiplier: P0Function, f_h: P0Function, mesh: Mesh) -> np.ndarray:
 
 
 def oscillation(mesh: Mesh, data: ProblemData, f_h: P0Function,
-                rule=None, points=None) -> np.ndarray:
+                points=None) -> np.ndarray:
     """Per-element data oscillation ``h_T^2 * int_T (f - f_h)^2``.
 
-    ``points`` are the element points of ``rule`` when the caller already
-    built them.  Exactly zero (by construction, not by quadrature) when
-    ``f`` is a constant or a piecewise constant on ``mesh`` and ``f_h`` is
-    its projection; a piecewise constant on another mesh raises.
+    ``points`` are the high-order rule's element points, when built.  Exactly
+    zero (by construction, not by quadrature) when ``f`` is a constant or a
+    piecewise constant on ``mesh`` and ``f_h`` is its projection; a piecewise
+    constant on another mesh raises.
     """
-    rule = rule or triangle_rule(HIGH_ORDER_DEGREE)
+    rule = triangle_rule(HIGH_ORDER_DEGREE)
     if points is None and callable(data.f):
         points = element_points(mesh, rule.bary)
     f = shared_sample(data.f, mesh, rule, points)
@@ -309,22 +309,21 @@ class EstimateResult:
     breakdown: EstimatorBreakdown
 
 
-def estimate(outcome, rule=None) -> EstimateResult:
+def estimate(outcome) -> EstimateResult:
     """Post-process a solve outcome and assemble its estimator breakdown."""
     system = outcome.system
     data = system.data
     mesh = system.mesh
-    rule = rule or triangle_rule(HIGH_ORDER_DEGREE)
     v = postprocess_conforming(outcome.solution, data)
-    sample = v.sample(rule.bary)
+    sample = v.sample(triangle_rule(HIGH_ORDER_DEGREE).bary)
     return EstimateResult(
         field=v,
         breakdown=EstimatorBreakdown(
             mesh,
-            eta_A(v, outcome.solution, rule, sample),
-            eta_B(v, outcome.multiplier, data, rule, sample),
+            eta_A(v, outcome.solution, sample),
+            eta_B(v, outcome.multiplier, data, sample),
             eta_C(outcome.multiplier, system.f_h, mesh),
-            oscillation(mesh, data, system.f_h, rule, sample.points),
+            oscillation(mesh, data, system.f_h, sample.points),
         ),
     )
 
@@ -335,8 +334,7 @@ def estimate(outcome, rule=None) -> EstimateResult:
 def rho_reduced(v: PostprocessedField, solution: CrFunction,
                 multiplier: P0Function, data: ProblemData, *,
                 reference_energy: float | None = None,
-                include_exact_terms: bool | None = None,
-                degree: int = HIGH_ORDER_DEGREE) -> float:
+                include_exact_terms: bool | None = None) -> float:
     """Computable lower bound companion of the squared estimator.
 
     The base term is ``I(v) - I(u)``, the energy excess of the conforming
@@ -363,7 +361,7 @@ def rho_reduced(v: PostprocessedField, solution: CrFunction,
             "exact solution")
 
     mesh = v.mesh
-    rule = triangle_rule(degree)
+    rule = triangle_rule(HIGH_ORDER_DEGREE)
     pts = element_points(mesh, rule.bary)
     sample = v.sample(rule.bary, pts)
     chi = sample.chi
@@ -371,7 +369,7 @@ def rho_reduced(v: PostprocessedField, solution: CrFunction,
     # Free the nodal part before the energy and the energy's inputs after
     # it: level-sized arrays kept past their use raise the run's peak memory.
     del sample
-    total = energy_primal_continuous(mesh, data, values, grads, degree,
+    total = energy_primal_continuous(mesh, data, values, grads,
                                      pts) - float(reference_energy)
     del values, grads
     if include_exact_terms:
@@ -439,8 +437,7 @@ def _element_means_vector(rt_field, rule) -> np.ndarray:
 
 
 def exact_errors(solution: CrFunction, flux, multiplier: P0Function,
-                 data: ProblemData, *,
-                 degree: int = HIGH_ORDER_DEGREE) -> ExactErrors:
+                 data: ProblemData) -> ExactErrors:
     """All error quantities of a level against the exact solution.
 
     ``flux`` may be a reconstructed dual field (its flux component is
@@ -451,7 +448,7 @@ def exact_errors(solution: CrFunction, flux, multiplier: P0Function,
         raise EstimatorError("exact errors need problem data with an exact "
                              "solution")
     mesh = solution.mesh
-    rule = triangle_rule(degree)
+    rule = triangle_rule(HIGH_ORDER_DEGREE)
     pts = element_points(mesh, rule.bary)
 
     grad_u = shared_sample(exact.grad_u, mesh, rule, pts)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+import weakref
 
 import numpy as np
 
@@ -74,7 +75,8 @@ class Mesh:
         ``"dirichlet"``.
     parent / parent_elements:
         Refinement bookkeeping: the coarser mesh this one was refined from
-        and, per element, the index of its parent element.
+        and, per element, the index of its parent element.  The parent is
+        held weakly, so a level does not keep its ancestry alive.
     """
 
     def __init__(self, vertex_coords, elem_vertices, side_labeler=None,
@@ -178,7 +180,7 @@ class Mesh:
         self.elem_side_orient = np.where(
             self.side_elem_minus[self.elem_sides] == np.arange(nt)[:, None], 1.0, -1.0)
 
-        self.parent = parent
+        self._parent = None if parent is None else weakref.ref(parent)
         self.parent_elements = (None if parent_elements is None
                                 else np.asarray(parent_elements, dtype=np.int64))
 
@@ -192,6 +194,11 @@ class Mesh:
     # ------------------------------------------------------------------
     # Derived queries
     # ------------------------------------------------------------------
+    @property
+    def parent(self):
+        """The mesh this one was refined from, while it is alive; else ``None``."""
+        return None if self._parent is None else self._parent()
+
     @property
     def h_max(self) -> float:
         return float(self.h_elements.max())
@@ -588,11 +595,11 @@ def _write_scalar_blocks(lines, data, n, kind):
         lines.extend(f"{v:.16g}" for v in values)
 
 
-def export_vtk(mesh, path, cell_data=None, point_data=None, title="crobstacle mesh"):
+def export_vtk(mesh, path, cell_data=None, point_data=None):
     """Write the mesh (plus optional per-element / per-vertex scalars) as legacy VTK."""
     lines = [
         "# vtk DataFile Version 2.0",
-        title,
+        "crobstacle mesh",
         "ASCII",
         "DATASET UNSTRUCTURED_GRID",
         f"POINTS {mesh.n_vertices} double",

@@ -76,7 +76,6 @@ class DiscreteObstacleSystem:
     coupling: sp.csr_array
     load: np.ndarray
     boundary_values: np.ndarray
-    obstacle_side_values: np.ndarray
     chi_h: P0Function
     f_h: P0Function
     obstacle_means: np.ndarray
@@ -106,8 +105,7 @@ class DiscreteObstacleSystem:
         return float(np.abs(r).max())
 
     def solution_field(self, free_values) -> CrFunction:
-        return CrFunction(self.mesh, self.full_side_values(free_values),
-                          dirichlet_mask=self.mesh.dirichlet_side_mask)
+        return CrFunction(self.mesh, self.full_side_values(free_values))
 
     def multiplier_field(self, multipliers) -> P0Function:
         values = np.zeros(self.mesh.n_elements)
@@ -127,8 +125,8 @@ def build_system(mesh: Mesh, data: ProblemData) -> DiscreteObstacleSystem:
     if excluded:
         dofmap = dofmap.exclude(excluded)
         coupling = assemble_coupling(mesh, dofmap)
-    obstacle_side_values, chi_h = assemble_obstacle_vectors(mesh, data, dofmap)
-    data.validate_on(mesh, side_values=obstacle_side_values)
+    side_values, chi_h = assemble_obstacle_vectors(mesh, data)
+    data.validate_on(mesh, side_values=side_values)
 
     stiffness_full = assemble_stiffness_full(mesh)
     # keeps the explicit zeros of right-angled elements (about a quarter of
@@ -136,7 +134,7 @@ def build_system(mesh: Mesh, data: ProblemData) -> DiscreteObstacleSystem:
     # on them, and the selector factor runs up to 3x slower without them
     stiffness = stiffness_full[dofmap.free_sides][:, dofmap.free_sides]
     boundary_values = dirichlet_dof_values(mesh, data)
-    _, f_h = assemble_load(mesh, data, dofmap)
+    f_h = assemble_load(mesh, data)
 
     load = coupling @ f_h.values[dofmap.elements]
     if np.any(boundary_values != 0.0):
@@ -150,7 +148,7 @@ def build_system(mesh: Mesh, data: ProblemData) -> DiscreteObstacleSystem:
     return DiscreteObstacleSystem(
         mesh=mesh, data=data, dofmap=dofmap, stiffness=stiffness,
         coupling=coupling, load=load, boundary_values=boundary_values,
-        obstacle_side_values=obstacle_side_values, chi_h=chi_h, f_h=f_h,
+        chi_h=chi_h, f_h=f_h,
         obstacle_means=obstacle_means, constraint_rhs=constraint_rhs)
 
 

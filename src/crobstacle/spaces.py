@@ -74,7 +74,6 @@ __all__ = [
     "CrFunction",
     "Rt0Function",
     "VertexFunction",
-    "gradient_h",
     "project_p0",
     "interp_cr",
     "interp_rt",
@@ -404,14 +403,9 @@ class P0VectorField:
 
 @dataclass(frozen=True)
 class CrFunction:
-    """Nonconforming piecewise affine field with side-midpoint degrees of freedom.
-
-    ``dirichlet_mask`` (optional) records which dofs are constrained boundary
-    values; it is bookkeeping only and does not affect evaluation.
-    """
+    """Nonconforming piecewise affine field with side-midpoint degrees of freedom."""
     mesh: Mesh
     dofs: np.ndarray
-    dirichlet_mask: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "dofs", np.asarray(self.dofs, dtype=float))
@@ -435,7 +429,8 @@ class CrFunction:
         return d.sum(axis=1, keepdims=True) - 2.0 * d
 
     def gradient(self) -> P0VectorField:
-        return gradient_h(self)
+        g = np.einsum("tj,tjd->td", self.element_dofs(), -2.0 * self.mesh.bary_grads)
+        return P0VectorField(self.mesh, g)
 
     def l2_norm(self) -> float:
         # the squared field is quadratic; the side-midpoint rule is exact
@@ -507,34 +502,14 @@ class VertexFunction:
 
 
 # ----------------------------------------------------------------------
-# Broken gradients
-# ----------------------------------------------------------------------
-def gradient_h(v) -> P0VectorField:
-    """Broken (elementwise) gradient of a CR or vertex field."""
-    if isinstance(v, VertexFunction):
-        return v.gradient()
-    if not isinstance(v, CrFunction):
-        raise SpaceError(f"cannot take a broken gradient of {type(v).__name__}")
-    g = np.einsum("tj,tjd->td", v.element_dofs(), -2.0 * v.mesh.bary_grads)
-    return P0VectorField(v.mesh, g)
-
-
-# ----------------------------------------------------------------------
 # Interpolation and projection
 # ----------------------------------------------------------------------
-def project_p0(f, mesh: Mesh | None = None, rule: QuadratureRule | None = None) -> P0Function:
-    """Element-mean projection of a callable, constant, or discrete field."""
+def project_p0(f, mesh: Mesh, rule: QuadratureRule) -> P0Function:
+    """Element means of a scalar, a callable (by ``rule``) or a :class:`P0Function` load."""
     if isinstance(f, P0Function):
         return f
-    if isinstance(f, CrFunction):
-        return P0Function(f.mesh, f.element_means())
-    if isinstance(f, VertexFunction):
-        return P0Function(f.mesh, f.element_values().mean(axis=1))
-    if mesh is None:
-        raise SpaceError("project_p0 of a callable or constant requires a mesh")
     if np.isscalar(f):
         return P0Function(mesh, np.full(mesh.n_elements, float(f)))
-    rule = rule or triangle_rule(5)
     vals = sample_data(f, mesh, element_points(mesh, rule.bary))
     return P0Function(mesh, vals @ rule.weights)
 

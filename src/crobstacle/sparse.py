@@ -72,11 +72,9 @@ class SingularConstraintError(LinearSolveError):
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Outcome of a linear solve."""
-    method: str
+    """Outcome of a linear solve (a sparse LU factorisation and one solve)."""
     n: int
     nnz: int
-    iterations: int
     residual_norm: float
     elapsed: float
 
@@ -97,8 +95,7 @@ def solve_spd(A, b):
     except RuntimeError as exc:
         raise LinearSolveError(f"direct factorisation failed: {exc}") from exc
     residual = float(np.linalg.norm(csr @ x - b))
-    return x, SolveReport("direct-lu", n, int(csr.nnz), 1, residual,
-                          time.perf_counter() - t0)
+    return x, SolveReport(n, int(csr.nnz), residual, time.perf_counter() - t0)
 
 
 def solve_kkt(A, B, f, g):
@@ -153,8 +150,7 @@ def solve_kkt(A, B, f, g):
         raise SingularConstraintError(
             f"constraint block is rank deficient (solution growth {growth:.1e})")
     residual = float(np.linalg.norm(K @ sol - rhs))
-    report = SolveReport("direct-lu", n + m, int(K.nnz), 1, residual,
-                         time.perf_counter() - t0)
+    report = SolveReport(n + m, int(K.nnz), residual, time.perf_counter() - t0)
     return x, y, report
 
 

@@ -76,7 +76,6 @@ def test_config_defaults():
     assert cfg.max_levels >= 1
     assert cfg.uniform is False
     assert cfg.max_elements >= 1
-    assert cfg.error_degree >= 1
 
 
 @pytest.mark.parametrize("theta", [0.0, 1.0, -0.25, 1.5, math.nan])
@@ -96,27 +95,6 @@ def test_config_rejects_bad_budgets():
         AfemConfig(max_levels=0)
     with pytest.raises(AdaptivityError):
         AfemConfig(max_elements=0)
-    with pytest.raises(AdaptivityError):
-        AfemConfig(error_degree=0)
-
-
-def test_error_degree_controls_error_quadrature():
-    # A lower-order error quadrature must still give a finite, nearby value:
-    # the integrands are smooth on each element, so degree 6 and the default
-    # high-order rule agree to well under one percent on the radial problem.
-    # They must not agree exactly, or the knob is not reaching the error
-    # quadrature.
-    bench = ring()
-    coarse = AfemConfig(uniform=True, max_levels=2, error_degree=6)
-    hist = afem_run(bench.data, coarse, bench.initial_mesh())
-    default = afem_run(bench.data, AfemConfig(uniform=True, max_levels=2),
-                       bench.initial_mesh())
-    got = hist.records[-1].errors.grad_error
-    ref = default.records[-1].errors.grad_error
-    assert math.isfinite(got) and got > 0.0
-    assert abs(got - ref) <= 0.01 * ref
-    assert got != ref
-    assert hist.records[-1].reduced_sq != default.records[-1].reduced_sq
 
 
 # ----------------------------------------------------------------------
@@ -370,3 +348,17 @@ def test_dump_level_vtk(tmp_path, ring_adaptive):
     for field in ("multiplier", "contact", "flux_x", "flux_y",
                   "estimator_sq", "solution"):
         assert f"SCALARS {field}" in text, field
+
+
+def test_dump_level_vtk_solution_carries_the_boundary_data(tmp_path, ring_adaptive):
+    # ring has inhomogeneous Dirichlet data; the vertex field must show it
+    lvl = ring_adaptive.levels[1]
+    path = tmp_path / "level2.vtk"
+    dump_level_vtk(lvl, path)
+    lines = path.read_text().splitlines()
+    start = lines.index("SCALARS solution double 1") + 2
+    point = np.array([float(v) for v in lines[start:start + lvl.mesh.n_vertices]])
+    dmask = lvl.mesh.dirichlet_vertex_mask()
+    g = ring().data.dirichlet_data(lvl.mesh.vertex_coords[dmask])
+    assert np.allclose(point[dmask], g, rtol=1e-15, atol=0.0)
+    assert np.round(point[dmask][:2], 3).tolist() == [0.998, 0.22]

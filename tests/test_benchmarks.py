@@ -5,10 +5,13 @@ reductions of the energy integrals (scipy.integrate.quad), independently of
 the frozen constants shipped in the package.  PDE consistency of the closed
 form solutions is checked by finite differences.
 """
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from crobstacle import benchmarks
 from crobstacle.benchmarks import (
     CORNER_ENERGY,
     RING_ENERGY,
@@ -250,6 +253,29 @@ def test_corner_gradient_matches_finite_differences():
     for (x, y) in [(0.3, 0.25), (-0.35, 0.2), (-0.2, -0.3), (0.1, 0.05)]:
         g = ex.grad_u(np.array([[x, y]]))[0]
         assert np.allclose(g, fd_gradient(u_scalar, x, y), atol=1e-7)
+
+
+def test_closed_forms_at_the_corner_and_the_band_edges_raise_no_warning():
+    # r = 0 is the re-entrant corner; s = 0 and s = 1 (r = 0.25 and 0.75)
+    # bound the cutoff band.  The values there are exact, +0 included.
+    ex = corner().data.exact
+    pts = np.array([[0.0, 0.0], [-0.0, 0.0], [0.25, 0.0], [0.0, 0.75],
+                    [-0.75, 0.0], [0.0, -0.25]])
+    s = np.array([0.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grad = ex.grad_u(pts)
+        load = corner().data.f(pts)
+        step = benchmarks._step(s)
+        d1, d2 = benchmarks._step_d1(s), benchmarks._step_d2(s)
+        source = benchmarks._corner_source_radial(np.array([0.0, 0.25, 0.75]))
+        ring_u, ring_grad = ring().data.exact.u(pts), ring().data.exact.grad_u(pts)
+    assert np.all(grad[:2] == 0.0) and not np.signbit(grad[:2]).any()
+    assert np.all(np.isfinite(grad)) and np.all(np.isfinite(load))
+    assert step.tolist() == [1.0, 0.0]
+    for zeros in (step[1:], d1, d2, source, ring_u):
+        assert np.all(zeros == 0.0) and not np.signbit(zeros).any()
+    assert np.all(ring_grad == 0.0)
 
 
 def test_corner_load_consistent_with_pde():

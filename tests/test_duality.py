@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from crobstacle.assembly import ProblemData, assemble_load, assemble_obstacle_vectors, build_dofmap
+from crobstacle.assembly import ProblemData, assemble_load, assemble_obstacle_vectors
 from crobstacle.benchmarks import RING_ENERGY, corner, pyramid, ring
 from crobstacle.duality import (
     DualityError,
@@ -196,9 +196,8 @@ def test_discrete_strong_duality_benchmarks():
 def test_energy_primal_discrete_values():
     mesh = grid_mesh(3, 3)
     data = ProblemData(name="p", f=-3.0, chi=-1.0)
-    dofmap = build_dofmap(mesh)
-    _, f_h = assemble_load(mesh, data, dofmap)
-    _, chi_h = assemble_obstacle_vectors(mesh, data, dofmap)
+    f_h = assemble_load(mesh, data)
+    _, chi_h = assemble_obstacle_vectors(mesh, data)
 
     zero = CrFunction(mesh, np.zeros(mesh.n_sides))
     assert energy_primal_discrete(zero, f_h, chi_h) == 0.0

@@ -6,6 +6,7 @@ that ``__init__`` pulls in, say) can hide behind collection order.  This
 module imports nothing from the package itself, so it still collects and
 reports such a fault.
 """
+import ast
 import os
 import subprocess
 import sys
@@ -17,14 +18,12 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
-#: prints the default error degree, then every name in a module's
-#: ``__all__`` or re-exported by the package that does not resolve, then
-#: every module without ``__all__`` and every public function or class a
-#: module defines that its ``__all__`` leaves out
+#: prints every name in a module's ``__all__`` or re-exported by the package
+#: that does not resolve, then every module without ``__all__`` and every
+#: public function or class a module defines that its ``__all__`` leaves out
 CHECK = textwrap.dedent("""
     import ast, importlib, inspect, pkgutil
     import crobstacle
-    print(crobstacle.AfemConfig().error_degree)
     missing, unlisted = [], []
     for info in pkgutil.iter_modules(crobstacle.__path__):
         module = importlib.import_module("crobstacle." + info.name)
@@ -56,7 +55,7 @@ def test_package_imports_in_fresh_interpreter():
     proc = subprocess.run([sys.executable, "-c", CHECK], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:3] == ["12", "[]", "[]"], proc.stdout
+    assert proc.stdout.split("\n")[:2] == ["[]", "[]"], proc.stdout
 
 
 def test_console_scripts_resolve():
@@ -73,3 +72,72 @@ def test_console_scripts_resolve():
         proc = subprocess.run([sys.executable, "-c", check], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, f"{name} = {target}: {proc.stderr}"
+
+
+#: defaulted parameters that no call in the program passes, each kept for a
+#: reason; a setting with one value in use is code, not a parameter
+KEPT_SETTINGS = {
+    "build_structured.boundary_rule": "the paper's mixed Dirichlet/Neumann setting",
+    "triangle_rule.subdivisions": "composite reference rules that tests compare against",
+    "pdas_solve.max_iter": "tests exhaust the iteration budget",
+    "AfemHistory.decay_slope.skip": "drops a pre-asymptotic transient from a rate fit",
+    "rho_reduced.reference_energy": "an extrapolated energy where none is exact (pyramid)",
+    "rho_reduced.include_exact_terms": "the energy-only variant of the reduced measure",
+}
+
+
+def _defaulted(label, callee, fn, method):
+    """``(label.param, callee, positional index or None, param)`` per defaulted parameter."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    for i, arg in enumerate(positional[first:], start=first):
+        yield f"{label}.{arg.arg}", callee, i - method, arg.arg
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield f"{label}.{arg.arg}", callee, None, arg.arg
+
+
+def _settings(tree):
+    """Defaulted parameters of the public functions, methods and constructors."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield from _defaulted(node.name, node.name, node, 0)
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for fn in node.body:
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                if fn.name == "__init__":
+                    yield from _defaulted(node.name, node.name, fn, 1)
+                elif not fn.name.startswith("_"):
+                    yield from _defaulted(f"{node.name}.{fn.name}", fn.name, fn, 1)
+
+
+def _passes(call, index, param):
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    if index is not None and len(call.args) > index:
+        return True
+    return any(k.arg in (param, None) for k in call.keywords)
+
+
+def test_every_setting_is_passed_or_kept():
+    # A public function, method or constructor parameter with a default is
+    # a setting.  Some call in src/ or perfbench/ (its tests aside) must pass
+    # it, by position or by keyword, or KEPT_SETTINGS must name it.  Calls
+    # are matched by the callee's name; dataclass fields are not covered.
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((SRC / "crobstacle").glob("*.py"))
+             + sorted((ROOT / "perfbench").glob("*.py"))}
+    calls = {}
+    for tree in trees.values():
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call):
+                name = getattr(call.func, "id", getattr(call.func, "attr", None))
+                calls.setdefault(name, []).append(call)
+    unused = sorted(
+        label
+        for path, tree in trees.items() if path.parent.name == "crobstacle"
+        for label, callee, index, param in _settings(tree)
+        if not any(_passes(c, index, param) for c in calls.get(callee, ())))
+    assert unused == sorted(KEPT_SETTINGS), unused

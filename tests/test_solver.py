@@ -100,7 +100,6 @@ def test_build_system_interpolates_the_obstacle_once():
     sys_ = build_system(mesh, replace(bench.data, chi=chi))
     assert shapes == [(mesh.n_sides, 2, 2)] == [(208, 2, 2)]
     expected = interp_cr(bench.data.chi, mesh).dofs
-    assert np.array_equal(sys_.obstacle_side_values, expected)
     assert np.array_equal(sys_.chi_h.values,
                           expected[mesh.elem_sides].mean(axis=1))
     # the one interpolant still serves the boundary check

@@ -32,7 +32,6 @@ from crobstacle.spaces import (
     SpaceError,
     VertexFunction,
     element_points,
-    gradient_h,
     integrate_elementwise,
     interp_av,
     interp_cr,
@@ -323,7 +322,7 @@ class TestCrFunction:
         v = CrFunction(mesh, rng.normal(size=mesh.n_sides))
         rule = triangle_rule(2)
         vals = v.eval_at(rule.bary)
-        grads = gradient_h(v).values
+        grads = v.gradient().values
         for t in range(mesh.n_elements):
             mids = mesh.side_midpoints[mesh.elem_sides[t]]
             A = np.column_stack([np.ones(3), mids])
@@ -413,7 +412,7 @@ class TestInterpolants:
             [3 * p[..., 0] ** 2 - 2 * p[..., 1] ** 2,
              -4 * p[..., 0] * p[..., 1] + 1.0], axis=-1)
         v = interp_cr(f, mesh)
-        got = gradient_h(v).values
+        got = v.gradient().values
         rule = triangle_rule(5)
         pts = element_points(mesh, rule.bary)
         expected = np.einsum("tqd,q->td", df(pts), rule.weights)
@@ -433,19 +432,16 @@ class TestInterpolants:
 
     def test_project_p0(self):
         mesh = lshape_mesh(2)
-        # of a CR field: mean of the three dofs
-        rng = np.random.default_rng(4)
-        v = CrFunction(mesh, rng.normal(size=mesh.n_sides))
-        p = project_p0(v)
-        assert np.allclose(p.values, v.element_dofs().mean(axis=1), atol=1e-14)
+        rule = triangle_rule(5)
         # of a linear callable: the barycenter value
-        q = project_p0(lambda pts: pts[..., 0], mesh)
+        q = project_p0(lambda pts: pts[..., 0], mesh, rule)
         assert np.allclose(q.values, mesh.barycenters[:, 0], atol=1e-13)
         # of a constant
-        c = project_p0(2.5, mesh)
+        c = project_p0(2.5, mesh, rule)
         assert np.allclose(c.values, 2.5)
-        with pytest.raises(SpaceError):
-            project_p0(lambda pts: pts[..., 0])
+        # of a piecewise constant: itself
+        p = P0Function(mesh, np.arange(mesh.n_elements, dtype=float))
+        assert project_p0(p, mesh, rule) is p
 
     def test_interp_av_recovers_conforming_fields(self):
         mesh = lshape_mesh(2)
@@ -603,3 +599,16 @@ class TestProlongation:
         v = CrFunction(a, np.zeros(a.n_sides))
         with pytest.raises(SpaceError):
             prolong_cr(v, b)
+
+    def test_fine_mesh_holds_its_parent_weakly(self):
+        # a refinement does not keep its ancestry alive
+        coarse = lshape_mesh(2)
+        fine = refine_rgb(coarse)
+        assert fine.parent is coarse
+        gone = weakref.ref(coarse)
+        del coarse
+        gc.collect()
+        assert gone() is None and fine.parent is None
+        other = lshape_mesh(2)
+        with pytest.raises(SpaceError):
+            prolong_cr(CrFunction(other, np.zeros(other.n_sides)), fine)

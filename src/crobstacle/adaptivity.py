@@ -96,10 +96,6 @@ class AfemLevel:
     contact: np.ndarray
     seconds: float
 
-    @property
-    def n_marked(self) -> int:
-        return int(len(self.marked))
-
 
 @dataclass(frozen=True)
 class AfemHistory:
@@ -149,15 +145,15 @@ def doerfler_mark(indicators, theta: float) -> np.ndarray:
     ascending id) until their sum reaches ``theta**2`` times the total;
     greedy selection on the sorted order attains the minimal cardinality.
     Returns the marked ids in ascending order; an all-zero input returns
-    the empty set.
+    the empty set, and a non-finite or negative indicator raises.
     """
     if not (0.0 < theta < 1.0):
         raise AdaptivityError(
             f"theta must lie strictly in (0, 1), got {theta}")
     ind = np.asarray(indicators, dtype=float).ravel()
-    if ind.size and float(ind.min()) < 0.0:
+    if ind.size and not (np.all(np.isfinite(ind)) and float(ind.min()) >= 0.0):
         raise AdaptivityError(
-            f"indicators must be nonnegative, got min {ind.min()}")
+            f"indicators must be finite and nonnegative, got min {ind.min()}")
     total = float(ind.sum())
     if total <= 0.0:
         return np.zeros(0, dtype=np.int64)
@@ -177,9 +173,10 @@ def afem_run(data: ProblemData, config: AfemConfig, mesh0: Mesh) -> AfemHistory:
     Stops when the squared estimator drops to ``config.eps_stop``
     (``stop_reason == "estimator_tolerance"``), the level budget is used up
     (``"max_levels"``), or the next refinement would exceed
-    ``config.max_elements`` (``"element_budget"``).  Solver and estimator
-    failures raise :class:`AdaptivityError` with the partial history
-    attached.
+    ``config.max_elements`` (``"element_budget"``).  A failure anywhere in
+    a level (solve, flux, estimate, diagnostics, energies, marking or
+    refinement) raises :class:`AdaptivityError` with the levels completed
+    so far attached.
     """
     levels: list[AfemLevel] = []
     mesh = mesh0
@@ -206,46 +203,46 @@ def afem_run(data: ProblemData, config: AfemConfig, mesh0: Mesh) -> AfemHistory:
                     f"iteration budget")
             flux = marini_flux(out.solution, out.multiplier, out.system.f_h)
             result = estimate(out)
+
+            sysd = out.system
+            eta_sq = result.breakdown.total_sq
+            errs = None
+            reduced_sq = math.nan
+            if data.exact is not None:
+                errs = exact_errors(out.solution, flux, out.multiplier, data)
+                if getattr(data.exact, "energy", None) is not None:
+                    reduced_sq = rho_reduced(result.field, out.solution,
+                                             out.multiplier, data)
+            primal = energy_primal_discrete(out.solution, sysd.f_h, sysd.chi_h)
+            dual = energy_dual_discrete(flux, sysd.f_h, sysd.chi_h,
+                                        boundary_dof_values=sysd.boundary_values)
+            record = ErrorRecord(
+                level=level_no, h_max=mesh.h_max, dofs=sysd.dofmap.n_free,
+                errors=errs, estimator_sq=eta_sq, reduced_sq=reduced_sq,
+                primal_energy=primal, dual_energy=dual)
+            if config.uniform:
+                marked = np.arange(mesh.n_elements, dtype=np.int64)
+            else:
+                marked = doerfler_mark(result.breakdown.indicators, config.theta)
+            levels.append(AfemLevel(
+                record=record, mesh=mesh, outcome=out, flux=flux,
+                field=result.field, breakdown=result.breakdown, marked=marked,
+                contact=out.multiplier.values < 0.0,
+                seconds=time.perf_counter() - t0))
+            prev = out
+
+            if eta_sq <= config.eps_stop:
+                stop_reason = "estimator_tolerance"
+                break
+            if level_no == config.max_levels:
+                stop_reason = "max_levels"
+                break
+            next_mesh = refine_rgb(mesh, marked)
         except AdaptivityError as exc:
             raise AdaptivityError(str(exc), history=partial()) from exc
         except Exception as exc:
             raise AdaptivityError(
                 f"level {level_no} aborted: {exc}", history=partial()) from exc
-
-        sysd = out.system
-        eta_sq = result.breakdown.total_sq
-        errs = None
-        reduced_sq = math.nan
-        if data.exact is not None:
-            errs = exact_errors(out.solution, flux, out.multiplier, data)
-            if getattr(data.exact, "energy", None) is not None:
-                reduced_sq = rho_reduced(result.field, out.solution,
-                                         out.multiplier, data)
-        primal = energy_primal_discrete(out.solution, sysd.f_h, sysd.chi_h)
-        dual = energy_dual_discrete(flux, sysd.f_h, sysd.chi_h,
-                                    boundary_dof_values=sysd.boundary_values)
-        record = ErrorRecord(
-            level=level_no, h_max=mesh.h_max, dofs=sysd.dofmap.n_free,
-            errors=errs, estimator_sq=eta_sq, reduced_sq=reduced_sq,
-            primal_energy=primal, dual_energy=dual)
-        if config.uniform:
-            marked = np.arange(mesh.n_elements, dtype=np.int64)
-        else:
-            marked = doerfler_mark(result.breakdown.indicators, config.theta)
-        levels.append(AfemLevel(
-            record=record, mesh=mesh, outcome=out, flux=flux,
-            field=result.field, breakdown=result.breakdown, marked=marked,
-            contact=out.multiplier.values < 0.0,
-            seconds=time.perf_counter() - t0))
-        prev = out
-
-        if eta_sq <= config.eps_stop:
-            stop_reason = "estimator_tolerance"
-            break
-        if level_no == config.max_levels:
-            stop_reason = "max_levels"
-            break
-        next_mesh = refine_rgb(mesh, marked)
         if next_mesh.n_elements > config.max_elements:
             stop_reason = "element_budget"
             break

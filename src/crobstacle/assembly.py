@@ -147,24 +147,22 @@ class ProblemData:
         """Side-average interpolant values of the obstacle (one per side)."""
         return interp_cr(self.chi, mesh).dofs
 
-    def dirichlet_values_at(self, points: np.ndarray):
+    def dirichlet_values_at(self, points: np.ndarray) -> np.ndarray:
+        """Boundary data at ``(..., 2)`` points: zero, a constant or the callable's values."""
         if self.dirichlet_data is None:
-            return np.zeros(len(points))
+            return np.zeros(points.shape[:-1])
         if np.isscalar(self.dirichlet_data):
-            return np.full(len(points), float(self.dirichlet_data))
+            return np.full(points.shape[:-1], float(self.dirichlet_data))
         return np.asarray(self.dirichlet_data(points), dtype=float)
 
-    def validate_on(self, mesh: Mesh, *, side_values=None):
+    def validate_on(self, mesh: Mesh, *, side_values):
         """Check that the obstacle stays within 1e-12 of the boundary data on Dirichlet sides.
 
-        ``side_values`` are the obstacle's :meth:`chi_side_values` on
-        ``mesh`` when the caller already has them.
+        ``side_values`` are the obstacle's :meth:`chi_side_values` on ``mesh``.
         """
         dmask = mesh.dirichlet_side_mask
         if not dmask.any():
             return
-        if side_values is None:
-            side_values = self.chi_side_values(mesh)
         mids = mesh.side_midpoints[dmask]
         chi_vals = side_values[dmask]
         bdry = self.dirichlet_values_at(mids)
@@ -234,16 +232,16 @@ def assemble_load(mesh: Mesh, data: ProblemData) -> P0Function:
 
 
 def dirichlet_dof_values(mesh: Mesh, data: ProblemData) -> np.ndarray:
-    """Full-length side vector: boundary-data side averages on Dirichlet sides, else 0."""
+    """Full-length side vector: boundary-data side averages on Dirichlet sides, else 0.
+
+    The 2-point Gauss weights are ½ and ½, so a constant keeps its bits.
+    """
     values = np.zeros(mesh.n_sides)
     dmask = mesh.dirichlet_side_mask
-    if not dmask.any() or data.dirichlet_data is None:
-        return values
-    if np.isscalar(data.dirichlet_data):
-        values[dmask] = float(data.dirichlet_data)
+    if not dmask.any():
         return values
     rule = segment_rule(2)
     sides = np.flatnonzero(dmask)
-    pts = side_points(mesh, rule, sides)
-    values[sides] = np.asarray(data.dirichlet_data(pts)) @ rule.weights
+    values[sides] = (data.dirichlet_values_at(side_points(mesh, rule, sides))
+                     @ rule.weights)
     return values

@@ -148,55 +148,45 @@ def energy_primal_discrete(u: CrFunction, f_h: P0Function, chi_h: P0Function):
                  - (f_h.values * mesh.areas * means).sum())
 
 
-def energy_dual_discrete(y, f_h: P0Function, chi_h: P0Function,
-                         boundary_dof_values: np.ndarray | None = None):
-    """Discrete dual energy of a flux field.
+def energy_dual_discrete(y: DualField, f_h: P0Function, chi_h: P0Function, *,
+                         boundary_dof_values: np.ndarray):
+    """Discrete dual energy of a field from :func:`marini_flux`.
 
     ``-1/2 ||means(y)||^2 - (div y + f_h, chi_h)`` plus, for inhomogeneous
-    boundary values, the boundary pairing ``sum_S flux_S |S| g_S`` over
-    constrained sides.  A positive residual load ``div y + f_h`` anywhere
-    (beyond a relative slack) maps to ``-inf``.
+    boundary values ``boundary_dof_values`` (one per side), the boundary
+    pairing ``sum_S flux_S |S| g_S`` over constrained sides.  A positive
+    residual load ``div y + f_h`` anywhere (beyond a slack) maps to ``-inf``.
     """
-    if isinstance(y, DualField):
-        flux, div, means = y.flux, y.divergence.values, y.cell_average.values
-    else:
-        flux = y
-        div = y.divergence().values
-        means = y.element_means().values
+    flux, means = y.flux, y.cell_average.values
     mesh = flux.mesh
-    residual_load = div + f_h.values
+    residual_load = y.divergence.values + f_h.values
     slack = _SIGN_TOL * (1.0 + float(np.abs(f_h.values).max(initial=0.0)))
     if float(residual_load.max(initial=0.0)) > slack:
         return -math.inf
     value = float(-0.5 * (mesh.areas * (means ** 2).sum(axis=1)).sum()
                   - (residual_load * chi_h.values * mesh.areas).sum())
-    if boundary_dof_values is not None:
-        g = np.asarray(boundary_dof_values, dtype=float)
-        if np.any(g != 0.0):
-            mask = mesh.dirichlet_side_mask
-            value += float((flux.side_fluxes[mask] * mesh.side_lengths[mask]
-                            * g[mask]).sum())
+    g = np.asarray(boundary_dof_values, dtype=float)
+    if np.any(g != 0.0):
+        mask = mesh.dirichlet_side_mask
+        value += float((flux.side_fluxes[mask] * mesh.side_lengths[mask]
+                        * g[mask]).sum())
     return value
 
 
 # ----------------------------------------------------------------------
 # continuous energies
 # ----------------------------------------------------------------------
-def energy_primal_continuous(mesh: Mesh, data: ProblemData, values, gradients,
-                             points: np.ndarray | None = None) -> float:
+def energy_primal_continuous(mesh: Mesh, data: ProblemData, values, grad_sq,
+                             points: np.ndarray) -> float:
     """Dirichlet energy ``1/2 ||grad v||^2 - (f, v)`` by high-order quadrature.
 
-    ``values`` ``(n_elements, nq)`` and ``gradients`` ``(n_elements, nq, 2)``
-    are ``v`` and ``grad v`` sampled at the points of
-    ``triangle_rule(HIGH_ORDER_DEGREE)``.  ``points`` are those element
-    points when the caller already built them; they serve only to sample the
-    load.  Feasibility of ``v`` is the caller's responsibility.
+    ``values`` and ``grad_sq`` ``(n_elements, nq)`` are ``v`` and
+    ``|grad v|^2`` sampled at ``points``, the element points of
+    ``triangle_rule(HIGH_ORDER_DEGREE)``; the points serve only to sample
+    the load.  Feasibility of ``v`` is the caller's responsibility.
     """
     rule = triangle_rule(HIGH_ORDER_DEGREE)
-    grads = np.asarray(gradients, dtype=float)
-    density = 0.5 * (grads[..., 0] ** 2 + grads[..., 1] ** 2)
-    if points is None and callable(data.f):
-        points = element_points(mesh, rule.bary)
+    density = 0.5 * np.asarray(grad_sq, dtype=float)
     density -= (shared_sample(data.f, mesh, rule, points)
                 * np.asarray(values, dtype=float))
     return float(integrate_elementwise(mesh, rule, density).sum())
@@ -232,14 +222,11 @@ def energy_dual_continuous(mesh: Mesh, data: ProblemData, field: DualField,
         mesh, rule, (div_vals + f_vals) * chi_vals).sum())
 
     value = -0.5 * norm_sq - pairing
-    if data.dirichlet_data is not None:
-        mask = mesh.dirichlet_side_mask
-        if mask.any():
-            srule = segment_rule(_BOUNDARY_POINTS)
-            pts_s = side_points(mesh, srule, mask)
-            g_vals = data.dirichlet_values_at(
-                pts_s.reshape(-1, 2)).reshape(len(pts_s), -1)
-            side_integrals = (g_vals @ srule.weights) * mesh.side_lengths[mask]
-            value += float((field.flux.side_fluxes[mask] * side_integrals).sum())
+    mask = mesh.dirichlet_side_mask
+    if mask.any():
+        srule = segment_rule(_BOUNDARY_POINTS)
+        g_vals = data.dirichlet_values_at(side_points(mesh, srule, mask))
+        side_integrals = (g_vals @ srule.weights) * mesh.side_lengths[mask]
+        value += float((field.flux.side_fluxes[mask] * side_integrals).sum())
     return value
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import HIGH_ORDER_DEGREE, ProblemData
-from .duality import energy_primal_continuous
+from .duality import DualField, energy_primal_continuous
 from .mesh import Mesh
 from .spaces import (
     CrFunction,
@@ -129,15 +129,6 @@ class FieldSample:
         """``v - chi``, the field's height above the obstacle."""
         return np.maximum(self.p1 - self.chi, 0.0)
 
-    def gradients(self) -> np.ndarray:
-        """Active-branch gradients ``(n_elements, nq, 2)``."""
-        nodal = self.field.nodal.gradient().values
-        grads = np.repeat(nodal[:, None, :], self.p1.shape[1], axis=1)
-        active = self.chi > self.p1
-        if active.any():
-            grads[active] = self._obstacle_gradients(active)
-        return grads
-
     def gradient_error_sq(self, reference: np.ndarray) -> np.ndarray:
         """``|grad v - reference|^2`` for a per-element ``reference`` (n_elements, 2).
 
@@ -173,36 +164,33 @@ def postprocess_conforming(u: CrFunction, data: ProblemData) -> PostprocessedFie
     result matches the boundary condition at the mesh vertices and sits
     above the obstacle everywhere by construction.
     """
-    nodal = interp_av(u, data.dirichlet_data)
+    nodal = interp_av(u, data.dirichlet_values_at)
     return PostprocessedField(u.mesh, nodal, data)
 
 
 # ----------------------------------------------------------------------
 # Estimator contributions (per-element squared values)
 # ----------------------------------------------------------------------
-def eta_A(v: PostprocessedField, u: CrFunction,
-          sample: FieldSample | None = None) -> np.ndarray:
+def eta_A(v: PostprocessedField, u: CrFunction, sample: FieldSample) -> np.ndarray:
     """Per-element squared flux discrepancy ``|grad v - grad_h u|^2``.
 
-    ``sample`` is ``v`` sampled on the points of the high-order rule, when
-    the caller shares one pass between several parts.
+    ``sample`` is ``v`` sampled on the points of the high-order rule.
     """
     rule = triangle_rule(HIGH_ORDER_DEGREE)
-    sample = sample or v.sample(rule.bary)
     return integrate_elementwise(
         v.mesh, rule, sample.gradient_error_sq(u.gradient().values))
 
 
 def eta_B(v: PostprocessedField, multiplier: P0Function, data: ProblemData,
-          sample: FieldSample | None = None) -> np.ndarray:
+          sample: FieldSample) -> np.ndarray:
     """Per-element complementarity discrepancy ``(-mult)·|T|·mean(v - chi)``.
 
     Requires a nonpositive multiplier and ``v >= chi``; any per-element
     value below ``-1e-12`` signals a violated precondition and raises.
-    ``data`` must be the data ``v`` was post-processed with.
+    ``data`` must be the data ``v`` was post-processed with, and ``sample``
+    is ``v`` sampled on the points of the high-order rule.
     """
     rule = triangle_rule(HIGH_ORDER_DEGREE)
-    sample = sample or v.sample(rule.bary)
     gap = integrate_elementwise(v.mesh, rule, sample.excess)
     per_element = (-multiplier.values) * gap
     worst = float(per_element.min(initial=0.0))
@@ -221,17 +209,15 @@ def eta_C(multiplier: P0Function, f_h: P0Function, mesh: Mesh) -> np.ndarray:
 
 
 def oscillation(mesh: Mesh, data: ProblemData, f_h: P0Function,
-                points=None) -> np.ndarray:
+                points: np.ndarray) -> np.ndarray:
     """Per-element data oscillation ``h_T^2 * int_T (f - f_h)^2``.
 
-    ``points`` are the high-order rule's element points, when built.  Exactly
-    zero (by construction, not by quadrature) when ``f`` is a constant or a
-    piecewise constant on ``mesh`` and ``f_h`` is its projection; a piecewise
-    constant on another mesh raises.
+    ``points`` are the high-order rule's element points.  Exactly zero (by
+    construction, not by quadrature) when ``f`` is a constant or a piecewise
+    constant on ``mesh`` and ``f_h`` is its projection; a piecewise constant
+    on another mesh raises.
     """
     rule = triangle_rule(HIGH_ORDER_DEGREE)
-    if points is None and callable(data.f):
-        points = element_points(mesh, rule.bary)
     f = shared_sample(data.f, mesh, rule, points)
     diff_sq = (f - f_h.values[:, None]) ** 2
     return mesh.h_elements ** 2 * integrate_elementwise(mesh, rule, diff_sq)
@@ -242,10 +228,10 @@ def oscillation(mesh: Mesh, data: ProblemData, f_h: P0Function,
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class EstimatorBreakdown:
-    """Per-element estimator contributions with their global totals.
+    """Per-element estimator contributions and the global squared estimator.
 
-    All entries are squared quantities and must be nonnegative up to
-    roundoff (>= -1e-14); totals are plain sums over elements.
+    All entries are squared quantities and must be finite and nonnegative
+    up to roundoff (>= -1e-14).
     """
     mesh: Mesh
     eta_a_sq: np.ndarray
@@ -260,31 +246,15 @@ class EstimatorBreakdown:
                 raise EstimatorError(
                     f"{name} must have one entry per element, got shape "
                     f"{arr.shape}")
-            if float(arr.min(initial=0.0)) < -1e-14:
+            if not np.all(np.isfinite(arr)) or float(arr.min(initial=0.0)) < -1e-14:
                 raise EstimatorError(
-                    f"{name} has a negative entry ({arr.min():.3e})")
+                    f"{name} has a non-finite or negative entry ({arr.min():.3e})")
             object.__setattr__(self, name, arr)
 
     @property
     def indicators(self) -> np.ndarray:
         """Per-element refinement indicators (sum of the three parts)."""
         return self.eta_a_sq + self.eta_b_sq + self.eta_c_sq
-
-    @property
-    def total_a_sq(self) -> float:
-        return float(self.eta_a_sq.sum())
-
-    @property
-    def total_b_sq(self) -> float:
-        return float(self.eta_b_sq.sum())
-
-    @property
-    def total_c_sq(self) -> float:
-        return float(self.eta_c_sq.sum())
-
-    @property
-    def total_osc_sq(self) -> float:
-        return float(self.osc_sq.sum())
 
     @property
     def total_sq(self) -> float:
@@ -365,13 +335,14 @@ def rho_reduced(v: PostprocessedField, solution: CrFunction,
     pts = element_points(mesh, rule.bary)
     sample = v.sample(rule.bary, pts)
     chi = sample.chi
-    values, grads = sample.values, sample.gradients()
+    values = sample.values
+    grad_sq = sample.gradient_error_sq(np.zeros((mesh.n_elements, 2)))
     # Free the nodal part before the energy and the energy's inputs after
     # it: level-sized arrays kept past their use raise the run's peak memory.
     del sample
-    total = energy_primal_continuous(mesh, data, values, grads,
+    total = energy_primal_continuous(mesh, data, values, grad_sq,
                                      pts) - float(reference_energy)
-    del values, grads
+    del values, grad_sq
     if include_exact_terms:
         grad_h = solution.gradient().values
         grad_u = shared_sample(exact.grad_u, mesh, rule, pts)
@@ -436,12 +407,12 @@ def _element_means_vector(rt_field, rule) -> np.ndarray:
     return np.einsum("tqd,q->td", vals, rule.weights)
 
 
-def exact_errors(solution: CrFunction, flux, multiplier: P0Function,
+def exact_errors(solution: CrFunction, flux: DualField, multiplier: P0Function,
                  data: ProblemData) -> ExactErrors:
     """All error quantities of a level against the exact solution.
 
-    ``flux`` may be a reconstructed dual field (its flux component is
-    used) or a bare lowest-order flux function.
+    ``flux`` is the reconstructed field from ``marini_flux``: its flux gives
+    the flux errors and its ``cell_average`` the flux supercloseness.
     """
     exact = data.exact
     if exact is None:
@@ -464,17 +435,12 @@ def exact_errors(solution: CrFunction, flux, multiplier: P0Function,
     grad_supercloseness = math.sqrt(float(
         (((grad_h - grad_i) ** 2).sum(axis=1) * mesh.areas).sum()))
 
-    rt = flux.flux if hasattr(flux, "flux") else flux
-    flux_error = error(rt.eval_at(rule.bary))
+    flux_error = error(flux.flux.eval_at(rule.bary))
     z_i = interp_rt(exact.grad_u, mesh, segment_rule(_SIDE_RULE_POINTS))
     flux_error_interp = error(z_i.eval_at(rule.bary))
 
-    mean_rule = triangle_rule(2)
-    if hasattr(flux, "cell_average"):
-        zh_mean = flux.cell_average.values
-    else:
-        zh_mean = _element_means_vector(rt, mean_rule)
-    zi_mean = _element_means_vector(z_i, mean_rule)
+    zh_mean = flux.cell_average.values
+    zi_mean = _element_means_vector(z_i, triangle_rule(2))
     flux_supercloseness = math.sqrt(float(
         (((zh_mean - zi_mean) ** 2).sum(axis=1) * mesh.areas).sum()))
 

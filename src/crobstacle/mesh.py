@@ -595,8 +595,8 @@ def _write_scalar_blocks(lines, data, n, kind):
         lines.extend(f"{v:.16g}" for v in values)
 
 
-def export_vtk(mesh, path, cell_data=None, point_data=None):
-    """Write the mesh (plus optional per-element / per-vertex scalars) as legacy VTK."""
+def export_vtk(mesh, path, cell_data, point_data):
+    """Write the mesh and its per-element and per-vertex scalars as legacy VTK."""
     lines = [
         "# vtk DataFile Version 2.0",
         "crobstacle mesh",
@@ -609,10 +609,8 @@ def export_vtk(mesh, path, cell_data=None, point_data=None):
     lines.extend(f"3 {a} {b} {c}" for a, b, c in mesh.elem_vertices)
     lines.append(f"CELL_TYPES {mesh.n_elements}")
     lines.extend("5" for _ in range(mesh.n_elements))
-    if cell_data:
-        _write_scalar_blocks(lines, cell_data, mesh.n_elements, "CELL_DATA")
-    if point_data:
-        _write_scalar_blocks(lines, point_data, mesh.n_vertices, "POINT_DATA")
+    _write_scalar_blocks(lines, cell_data, mesh.n_elements, "CELL_DATA")
+    _write_scalar_blocks(lines, point_data, mesh.n_vertices, "POINT_DATA")
     path = Path(path)
     path.write_text("\n".join(lines) + "\n")
     return path

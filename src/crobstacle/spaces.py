@@ -18,8 +18,7 @@ Interpolants
   gradient).
 * :func:`interp_rt` -- side-flux interpolant (commutes with the divergence).
 * :func:`interp_av` -- vertex-averaging map from nonconforming to conforming
-  piecewise affines; on Dirichlet vertices the boundary data (default zero)
-  is imposed.
+  piecewise affines; on Dirichlet vertices the boundary data is imposed.
 * :func:`project_p0` -- element-mean projection.
 
 Quadrature
@@ -200,7 +199,7 @@ def _subdivide_rule(rule: QuadratureRule) -> QuadratureRule:
     return QuadratureRule(f"{rule.name}-x4", rule.degree, bary, weights)
 
 
-def segment_rule(n: int = 2) -> SegmentRule:
+def segment_rule(n: int) -> SegmentRule:
     """``n``-point Gauss rule on [0, 1] (degree ``2 n - 1``)."""
     if n < 1:
         raise SpaceError("segment rule needs at least one point")
@@ -496,10 +495,6 @@ class VertexFunction:
         g = np.einsum("tj,tjd->td", self.element_values(), self.mesh.bary_grads)
         return P0VectorField(self.mesh, g)
 
-    def to_cr(self) -> CrFunction:
-        mids = 0.5 * self.values[self.mesh.side_vertices].sum(axis=1)
-        return CrFunction(self.mesh, mids)
-
 
 # ----------------------------------------------------------------------
 # Interpolation and projection
@@ -523,20 +518,20 @@ def interp_cr(f, mesh: Mesh, rule: SegmentRule | None = None) -> CrFunction:
     return CrFunction(mesh, np.asarray(vals) @ rule.weights)
 
 
-def interp_rt(y, mesh: Mesh, rule: SegmentRule | None = None) -> Rt0Function:
+def interp_rt(y, mesh: Mesh, rule: SegmentRule) -> Rt0Function:
     """Side-flux interpolant of a vector callable into the lowest-order flux space."""
-    rule = rule or segment_rule(2)
     vals = np.asarray(y(side_points(mesh, rule)))   # (ns, nq, 2)
     normal_comp = np.einsum("sqd,sd->sq", vals, mesh.side_normals)
     return Rt0Function(mesh, normal_comp @ rule.weights)
 
 
-def interp_av(v: CrFunction, dirichlet_data=None) -> VertexFunction:
+def interp_av(v: CrFunction, boundary_values) -> VertexFunction:
     """Vertex-averaging map into the conforming space.
 
     Each vertex value is the arithmetic mean of the traces of the element
     affines meeting at that vertex; vertices on Dirichlet sides are assigned
-    the boundary data (a callable on coordinates, a constant, or zero).
+    ``boundary_values(coords)``, the boundary data at their ``(k, 2)``
+    coordinates (``ProblemData.dirichlet_values_at``).
     """
     mesh = v.mesh
     traces = v.vertex_traces()
@@ -546,12 +541,7 @@ def interp_av(v: CrFunction, dirichlet_data=None) -> VertexFunction:
     values = sums / np.maximum(counts, 1)
 
     dmask = mesh.dirichlet_vertex_mask()
-    if dirichlet_data is None:
-        values[dmask] = 0.0
-    elif np.isscalar(dirichlet_data):
-        values[dmask] = float(dirichlet_data)
-    else:
-        values[dmask] = dirichlet_data(mesh.vertex_coords[dmask])
+    values[dmask] = boundary_values(mesh.vertex_coords[dmask])
     return VertexFunction(mesh, values)
 
 

@@ -16,6 +16,7 @@ before this module was implemented:
 import functools
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -116,6 +117,15 @@ def test_mark_all_zero_gives_empty_set():
     assert marked.size == 0
 
 
+def test_mark_rejects_non_finite_indicators():
+    # NaN passes a "min < 0" test; unchecked, it marks every element
+    for value in (np.nan, np.inf):
+        ind = np.ones(8)
+        ind[2] = value
+        with pytest.raises(AdaptivityError, match="finite"):
+            doerfler_mark(ind, THETA)
+
+
 def test_mark_rejects_negative_indicators():
     with pytest.raises(AdaptivityError):
         doerfler_mark(np.array([1.0, -1e-9, 2.0]), 0.5)
@@ -177,7 +187,7 @@ def test_uniform_run_bookkeeping(smooth_uniform):
     dofs = [lvl.record.dofs for lvl in hist.levels]
     assert all(b > a for a, b in zip(dofs, dofs[1:]))
     for lvl in hist.levels:
-        assert lvl.n_marked == lvl.mesh.n_elements
+        assert len(lvl.marked) == lvl.mesh.n_elements
         assert lvl.seconds >= 0.0 and math.isfinite(lvl.seconds)
         assert lvl.record.errors is None
         assert lvl.record.estimator_sq > 0.0
@@ -228,6 +238,28 @@ def test_solver_failure_aborts_with_partial_history(monkeypatch):
     history = exc_info.value.history
     assert isinstance(history, AfemHistory)
     assert len(history.levels) == 0
+
+
+def test_late_failure_aborts_with_partial_history():
+    # the exact u fails on the refined second mesh: the failure comes in
+    # exact_errors, after that level's solve, flux and estimate succeeded
+    bench = ring()
+    mesh0 = bench.initial_mesh()
+    exact = bench.data.exact
+
+    def u(pts):
+        if len(pts) > max(mesh0.n_elements, mesh0.n_sides):
+            raise ValueError("no exact solution on this mesh")
+        return exact.u(pts)
+
+    data = replace(bench.data, exact=replace(exact, u=u))
+    with pytest.raises(AdaptivityError, match="level 2") as exc_info:
+        afem_run(data, AfemConfig(max_levels=5), mesh0)
+    assert isinstance(exc_info.value.__cause__, ValueError)
+    history = exc_info.value.history
+    assert isinstance(history, AfemHistory)
+    assert history.stop_reason == "aborted"
+    assert len(history.levels) == 1
 
 
 def test_history_requires_increasing_dofs(smooth_uniform):

@@ -218,12 +218,16 @@ class TestLoad:
 class TestProblemData:
     def test_obstacle_boundary_compatibility(self):
         m = square_mesh(2)
-        plain_data(chi=-1.0).validate_on(m)
-        plain_data(chi=0.0).validate_on(m)
+
+        def validate(data):
+            data.validate_on(m, side_values=data.chi_side_values(m))
+
+        validate(plain_data(chi=-1.0))
+        validate(plain_data(chi=0.0))
         with pytest.raises(AssemblyError):
-            plain_data(chi=0.5).validate_on(m)
+            validate(plain_data(chi=0.5))
         # positive obstacle is fine when the boundary data dominates it
-        plain_data(chi=0.5, dirichlet_data=1.0).validate_on(m)
+        validate(plain_data(chi=0.5, dirichlet_data=1.0))
 
     def test_discrete_obstacle_rejected(self):
         # the estimator samples the obstacle at quadrature points, which a
@@ -267,3 +271,6 @@ class TestProblemData:
         assert np.all(vals[~dmask] == 0.0)
         none = dirichlet_dof_values(m, plain_data())
         assert np.all(none == 0.0)
+        # a constant goes through the same 2-point average and keeps its bits
+        const = dirichlet_dof_values(m, plain_data(dirichlet_data=0.3))
+        assert np.all(const[dmask] == 0.3) and np.all(const[~dmask] == 0.0)

@@ -63,7 +63,7 @@ from crobstacle.spaces import (
     triangle_rule,
 )
 
-from util import grid_mesh
+from util import dual_field, grid_mesh
 
 # Tabulated reference errors for the radial benchmark on successive uniform
 # refinements (levels 1..7), and the convergence orders printed next to them.
@@ -82,6 +82,21 @@ REF_PAIRING_INTERP_L3 = 4.95e-3
 # corresponding *_INTERP approximation errors of the interpolants.
 REF_GRAD_SUPER_L3 = 0.1770
 REF_FLUX_SUPER_L3 = 0.0764
+
+
+def _high(v):
+    """``v`` sampled on the points of the estimator's degree-12 rule."""
+    return v.sample(triangle_rule(12).bary)
+
+
+def _high_points(mesh):
+    """The element points of the estimator's degree-12 rule."""
+    return element_points(mesh, triangle_rule(12).bary)
+
+
+def _grad_sq(sample):
+    """``|grad v|^2`` of a post-processed field at its sample points."""
+    return sample.gradient_error_sq(np.zeros((sample.field.mesh.n_elements, 2)))
 
 
 def _affine(a, b, c):
@@ -107,9 +122,10 @@ def ring_study():
         flux = marini_flux(out.solution, out.multiplier, out.system.f_h)
         res = estimate(out)
         errs = exact_errors(out.solution, flux, out.multiplier, data)
-        bary = triangle_rule(12).bary
-        i_v = energy_primal_continuous(mesh, data, res.field.values_on(bary),
-                                       res.field.sample(bary).gradients())
+        pts = _high_points(mesh)
+        sample = res.field.sample(triangle_rule(12).bary, pts)
+        i_v = energy_primal_continuous(mesh, data, sample.values,
+                                       _grad_sq(sample), pts)
         rho_full = rho_reduced(res.field, out.solution, out.multiplier, data)
         rho_energy = rho_reduced(res.field, out.solution, out.multiplier,
                                  data, include_exact_terms=False)
@@ -131,13 +147,12 @@ def test_postprocess_is_vertex_averaging_when_obstacle_far():
     u = CrFunction(mesh, rng.normal(size=mesh.n_sides))
     data = ProblemData(name="far", f=0.0, chi=-1e6)
     v = postprocess_conforming(u, data)
-    nodal = interp_av(u)
+    nodal = interp_av(u, data.dirichlet_values_at)
     rule = triangle_rule(3)
     assert np.array_equal(v.values_on(rule.bary), nodal.eval_at(rule.bary))
-    grads = v.sample(rule.bary).gradients()
-    expected = np.broadcast_to(nodal.gradient().values[:, None, :],
-                               grads.shape)
-    assert np.array_equal(grads, expected)
+    # the gradient is the nodal one at every point
+    assert np.all(v.sample(rule.bary).gradient_error_sq(
+        nodal.gradient().values) == 0.0)
 
 
 def test_postprocess_zero_solution_nonpositive_obstacle():
@@ -152,7 +167,7 @@ def test_postprocess_zero_solution_nonpositive_obstacle():
     v = postprocess_conforming(u, data)
     rule = triangle_rule(4)
     assert np.all(v.values_on(rule.bary) == 0.0)
-    assert np.all(v.sample(rule.bary).gradients() == 0.0)
+    assert np.all(_grad_sq(v.sample(rule.bary)) == 0.0)
 
 
 def test_postprocess_takes_pointwise_maximum():
@@ -165,7 +180,7 @@ def test_postprocess_takes_pointwise_maximum():
                            [0.3, 0.0], np.asarray(pts).shape))
     v = postprocess_conforming(u, data)
     rule = triangle_rule(4)
-    p1 = interp_av(u).eval_at(rule.bary)
+    p1 = interp_av(u, data.dirichlet_values_at).eval_at(rule.bary)
     chi_vals = chi(element_points(mesh, rule.bary))
     assert np.array_equal(v.values_on(rule.bary), np.maximum(p1, chi_vals))
     assert np.all(v.values_on(rule.bary) >= chi_vals)
@@ -195,17 +210,19 @@ def test_postprocess_gradient_uses_active_obstacle_branch():
     data = ProblemData(name="branch", f=0.0, chi=chi, chi_grad=chi_grad)
     v = postprocess_conforming(u, data)
     rule = triangle_rule(3)
-    grads = v.sample(rule.bary).gradients()
+    sample = v.sample(rule.bary)
     x = element_points(mesh, rule.bary)[..., 0]
     active = x > 0.5
-    assert np.allclose(grads[active], [1.0, 0.0], atol=1e-14)
-    assert np.all(grads[~active] == 0.0)
+    # |grad v - (1, 0)|^2 within (1e-14)^2 per component where chi is active
+    e_x = np.tile([1.0, 0.0], (mesh.n_elements, 1))
+    assert np.all(sample.gradient_error_sq(e_x)[active] <= 2e-28)
+    assert np.all(_grad_sq(sample)[~active] == 0.0)
 
     bare = ProblemData(name="branch-no-grad", f=0.0, chi=chi)
     v_bare = postprocess_conforming(u, bare)
     v_bare.values_on(rule.bary)  # values never need the obstacle gradient
     with pytest.raises(EstimatorError):
-        v_bare.sample(rule.bary).gradients()
+        _grad_sq(v_bare.sample(rule.bary))
 
 
 def test_postprocess_physical_point_evaluation_consistent():
@@ -226,11 +243,15 @@ def test_postprocess_physical_point_evaluation_consistent():
                      v.nodal.gradient().values[:, None, :])
     assert np.allclose(values, v.values_on(rule.bary),
                        atol=1e-12, rtol=1e-12)
-    assert np.allclose(grads, v.sample(rule.bary).gradients(),
-                       atol=1e-12, rtol=1e-12)
+    # |grad v - r|^2 for r = 0, e_x and e_y pins grad v down
+    for r in ([0.0, 0.0], [1.0, 0.0], [0.0, 1.0]):
+        ref = np.tile(r, (nt, 1))
+        assert np.allclose(((grads - ref[:, None, :]) ** 2).sum(axis=-1),
+                           v.sample(rule.bary).gradient_error_sq(ref),
+                           atol=1e-12, rtol=1e-12)
     assert np.array_equal(v.sample(rule.bary, pts).values, v.values_on(rule.bary))
-    assert np.array_equal(v.sample(rule.bary, pts).gradients(),
-                          v.sample(rule.bary).gradients())
+    assert np.array_equal(_grad_sq(v.sample(rule.bary, pts)),
+                          _grad_sq(v.sample(rule.bary)))
 
 
 def test_postprocess_pyramid_feasible_at_quadrature_nodes():
@@ -252,7 +273,7 @@ def test_eta_a_vanishes_when_averaging_reproduces():
     data = ProblemData(name="affine", f=0.0, chi=-1e6, dirichlet_data=g)
     u = interp_cr(g, mesh)
     v = postprocess_conforming(u, data)
-    vals = eta_A(v, u)
+    vals = eta_A(v, u, _high(v))
     assert vals.shape == (mesh.n_elements,)
     assert np.all(np.abs(vals) <= 1e-20)
 
@@ -265,17 +286,19 @@ def test_eta_a_matches_independent_quadrature():
     v = postprocess_conforming(u, data)
     # Obstacle far below: the integrand |grad I_av u - grad_h u|^2 is
     # constant per element, so any rule integrates it exactly.
-    nodal_vals = interp_av(u).values[mesh.elem_vertices]
+    nodal = interp_av(u, data.dirichlet_values_at)
+    nodal_vals = nodal.values[mesh.elem_vertices]
     p1_grads = np.einsum("tj,tjd->td", nodal_vals, mesh.bary_grads)
     cr_grads = u.gradient().values
     expected = ((p1_grads - cr_grads) ** 2).sum(axis=1) * mesh.areas
-    assert np.allclose(eta_A(v, u), expected, rtol=1e-13)
-    shared = v.sample(triangle_rule(12).bary)
-    assert np.array_equal(eta_A(v, u, shared), eta_A(v, u))
+    assert np.allclose(eta_A(v, u, _high(v)), expected, rtol=1e-13)
+    # a sample on points built by the caller gives the same bits
+    shared = v.sample(triangle_rule(12).bary, _high_points(mesh))
+    assert np.array_equal(eta_A(v, u, shared), eta_A(v, u, _high(v)))
 
 
 def test_eta_a_total_decreases_under_refinement(ring_study):
-    totals = [lvl.result.breakdown.total_a_sq for lvl in ring_study]
+    totals = [lvl.result.breakdown.eta_a_sq.sum() for lvl in ring_study]
     assert all(b < a for a, b in zip(totals, totals[1:]))
 
 
@@ -289,7 +312,7 @@ def test_eta_a_squared_decays_quadratically_without_contact():
         out = pdas_solve(mesh, data)
         assert not out.state.active.any()
         v = postprocess_conforming(out.solution, data)
-        totals.append(eta_A(v, out.solution).sum())
+        totals.append(eta_A(v, out.solution, _high(v)).sum())
         hs.append(mesh.h_max)
         mesh = refine_rgb(mesh)
     slope = np.polyfit(np.log(hs), np.log(totals), 1)[0]
@@ -306,7 +329,7 @@ def test_eta_b_zero_without_contact():
     data = ProblemData(name="nocontact", f=0.0, chi=-5.0)
     v = postprocess_conforming(u, data)
     lam = P0Function(mesh, np.zeros(mesh.n_elements))
-    assert np.all(eta_B(v, lam, data) == 0.0)
+    assert np.all(eta_B(v, lam, data, _high(v)) == 0.0)
 
 
 def test_eta_b_zero_when_postprocessing_sits_on_obstacle():
@@ -315,7 +338,7 @@ def test_eta_b_zero_when_postprocessing_sits_on_obstacle():
     data = ProblemData(name="flat", f=-4.0, chi=0.0)
     v = postprocess_conforming(u, data)
     lam = P0Function(mesh, np.full(mesh.n_elements, -3.0))
-    assert np.all(eta_B(v, lam, data) == 0.0)
+    assert np.all(eta_B(v, lam, data, _high(v)) == 0.0)
 
 
 def test_eta_b_hand_value_for_affine_gap():
@@ -329,7 +352,7 @@ def test_eta_b_hand_value_for_affine_gap():
     # v - chi is affine per element; its mean is the value at the centroid.
     centroid_vals = v.nodal.element_values().mean(axis=1)
     expected = (-lam_vals) * mesh.areas * (centroid_vals + 1.0)
-    assert np.allclose(eta_B(v, lam, data), expected, rtol=1e-13)
+    assert np.allclose(eta_B(v, lam, data, _high(v)), expected, rtol=1e-13)
 
 
 def test_eta_b_rejects_positive_multiplier():
@@ -339,7 +362,7 @@ def test_eta_b_rejects_positive_multiplier():
     v = postprocess_conforming(u, data)
     lam = P0Function(mesh, np.full(mesh.n_elements, 1.0))
     with pytest.raises(EstimatorError):
-        eta_B(v, lam, data)
+        eta_B(v, lam, data, _high(v))
 
 
 def test_eta_b_supported_on_discrete_contact_zone(ring_study):
@@ -380,7 +403,7 @@ def test_eta_c_closed_form_for_constant_load():
 
 def test_eta_c_total_decays_quadratically(ring_study):
     hs = [lvl.h for lvl in ring_study[1:]]
-    totals = [lvl.result.breakdown.total_c_sq for lvl in ring_study[1:]]
+    totals = [lvl.result.breakdown.eta_c_sq.sum() for lvl in ring_study[1:]]
     slope = np.polyfit(np.log(hs), np.log(totals), 1)[0]
     assert 1.8 <= slope <= 2.2
 
@@ -392,7 +415,7 @@ def test_oscillation_zero_for_constant_load():
     mesh = grid_mesh(2, 2)
     data = ProblemData(name="const", f=-2.0, chi=0.0)
     f_h = P0Function(mesh, np.full(mesh.n_elements, -2.0))
-    assert np.all(oscillation(mesh, data, f_h) == 0.0)
+    assert np.all(oscillation(mesh, data, f_h, _high_points(mesh)) == 0.0)
 
 
 def test_oscillation_matches_independent_quadrature():
@@ -406,8 +429,8 @@ def test_oscillation_matches_independent_quadrature():
     pts = element_points(mesh, rule.bary)
     diff_sq = (f(pts) - f_h.values[:, None]) ** 2
     expected = mesh.h_elements ** 2 * integrate_elementwise(mesh, rule, diff_sq)
-    assert np.allclose(oscillation(mesh, data, f_h), expected,
-                       rtol=1e-12, atol=1e-16)
+    got = oscillation(mesh, data, f_h, _high_points(mesh))
+    assert np.allclose(got, expected, rtol=1e-12, atol=1e-16)
 
 
 class TestOsc:
@@ -420,7 +443,7 @@ class TestOsc:
     @staticmethod
     def osc(mesh, data):
         f_h = assemble_load(mesh, data)
-        per = oscillation(mesh, data, f_h)
+        per = oscillation(mesh, data, f_h, _high_points(mesh))
         return per, float(per.sum())
 
     def test_constant_zero_exactly(self):
@@ -463,7 +486,7 @@ def test_oscillation_rejects_load_on_another_mesh():
     data = _plain_data(f=P0Function(other, np.ones(other.n_elements)))
     f_h = P0Function(mesh, np.ones(mesh.n_elements))
     with pytest.raises(SpaceError):
-        oscillation(mesh, data, f_h)
+        oscillation(mesh, data, f_h, _high_points(mesh))
 
 
 def test_estimate_with_piecewise_constant_load_matches_scalar_load():
@@ -489,10 +512,8 @@ def test_breakdown_totals_are_sums():
     rng = np.random.default_rng(1)
     parts = [rng.uniform(0.0, 1.0, mesh.n_elements) for _ in range(4)]
     bd = EstimatorBreakdown(mesh, *parts)
-    assert bd.total_a_sq == pytest.approx(parts[0].sum(), rel=1e-15)
-    assert bd.total_b_sq == pytest.approx(parts[1].sum(), rel=1e-15)
-    assert bd.total_c_sq == pytest.approx(parts[2].sum(), rel=1e-15)
-    assert bd.total_osc_sq == pytest.approx(parts[3].sum(), rel=1e-15)
+    for name, part in zip(("eta_a_sq", "eta_b_sq", "eta_c_sq", "osc_sq"), parts):
+        assert np.array_equal(getattr(bd, name), part)
     assert np.allclose(bd.indicators, parts[0] + parts[1] + parts[2],
                        rtol=1e-15)
     assert bd.total_sq == pytest.approx(bd.indicators.sum(), rel=1e-14)
@@ -510,19 +531,34 @@ def test_breakdown_rejects_negative_entries():
         EstimatorBreakdown(mesh, bad, good, good, good)
 
 
+def test_breakdown_rejects_non_finite_entries():
+    # NaN passes a "min < -tol" test; it would make total_sq NaN
+    mesh = grid_mesh(2, 2)
+    good = np.zeros(mesh.n_elements)
+    for value in (np.nan, np.inf):
+        bad = good.copy()
+        bad[3] = value
+        for k in range(4):
+            parts = [good] * 4
+            parts[k] = bad
+            with pytest.raises(EstimatorError, match="non-finite"):
+                EstimatorBreakdown(mesh, *parts)
+
+
 def test_estimate_composes_the_parts(ring_study):
     lvl = ring_study[1]
     out, res = lvl.out, lvl.result
     data = out.system.data
     assert np.allclose(res.breakdown.eta_a_sq,
-                       eta_A(res.field, out.solution), rtol=1e-13)
+                       eta_A(res.field, out.solution, _high(res.field)), rtol=1e-13)
     assert np.allclose(res.breakdown.eta_b_sq,
-                       eta_B(res.field, out.multiplier, data), rtol=1e-13)
+                       eta_B(res.field, out.multiplier, data, _high(res.field)), rtol=1e-13)
     assert np.allclose(res.breakdown.eta_c_sq,
                        eta_C(out.multiplier, out.system.f_h, lvl.mesh),
                        rtol=1e-13)
     assert np.allclose(res.breakdown.osc_sq,
-                       oscillation(lvl.mesh, data, out.system.f_h),
+                       oscillation(lvl.mesh, data, out.system.f_h,
+                                   _high_points(lvl.mesh)),
                        rtol=1e-13)
 
 
@@ -607,9 +643,10 @@ def test_rho_reduced_variant_drops_exact_solution_terms(ring_study):
     lvl = ring_study[1]
     out, data = lvl.out, lvl.out.system.data
     v = lvl.result.field
-    bary = triangle_rule(12).bary
-    i_v = energy_primal_continuous(lvl.mesh, data, v.values_on(bary),
-                                   v.sample(bary).gradients())
+    pts = _high_points(lvl.mesh)
+    sample = v.sample(triangle_rule(12).bary, pts)
+    i_v = energy_primal_continuous(lvl.mesh, data, sample.values,
+                                   _grad_sq(sample), pts)
     assert lvl.rho_energy == pytest.approx(i_v - RING_ENERGY, abs=1e-10)
     # the dropped terms: broken gradient error squared plus the pairing of
     # the discrete constraint force with the exact gap
@@ -633,7 +670,7 @@ def test_exact_errors_interpolant_identities():
     u_i = interp_cr(data.exact.u, mesh, segment_rule(6))
     z_i = interp_rt(data.exact.grad_u, mesh, segment_rule(6))
     lam = P0Function(mesh, np.zeros(mesh.n_elements))
-    errs = exact_errors(u_i, z_i, lam, data)
+    errs = exact_errors(u_i, dual_field(z_i), lam, data)
     # The discrete fields coincide with the interpolants, so the distance
     # to the interpolants vanishes while the plain errors reduce to the
     # interpolants' own approximation errors.
@@ -780,7 +817,8 @@ def test_error_history_csv_deterministic(tmp_path, ring_study):
 def test_breakdown_exports_to_vtk(tmp_path, ring_study):
     lvl = ring_study[0]
     path = tmp_path / "estimator.vtk"
-    export_vtk(lvl.mesh, path, cell_data=lvl.result.breakdown.cell_data())
+    export_vtk(lvl.mesh, path, cell_data=lvl.result.breakdown.cell_data(),
+               point_data={})
     text = path.read_text()
     assert "CELL_DATA" in text
     assert "estimator_sq" in text

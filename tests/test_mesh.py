@@ -430,7 +430,8 @@ class TestPatchesStatsExport:
     def test_vtk_bad_data_length(self, tmp_path):
         m = square(1)
         with pytest.raises(MeshError):
-            export_vtk(m, tmp_path / "bad.vtk", cell_data={"x": np.zeros(7)})
+            export_vtk(m, tmp_path / "bad.vtk", cell_data={"x": np.zeros(7)},
+                       point_data={})
 
     def test_edge_counts_oracle_matches_side_arrays(self):
         m = lshape_mesh(4)

@@ -121,11 +121,8 @@ def _passes(call, index, param):
     return any(k.arg in (param, None) for k in call.keywords)
 
 
-def test_every_setting_is_passed_or_kept():
-    # A public function, method or constructor parameter with a default is
-    # a setting.  Some call in src/ or perfbench/ (its tests aside) must pass
-    # it, by position or by keyword, or KEPT_SETTINGS must name it.  Calls
-    # are matched by the callee's name; dataclass fields are not covered.
+def _program():
+    """The settings of ``src/crobstacle`` and the program's calls by callee name."""
     trees = {path: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted((SRC / "crobstacle").glob("*.py"))
              + sorted((ROOT / "perfbench").glob("*.py"))}
@@ -135,9 +132,41 @@ def test_every_setting_is_passed_or_kept():
             if isinstance(call, ast.Call):
                 name = getattr(call.func, "id", getattr(call.func, "attr", None))
                 calls.setdefault(name, []).append(call)
+    settings = [setting for path, tree in trees.items()
+                if path.parent.name == "crobstacle" for setting in _settings(tree)]
+    return settings, calls
+
+
+def test_every_setting_is_passed_or_kept():
+    # A public function, method or constructor parameter with a default is
+    # a setting.  Some call in src/ or perfbench/ (its tests aside) must pass
+    # it, by position or by keyword, or KEPT_SETTINGS must name it.  Calls
+    # are matched by the callee's name; dataclass fields are not covered.
+    settings, calls = _program()
     unused = sorted(
-        label
-        for path, tree in trees.items() if path.parent.name == "crobstacle"
-        for label, callee, index, param in _settings(tree)
+        label for label, callee, index, param in settings
         if not any(_passes(c, index, param) for c in calls.get(callee, ())))
     assert unused == sorted(KEPT_SETTINGS), unused
+
+
+#: defaulted parameters that no call in the program leaves at its default,
+#: each kept for a reason; a default that only tests use belongs in the tests
+KEPT_DEFAULTS = {
+    "Mesh.side_labeler": "build_structured passes its boundary_rule, whose "
+                         "default every benchmark uses",
+    "build_structured.pattern": "each benchmark names its diagonals; a mesh "
+                                "built by hand takes the alternating ones",
+    "refine_rgb.marked": "None is uniform red refinement",
+    "AfemHistory.decay_slope.skip": "drops a pre-asymptotic transient from a rate fit",
+}
+
+
+def test_every_default_is_used_or_kept():
+    # The mirror of the lint above: some call in src/ or perfbench/ (its
+    # tests aside) must omit each defaulted parameter, so that its default
+    # is the program's own value, or KEPT_DEFAULTS must name it.
+    settings, calls = _program()
+    unused = sorted(
+        label for label, callee, index, param in settings
+        if all(_passes(c, index, param) for c in calls.get(callee, ())))
+    assert unused == sorted(KEPT_DEFAULTS), unused

@@ -48,7 +48,7 @@ from crobstacle.spaces import (
 from crobstacle import spaces as spaces_mod
 from crobstacle.benchmarks import corner, pyramid, ring
 
-from util import eval_cr, side_values
+from util import eval_cr, side_values, zero_boundary_data
 
 
 def reference_triangle():
@@ -423,7 +423,7 @@ class TestInterpolants:
         y = lambda p: np.stack(
             [p[..., 0] ** 2 + p[..., 1], p[..., 0] * p[..., 1] - 3.0], axis=-1)
         divy = lambda p: 2 * p[..., 0] + p[..., 0]
-        z = interp_rt(y, mesh)
+        z = interp_rt(y, mesh, segment_rule(2))
         got = z.divergence().values
         rule = triangle_rule(5)
         pts = element_points(mesh, rule.bary)
@@ -450,26 +450,26 @@ class TestInterpolants:
         rng = np.random.default_rng(5)
         w = rng.normal(size=mesh.n_vertices)
         w[mesh.dirichlet_vertex_mask()] = 0.0
-        v = VertexFunction(mesh, w).to_cr()
-        got = interp_av(v)
+        v = CrFunction(mesh, 0.5 * w[mesh.side_vertices].sum(axis=1))
+        got = interp_av(v, zero_boundary_data)
         assert np.allclose(got.values, w, atol=1e-12)
 
     def test_interp_av_with_boundary_data(self):
         mesh = lshape_mesh(2)
         g = lambda p: 1.0 + p[..., 0] - 2.0 * p[..., 1]
         w = g(mesh.vertex_coords)
-        v = VertexFunction(mesh, w).to_cr()
-        got = interp_av(v, dirichlet_data=g)
+        v = CrFunction(mesh, 0.5 * w[mesh.side_vertices].sum(axis=1))
+        got = interp_av(v, g)
         assert np.allclose(got.values, w, atol=1e-12)
-        # without data, Dirichlet vertices are forced to zero
-        hom = interp_av(v)
+        # zero data forces the Dirichlet vertices to zero
+        hom = interp_av(v, zero_boundary_data)
         assert np.allclose(hom.values[mesh.dirichlet_vertex_mask()], 0.0)
 
     def test_interp_av_averages_interior(self):
         mesh = lshape_mesh(2)
         rng = np.random.default_rng(6)
         v = CrFunction(mesh, rng.normal(size=mesh.n_sides))
-        got = interp_av(v)
+        got = interp_av(v, zero_boundary_data)
         traces = v.vertex_traces()
         interior = ~mesh.dirichlet_vertex_mask()
         for z in np.flatnonzero(interior):
@@ -556,7 +556,7 @@ class TestRt0:
                 out[s] = side_values(z, [s], tpts, "minus")[0]
             return out
 
-        w = interp_rt(callable_z, mesh)
+        w = interp_rt(callable_z, mesh, segment_rule(2))
         assert np.allclose(w.side_fluxes, z.side_fluxes, atol=1e-12)
 
 

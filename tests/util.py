@@ -9,6 +9,7 @@ route to the barycentric evaluation the package uses.
 
 import numpy as np
 
+from crobstacle.duality import DualField
 from crobstacle.spaces import (
     CrFunction,
     P0Function,
@@ -266,6 +267,20 @@ def make_feasible_competitor(rng, mesh, dofmap, boundary_values, chi_means,
         free = [s for s in sides if dofmap.side_to_free[s] >= 0]
         full[free[0]] += 3.0 * deficit[worst] + 1e-12
     raise AssertionError("feasibility repair did not terminate")
+
+
+# ----------------------------------------------------------------------
+# Inputs in the one form the package takes
+# ----------------------------------------------------------------------
+def zero_boundary_data(points):
+    """Homogeneous boundary data at ``(..., 2)`` points, as ``interp_av`` takes it."""
+    return np.zeros(np.shape(points)[:-1])
+
+
+def dual_field(flux):
+    """A bare lowest-order flux wrapped as the field ``marini_flux`` returns."""
+    return DualField(flux=flux, divergence=flux.divergence(),
+                     cell_average=flux.element_means(), max_normal_jump=0.0)
 
 
 # ----------------------------------------------------------------------

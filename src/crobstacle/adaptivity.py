@@ -193,9 +193,8 @@ def afem_run(data: ProblemData, config: AfemConfig, mesh0: Mesh) -> AfemHistory:
                 out = pdas_solve(mesh, data)
             else:
                 system = build_system(mesh, data)
-                dm = system.dofmap
-                free = prolong_cr(prev.solution, mesh).dofs[dm.free_sides]
-                mult = prolong_p0(prev.multiplier, mesh).values[dm.elements]
+                free = prolong_cr(prev.solution, mesh).dofs[system.dofmap.free_sides]
+                mult = prolong_p0(prev.multiplier, mesh).values
                 out = pdas_solve(system=system, init=(free, mult))
             if not out.converged:
                 raise AdaptivityError(

@@ -9,13 +9,13 @@ The discrete complementarity system couples
   and their element means ``chi_h``,
 * the element load values ``f_h`` (element-mean projection of ``f``).
 
-Elements whose sides are all constrained have an empty coupling column and
-are excluded from the multiplier enumeration (:func:`find_excluded_element`).
+Every element carries a multiplier, so each element needs a free side:
+:func:`find_excluded_element` names the empty coupling columns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -62,15 +62,12 @@ class DofMap:
     """Enumerations of the free side dofs and the multiplier elements.
 
     ``free_sides`` lists the non-Dirichlet sides in ascending order;
-    ``elements`` lists the elements carrying a multiplier (all elements,
-    minus any excluded ones whose sides are all constrained).
+    ``elements`` lists the elements carrying a multiplier: all of them.
     """
     mesh: Mesh
     free_sides: np.ndarray
     side_to_free: np.ndarray
     elements: np.ndarray
-    elem_to_col: np.ndarray
-    excluded_elements: tuple = ()
 
     @property
     def n_free(self) -> int:
@@ -80,22 +77,12 @@ class DofMap:
     def n_multipliers(self) -> int:
         return len(self.elements)
 
-    def exclude(self, elements) -> "DofMap":
-        """A new map without the given multiplier elements."""
-        excluded = sorted(set(self.excluded_elements) | {int(e) for e in elements})
-        keep = np.setdiff1d(np.arange(self.mesh.n_elements), np.asarray(excluded))
-        elem_to_col = np.full(self.mesh.n_elements, -1, dtype=np.int64)
-        elem_to_col[keep] = np.arange(len(keep))
-        return replace(self, elements=keep, elem_to_col=elem_to_col,
-                       excluded_elements=tuple(excluded))
-
 
 def build_dofmap(mesh: Mesh) -> DofMap:
     free = np.flatnonzero(~mesh.dirichlet_side_mask)
     side_to_free = np.full(mesh.n_sides, -1, dtype=np.int64)
     side_to_free[free] = np.arange(len(free))
-    elements = np.arange(mesh.n_elements)
-    return DofMap(mesh, free, side_to_free, elements, elements.copy())
+    return DofMap(mesh, free, side_to_free, np.arange(mesh.n_elements))
 
 
 # ----------------------------------------------------------------------
@@ -106,20 +93,19 @@ class ExactSolution:
     """Reference solution data for benchmark error studies."""
     u: Callable
     grad_u: Callable
-    lam: Optional[Callable] = None
-    energy: Optional[float] = None
-    contact: Optional[Callable] = None
+    lam: Optional[Callable]
+    energy: Optional[float]
+    contact: Optional[Callable]
 
 
 @dataclass(frozen=True)
 class ProblemData:
     """Data of one obstacle problem instance.
 
-    ``f`` may be a scalar, a vectorised callable on coordinate arrays, or a
-    :class:`P0Function`; the obstacle ``chi`` is a scalar or a vectorised
-    callable.  Anything else (a ``CrFunction`` or ``VertexFunction`` load, a
-    piecewise-constant obstacle) raises :class:`AssemblyError`: the
-    estimator samples both at quadrature points.
+    The load ``f`` and the obstacle ``chi`` are each a scalar or a
+    vectorised callable on coordinate arrays.  Anything else (a field on
+    one mesh, such as a ``P0Function`` load or obstacle) raises
+    :class:`AssemblyError`: every level samples both at its own points.
     ``chi_grad`` (vector callable) is needed only by estimator routines when
     the obstacle is active and non-affine.
     ``dirichlet_data`` (callable or scalar) imposes inhomogeneous boundary
@@ -133,10 +119,9 @@ class ProblemData:
     exact: Optional[ExactSolution] = None
 
     def __post_init__(self):
-        if not (np.isscalar(self.f) or callable(self.f)
-                or isinstance(self.f, P0Function)):
+        if not (np.isscalar(self.f) or callable(self.f)):
             raise AssemblyError(
-                "the load must be a scalar, a callable or a P0Function, got "
+                "the load must be a scalar or a callable, got "
                 f"{type(self.f).__name__}")
         if not (np.isscalar(self.chi) or callable(self.chi)):
             raise AssemblyError(
@@ -191,9 +176,9 @@ def assemble_coupling(mesh: Mesh, dofmap: DofMap) -> sp.csr_array:
     """Coupling matrix: entry (side S, element T) = |T| / 3 for free S of T."""
     es = mesh.elem_sides                               # (nt, 3)
     free_row = dofmap.side_to_free[es]                 # -1 where constrained
-    col = np.broadcast_to(dofmap.elem_to_col[:, None], es.shape)
+    col = np.broadcast_to(dofmap.elements[:, None], es.shape)
     vals = np.broadcast_to((mesh.areas / 3.0)[:, None], es.shape)
-    keep = (free_row >= 0) & (col >= 0)
+    keep = free_row >= 0
     return sp.coo_array((vals[keep], (free_row[keep], col[keep])),
                         shape=(dofmap.n_free, dofmap.n_multipliers)).tocsr()
 
@@ -202,8 +187,8 @@ def find_excluded_element(P: sp.csr_array):
     """Element columns of the coupling matrix with empty support.
 
     Returns a list of column indices (ascending); empty when every element
-    couples to at least one free side.  The caller shrinks the dof map with
-    :meth:`DofMap.exclude` and drops the columns.
+    couples to at least one free side.  Only a triangle whose three sides
+    are all Dirichlet sides has an empty column.
     """
     csc = P.tocsc()
     csc.eliminate_zeros()

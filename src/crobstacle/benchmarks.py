@@ -47,7 +47,7 @@ class BenchmarkDefinition:
     domain: object
     initial_divisions: int
     data: ProblemData
-    description: str = ""
+    description: str
     mesh_pattern: str = "alternating"
 
     def initial_mesh(self) -> Mesh:

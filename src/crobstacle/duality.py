@@ -2,11 +2,13 @@
 
 From a converged constrained solve, a lowest-order normal-continuous flux
 field is reconstructed elementwise as the broken gradient plus a radial
-correction scaled by the residual load ``(multiplier - f_h)/2``; its
-divergence reproduces ``multiplier - f_h`` and its element means reproduce
-the broken gradient.  The discrete primal and dual energies computed from
-such a pair coincide exactly (strong duality), providing a machine-precision
-consistency check on any solve.
+correction scaled by ``(multiplier - f_h)/2``; its divergence is
+``multiplier - f_h`` and its element means reproduce the broken gradient.
+So the residual load ``div y + f_h`` of the dual energy is the multiplier
+itself, and the dual energies read it from the :class:`DualField` instead
+of differencing side fluxes.  The discrete primal and dual energies computed
+from such a pair coincide exactly (strong duality), providing a
+machine-precision consistency check on any solve.
 
 An infeasible input has the energy ``+inf`` (primal) or ``-inf`` (dual), so
 the gap ``primal - dual`` is ``+inf`` whenever either side is infeasible.
@@ -65,16 +67,17 @@ _BOUNDARY_POINTS = 8
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class DualField:
-    """Reconstructed flux with its divergence and element means.
+    """Reconstructed flux with its residual load and element means.
 
-    Invariants (up to roundoff): the element means equal the broken gradient
-    of the generating solution, the divergence equals ``multiplier - f_h``,
-    and normal components are single-valued across interior sides.
+    ``residual_load`` is the multiplier the flux was reconstructed with:
+    ``div flux + f_h``, exact by construction.  Invariants (up to roundoff):
+    the element means equal the broken gradient of the generating solution,
+    the divergence equals ``residual_load - f_h``, and normal components
+    are single-valued across interior sides.
     """
     flux: Rt0Function
-    divergence: P0Function
+    residual_load: P0Function
     cell_average: P0VectorField
-    max_normal_jump: float
 
     @property
     def mesh(self) -> Mesh:
@@ -123,9 +126,8 @@ def marini_flux(solution: CrFunction, multiplier: P0Function,
 
     fluxes = np.where(has_plus, 0.5 * (flux_minus + flux_plus), flux_minus)
     flux = Rt0Function(mesh, fluxes)
-    return DualField(flux=flux, divergence=flux.divergence(),
-                     cell_average=flux.element_means(),
-                     max_normal_jump=max_jump)
+    return DualField(flux=flux, residual_load=multiplier,
+                     cell_average=flux.element_means())
 
 
 # ----------------------------------------------------------------------
@@ -154,12 +156,13 @@ def energy_dual_discrete(y: DualField, f_h: P0Function, chi_h: P0Function, *,
 
     ``-1/2 ||means(y)||^2 - (div y + f_h, chi_h)`` plus, for inhomogeneous
     boundary values ``boundary_dof_values`` (one per side), the boundary
-    pairing ``sum_S flux_S |S| g_S`` over constrained sides.  A positive
-    residual load ``div y + f_h`` anywhere (beyond a slack) maps to ``-inf``.
+    pairing ``sum_S flux_S |S| g_S`` over constrained sides.  The residual
+    load ``div y + f_h`` is ``y.residual_load``; a positive value anywhere
+    (beyond a slack relative to ``f_h``) maps to ``-inf``.
     """
     flux, means = y.flux, y.cell_average.values
     mesh = flux.mesh
-    residual_load = y.divergence.values + f_h.values
+    residual_load = y.residual_load.values
     slack = _SIGN_TOL * (1.0 + float(np.abs(f_h.values).max(initial=0.0)))
     if float(residual_load.max(initial=0.0)) > slack:
         return -math.inf
@@ -198,12 +201,13 @@ def energy_dual_continuous(mesh: Mesh, data: ProblemData, field: DualField,
 
     ``-1/2 ||y||^2`` is integrated exactly (the integrand is quadratic per
     element); the obstacle pairing ``-(div y + f, chi)`` uses the high-order
-    rule with the continuous load; the sign indicator is evaluated with the
-    projected load ``f_h`` (for non-constant loads the difference is an
-    oscillation-order effect); inhomogeneous boundary values contribute
+    rule with the continuous load and ``div y = residual_load - f_h``; the
+    sign test reads ``residual_load``, the residual of the projected load
+    ``f_h`` (for non-constant loads the difference is an oscillation-order
+    effect); inhomogeneous boundary values contribute
     ``sum_S flux_S int_S g``.  A positive residual load maps to ``-inf``.
     """
-    residual_load = field.divergence.values + f_h.values
+    residual_load = field.residual_load.values
     slack = _SIGN_TOL * (1.0 + float(np.abs(f_h.values).max(initial=0.0)))
     if float(residual_load.max(initial=0.0)) > slack:
         return -math.inf
@@ -215,9 +219,9 @@ def energy_dual_continuous(mesh: Mesh, data: ProblemData, field: DualField,
 
     rule = triangle_rule(HIGH_ORDER_DEGREE)
     pts = element_points(mesh, rule.bary)
-    chi_vals = sample_data(data.chi, mesh, pts)
+    chi_vals = sample_data(data.chi, pts)
     f_vals = shared_sample(data.f, mesh, rule, pts)
-    div_vals = field.divergence.values[:, None]
+    div_vals = (residual_load - f_h.values)[:, None]
     pairing = float(integrate_elementwise(
         mesh, rule, (div_vals + f_vals) * chi_vals).sum())
 

@@ -105,7 +105,7 @@ class PostprocessedField:
         if points is None:
             points = element_points(self.mesh, bary)
         return FieldSample(self, points, self.nodal.eval_at(bary),
-                           sample_data(self.data.chi, self.mesh, points))
+                           sample_data(self.data.chi, points))
 
 
 @dataclass(frozen=True)
@@ -148,7 +148,7 @@ class FieldSample:
     def _obstacle_gradients(self, active) -> np.ndarray:
         """Obstacle gradients ``(k, 2)`` at the ``k`` active points."""
         data = self.field.data
-        if not callable(data.chi):   # constant or piecewise constant
+        if not callable(data.chi):   # constant
             return np.zeros((int(active.sum()), 2))
         if data.chi_grad is None:
             raise EstimatorError(
@@ -181,14 +181,13 @@ def eta_A(v: PostprocessedField, u: CrFunction, sample: FieldSample) -> np.ndarr
         v.mesh, rule, sample.gradient_error_sq(u.gradient().values))
 
 
-def eta_B(v: PostprocessedField, multiplier: P0Function, data: ProblemData,
+def eta_B(v: PostprocessedField, multiplier: P0Function,
           sample: FieldSample) -> np.ndarray:
     """Per-element complementarity discrepancy ``(-mult)·|T|·mean(v - chi)``.
 
     Requires a nonpositive multiplier and ``v >= chi``; any per-element
     value below ``-1e-12`` signals a violated precondition and raises.
-    ``data`` must be the data ``v`` was post-processed with, and ``sample``
-    is ``v`` sampled on the points of the high-order rule.
+    ``sample`` is ``v`` sampled on the points of the high-order rule.
     """
     rule = triangle_rule(HIGH_ORDER_DEGREE)
     gap = integrate_elementwise(v.mesh, rule, sample.excess)
@@ -213,9 +212,8 @@ def oscillation(mesh: Mesh, data: ProblemData, f_h: P0Function,
     """Per-element data oscillation ``h_T^2 * int_T (f - f_h)^2``.
 
     ``points`` are the high-order rule's element points.  Exactly zero (by
-    construction, not by quadrature) when ``f`` is a constant or a piecewise
-    constant on ``mesh`` and ``f_h`` is its projection; a piecewise constant
-    on another mesh raises.
+    construction, not by quadrature) when ``f`` is a constant and ``f_h``
+    is its projection.
     """
     rule = triangle_rule(HIGH_ORDER_DEGREE)
     f = shared_sample(data.f, mesh, rule, points)
@@ -291,7 +289,7 @@ def estimate(outcome) -> EstimateResult:
         breakdown=EstimatorBreakdown(
             mesh,
             eta_A(v, outcome.solution, sample),
-            eta_B(v, outcome.multiplier, data, sample),
+            eta_B(v, outcome.multiplier, sample),
             eta_C(outcome.multiplier, system.f_h, mesh),
             oscillation(mesh, data, system.f_h, sample.points),
         ),
@@ -521,11 +519,11 @@ class ErrorRecord:
     level: int
     h_max: float
     dofs: int
-    errors: ExactErrors | None = None
-    estimator_sq: float = math.nan
-    reduced_sq: float = math.nan
-    primal_energy: float = math.nan
-    dual_energy: float = math.nan
+    errors: ExactErrors | None
+    estimator_sq: float
+    reduced_sq: float
+    primal_energy: float
+    dual_energy: float
 
     def row(self) -> list:
         e = self.errors

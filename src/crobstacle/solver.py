@@ -26,6 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .assembly import (
+    AssemblyError,
     DofMap,
     ProblemData,
     assemble_coupling,
@@ -64,10 +65,10 @@ class DiscreteObstacleSystem:
     """All operators and vectors of one discrete obstacle instance.
 
     The stiffness acts on the free (non-Dirichlet) side dofs; the coupling
-    pairs free sides with multiplier elements (entry ``|T|/3``).  The load
-    carries the Dirichlet lifting; ``constraint_rhs`` is the right-hand side
-    of an activated constraint row (obstacle mean integral minus the fixed
-    boundary-side contributions).
+    pairs free sides with the elements, each of which carries one
+    multiplier (entry ``|T|/3``).  The load carries the Dirichlet lifting;
+    ``constraint_rhs`` is the right-hand side of an activated constraint row
+    (obstacle mean integral minus the fixed boundary-side contributions).
     """
     mesh: Mesh
     data: ProblemData
@@ -78,7 +79,6 @@ class DiscreteObstacleSystem:
     boundary_values: np.ndarray
     chi_h: P0Function
     f_h: P0Function
-    obstacle_means: np.ndarray
     constraint_rhs: np.ndarray
 
     @property
@@ -93,9 +93,9 @@ class DiscreteObstacleSystem:
         return out
 
     def element_means(self, free_values) -> np.ndarray:
-        """Barycentric means over the multiplier elements (boundary dofs included)."""
+        """Barycentric means of the elements (boundary dofs included)."""
         full = self.full_side_values(free_values)
-        return full[self.mesh.elem_sides[self.dofmap.elements]].mean(axis=1)
+        return full[self.mesh.elem_sides].mean(axis=1)
 
     def residual_inf(self, free_values, multipliers) -> float:
         if self.dofmap.n_free == 0:
@@ -108,23 +108,23 @@ class DiscreteObstacleSystem:
         return CrFunction(self.mesh, self.full_side_values(free_values))
 
     def multiplier_field(self, multipliers) -> P0Function:
-        values = np.zeros(self.mesh.n_elements)
-        values[self.dofmap.elements] = np.asarray(multipliers, dtype=float)
-        return P0Function(self.mesh, values)
+        return P0Function(self.mesh, multipliers)
 
 
 def build_system(mesh: Mesh, data: ProblemData) -> DiscreteObstacleSystem:
     """Assemble the discrete obstacle system on a mesh.
 
-    Elements without any free side are excluded from the multiplier (their
-    means are fixed by the boundary data).
+    Every element carries a multiplier, so an element without a free side
+    (a triangle whose three sides are Dirichlet sides) raises
+    :class:`~crobstacle.assembly.AssemblyError`.
     """
     dofmap = build_dofmap(mesh)
     coupling = assemble_coupling(mesh, dofmap)
     excluded = find_excluded_element(coupling)
     if excluded:
-        dofmap = dofmap.exclude(excluded)
-        coupling = assemble_coupling(mesh, dofmap)
+        raise AssemblyError(
+            f"elements {excluded} have no free side: their means are fixed "
+            "by the boundary data and cannot carry a multiplier")
     side_values, chi_h = assemble_obstacle_vectors(mesh, data)
     data.validate_on(mesh, side_values=side_values)
 
@@ -136,20 +136,17 @@ def build_system(mesh: Mesh, data: ProblemData) -> DiscreteObstacleSystem:
     boundary_values = dirichlet_dof_values(mesh, data)
     f_h = assemble_load(mesh, data)
 
-    load = coupling @ f_h.values[dofmap.elements]
+    load = coupling @ f_h.values
     if np.any(boundary_values != 0.0):
         load = load - (stiffness_full @ boundary_values)[dofmap.free_sides]
 
-    areas_el = mesh.areas[dofmap.elements]
-    obstacle_means = chi_h.values[dofmap.elements]
-    fixed = boundary_values[mesh.elem_sides[dofmap.elements]].sum(axis=1)
-    constraint_rhs = areas_el * obstacle_means - (areas_el / 3.0) * fixed
+    fixed = boundary_values[mesh.elem_sides].sum(axis=1)
+    constraint_rhs = mesh.areas * chi_h.values - (mesh.areas / 3.0) * fixed
 
     return DiscreteObstacleSystem(
         mesh=mesh, data=data, dofmap=dofmap, stiffness=stiffness,
         coupling=coupling, load=load, boundary_values=boundary_values,
-        chi_h=chi_h, f_h=f_h,
-        obstacle_means=obstacle_means, constraint_rhs=constraint_rhs)
+        chi_h=chi_h, f_h=f_h, constraint_rhs=constraint_rhs)
 
 
 # ----------------------------------------------------------------------
@@ -194,7 +191,7 @@ class SolveOutcome:
     residual: float
     log: tuple
     system: DiscreteObstacleSystem
-    factorizations: int = 0
+    factorizations: int
 
 
 # ----------------------------------------------------------------------
@@ -270,7 +267,7 @@ def pdas_solve(mesh: Mesh | None = None, data: ProblemData | None = None, *,
     converged = False
     for it in range(1, max_iter + 1):
         means = sys_.element_means(free)
-        act = active_set(means, mult, sys_.obstacle_means)
+        act = active_set(means, mult, sys_.chi_h.values)
         if prev_active is not None and np.array_equal(act, prev_active):
             converged = True
             act = prev_active

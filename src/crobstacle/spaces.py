@@ -249,19 +249,14 @@ def side_points(mesh: Mesh, rule: SegmentRule, sides=None) -> np.ndarray:
     return a[:, None, :] + rule.points[None, :, None] * (b - a)[:, None, :]
 
 
-def sample_data(value, mesh: Mesh, points: np.ndarray):
+def sample_data(value, points: np.ndarray):
     """Problem data (load, obstacle, ...) at element points ``(n_elements, nq, 2)``.
 
-    A scalar comes back as a float and a :class:`P0Function` on ``mesh`` as
-    its ``(n_elements, 1)`` column; both broadcast against the points
+    A scalar comes back as a float, which broadcasts against the points
     without being materialised.  A callable is evaluated at the points.
     """
     if np.isscalar(value):
         return float(value)
-    if isinstance(value, P0Function):
-        if value.mesh is not mesh:
-            raise SpaceError("piecewise-constant data lives on a different mesh")
-        return value.values[:, None]
     if not callable(value):
         raise SpaceError(f"cannot sample data of type {type(value).__name__}")
     return _sample_blocked(value, points)
@@ -320,7 +315,7 @@ def shared_sample(value, mesh: Mesh, rule: QuadratureRule, points: np.ndarray):
     sampled at most once per mesh and rule: a later call with the same
     callable object (compared with ``is``), the same mesh and a rule with
     the same barycentric points returns the same read-only array.  Scalars
-    and piecewise constants go straight to :func:`sample_data`.
+    go straight to :func:`sample_data`.
 
     The samples live in one module-level slot, since the diagnostics'
     signatures carry no per-level state to hang them on, and the mesh cannot
@@ -333,7 +328,7 @@ def shared_sample(value, mesh: Mesh, rule: QuadratureRule, points: np.ndarray):
     """
     global _level_samples
     if not callable(value):
-        return sample_data(value, mesh, points)
+        return sample_data(value, points)
     slot = _level_samples
     if (slot.mesh is None or slot.mesh() is not mesh
             or not np.array_equal(slot.rule.bary, rule.bary)):
@@ -343,7 +338,7 @@ def shared_sample(value, mesh: Mesh, rule: QuadratureRule, points: np.ndarray):
         if fn is value:
             return values
     # a read-only view: an array the callable returned stays writeable
-    values = sample_data(value, mesh, points).view()
+    values = sample_data(value, points).view()
     values.flags.writeable = False
     slot.samples.append((value, values))
     return values
@@ -500,12 +495,10 @@ class VertexFunction:
 # Interpolation and projection
 # ----------------------------------------------------------------------
 def project_p0(f, mesh: Mesh, rule: QuadratureRule) -> P0Function:
-    """Element means of a scalar, a callable (by ``rule``) or a :class:`P0Function` load."""
-    if isinstance(f, P0Function):
-        return f
+    """Element means of a scalar or a callable (by ``rule``) load."""
     if np.isscalar(f):
         return P0Function(mesh, np.full(mesh.n_elements, float(f)))
-    vals = sample_data(f, mesh, element_points(mesh, rule.bary))
+    vals = sample_data(f, element_points(mesh, rule.bary))
     return P0Function(mesh, vals @ rule.weights)
 
 

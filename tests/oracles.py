@@ -112,7 +112,7 @@ def fresh_pdas_solve(mesh: Mesh | None = None, data: ProblemData | None = None,
     factorizations = 0
     for it in range(1, max_iter + 1):
         means = sys_.element_means(free)
-        act = active_set(means, mult, sys_.obstacle_means)
+        act = active_set(means, mult, sys_.chi_h.values)
         if prev_active is not None and np.array_equal(act, prev_active):
             converged = True
             act = prev_active
@@ -169,10 +169,10 @@ def penalized_solve(mesh: Mesh | None = None, data: ProblemData | None = None,
     iterations = 0
     converged = False
     solved_pattern = None
-    defect = sys_.element_means(free) - sys_.obstacle_means
+    defect = sys_.element_means(free) - sys_.chi_h.values
     lam = inv_eps2 * np.minimum(defect, 0.0)
     while True:
-        defect = sys_.element_means(free) - sys_.obstacle_means
+        defect = sys_.element_means(free) - sys_.chi_h.values
         lam = inv_eps2 * np.minimum(defect, 0.0)
         pattern = defect < 0.0
         res = sys_.residual_inf(free, lam)
@@ -287,7 +287,7 @@ def brute_force_solve(mesh: Mesh | None = None, data: ProblemData | None = None,
                                           chunk, residual_tol * scale):
                 free, active_mult = sol[:nf], sol[nf:]
                 means = sys_.element_means(free)
-                if (means - sys_.obstacle_means).min(initial=0.0) < -feas_tol:
+                if (means - sys_.chi_h.values).min(initial=0.0) < -feas_tol:
                     continue
                 if size and active_mult.max() > sign_tol * scale:
                     continue
@@ -320,4 +320,4 @@ def brute_force_solve(mesh: Mesh | None = None, data: ProblemData | None = None,
         multiplier=sys_.multiplier_field(mult),
         state=state, converged=True, iterations=0,
         residual=sys_.residual_inf(free, mult), log=(),
-        system=sys_)
+        system=sys_, factorizations=0)

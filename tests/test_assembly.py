@@ -25,6 +25,7 @@ from crobstacle.assembly import (
 )
 from crobstacle.benchmarks import ring
 from crobstacle.mesh import NEUMANN, Mesh, Rectangle, build_structured
+from crobstacle.solver import build_system, pdas_solve
 from crobstacle.spaces import (
     CrFunction,
     P0Function,
@@ -66,19 +67,6 @@ class TestDofMap:
         m = build_structured(Rectangle(-1.5, -1.5, 1.5, 1.5), 4, boundary_rule=rule)
         dm = build_dofmap(m)
         assert dm.n_free == 44
-
-    def test_exclude(self):
-        m = square_mesh(2)
-        dm = build_dofmap(m)
-        dm2 = dm.exclude([3])
-        assert dm2.n_multipliers == m.n_elements - 1
-        assert dm2.elem_to_col[3] == -1
-        assert 3 not in dm2.elements
-        assert dm2.excluded_elements == (3,)
-        # remaining enumeration stays ascending and dense
-        assert np.all(np.diff(dm2.elements) > 0)
-        cols = dm2.elem_to_col[dm2.elements]
-        assert np.array_equal(cols, np.arange(dm2.n_multipliers))
 
 
 class TestStiffness:
@@ -128,13 +116,19 @@ class TestCoupling:
         assert np.allclose(P.toarray()[:, 0], 0.5 / 3.0)
 
     def test_all_dirichlet_triangle_zero_column(self):
+        # every element carries a multiplier, so a lone triangle whose three
+        # sides are Dirichlet sides, the one element without a free side,
+        # is rejected rather than solved
         m = reference_triangle()
         dm = build_dofmap(m)
         P = assemble_coupling(m, dm)
         assert P.shape == (0, 1)
         assert find_excluded_element(P) == [0]
-        dm2 = dm.exclude(find_excluded_element(P))
-        assert dm2.n_multipliers == 0
+        data = plain_data(f=3.0, chi=-1.0)
+        with pytest.raises(AssemblyError, match=r"elements \[0\] have no free side"):
+            build_system(m, data)
+        with pytest.raises(AssemblyError, match="no free side"):
+            pdas_solve(m, data)
 
     def test_no_excluded_on_structured_meshes(self):
         for m in (square_mesh(4), square_mesh(1)):
@@ -208,12 +202,6 @@ class TestLoad:
         oracle = np.asarray(f(pts)) @ oracle_rule.weights
         assert np.allclose(f_h.values, oracle, atol=1e-8)
 
-    def test_p0_load_passthrough(self):
-        m = square_mesh(2)
-        vals = np.arange(m.n_elements, dtype=float)
-        f_h = assemble_load(m, plain_data(f=P0Function(m, vals)))
-        assert np.array_equal(f_h.values, vals)
-
 
 class TestProblemData:
     def test_obstacle_boundary_compatibility(self):
@@ -238,19 +226,18 @@ class TestProblemData:
                 plain_data(chi=chi)
 
     def test_discrete_load_rejected(self):
-        # a load of side or vertex values cannot be sampled at the
-        # estimator's quadrature points
+        # a load of side, vertex or element values lives on one mesh, and
+        # every level samples the load at its own quadrature points
         m = square_mesh(2)
         vertex_load = VertexFunction(m, np.full(m.n_vertices, -2.0))
-        for f in (interp_cr(-2.0, m), vertex_load):
-            with pytest.raises(AssemblyError,
-                               match="scalar, a callable or a P0Function"):
+        element_load = P0Function(m, np.full(m.n_elements, -2.0))
+        for f in (interp_cr(-2.0, m), vertex_load, element_load):
+            with pytest.raises(AssemblyError, match="scalar or a callable"):
                 plain_data(f=f)
         ring_data = ring().data
         with pytest.raises(AssemblyError, match="got CrFunction"):
             replace(ring_data, f=interp_cr(-2.0, ring().initial_mesh()))
-        for f in (-2.0, np.float64(1.0), lambda p: p[..., 0],
-                  P0Function(m, np.zeros(m.n_elements))):
+        for f in (-2.0, np.float64(1.0), lambda p: p[..., 0]):
             assert plain_data(f=f).f is f
 
     def test_validate_on_uses_given_side_values(self):

@@ -96,9 +96,12 @@ def test_marini_flux_closed_form_two_triangles():
     want = np.where(np.isnan(expected[:, 1]), expected[:, 0],
                     np.nanmean(expected, axis=1))
     assert np.max(np.abs(z.flux.side_fluxes - want)) <= 1e-13
-    # divergence of the affine correction is exactly 2 c
-    assert np.max(np.abs(z.divergence.values - 2.0 * c)) <= 1e-12
-    assert np.max(np.abs(z.divergence.values - (lam_vals - f_vals))) <= 1e-12
+    # divergence of the affine correction is exactly 2 c, and the residual
+    # load div z + f_h is the multiplier itself
+    div = z.flux.divergence().values
+    assert np.max(np.abs(div - 2.0 * c)) <= 1e-12
+    assert np.max(np.abs(div - (lam_vals - f_vals))) <= 1e-12
+    assert np.array_equal(z.residual_load.values, lam_vals)
     # element mean of an affine field is its barycenter value, grad_h u
     assert np.max(np.abs(z.cell_average.values - grads)) <= 1e-12
 
@@ -132,8 +135,10 @@ def test_marini_flux_zero_correction_reproduces_gradient():
 
     expected = mesh.side_normals @ np.array([1.25, -0.75])
     assert np.max(np.abs(z.flux.side_fluxes - expected)) <= 1e-10
-    assert np.max(np.abs(z.divergence.values)) <= 1e-10
-    assert z.max_normal_jump <= 1e-12
+    assert np.max(np.abs(z.flux.divergence().values)) <= 1e-10
+    both = reconstruction_fluxes(mesh, out.solution.dofs, np.zeros(mesh.n_elements))
+    interior = mesh.side_elem_plus >= 0
+    assert np.abs(both[interior, 0] - both[interior, 1]).max() <= 1e-12
 
 
 def test_dual_field_invariants_on_solves():
@@ -151,8 +156,11 @@ def test_dual_field_invariants_on_solves():
         # cell averages recover the broken gradient
         gscale = 1.0 + float(np.abs(grads).max(initial=0.0))
         assert np.max(np.abs(z.cell_average.values - grads)) <= 1e-12 * gscale
-        # divergence identity (computed through the flux coefficients)
-        assert np.max(np.abs(z.divergence.values + f_vals - lam)) <= 1e-12 * scale
+        # divergence identity (computed through the flux coefficients); the
+        # residual load is the multiplier, exactly
+        div = z.flux.divergence().values
+        assert np.max(np.abs(div + f_vals - lam)) <= 1e-12 * scale
+        assert np.array_equal(z.residual_load.values, lam)
         # normal-trace continuity, recomputed side by side
         both = reconstruction_fluxes(mesh, out.solution.dofs,
                                      0.5 * (lam - f_vals))
@@ -161,7 +169,7 @@ def test_dual_field_invariants_on_solves():
         assert jumps.max(initial=0.0) <= 1e-10 * scale
         # discrete complementarity per element
         gaps = out.solution.element_means() - out.system.chi_h.values
-        comp = np.abs((z.divergence.values + f_vals) * gaps)
+        comp = np.abs((div + f_vals) * gaps)
         cscale = 1.0 + float(np.abs(gaps).max(initial=0.0)) + scale
         assert comp.max(initial=0.0) <= 1e-10 * cscale
 
@@ -199,6 +207,46 @@ def test_discrete_strong_duality_benchmarks():
             mesh = refine_rgb(mesh)
 
 
+def test_energy_sign_tests_are_not_vacuous():
+    # A multiplier raised by 1e-9 relative on one element, a thousand times
+    # the sign slack, gives a positive residual load there: both dual
+    # energies are -inf.  A solution 1e-9 relative below the obstacle on
+    # one element gives a primal +inf.  Unperturbed, both are finite and
+    # equal.
+    bench = pyramid()
+    mesh = bench.initial_mesh()
+    out = pdas_solve(mesh, bench.data)
+    sysd = out.system
+    f_h, chi_h = sysd.f_h, sysd.chi_h
+    bdry = sysd.boundary_values
+    z = marini_flux(out.solution, out.multiplier, f_h)
+    primal = energy_primal_discrete(out.solution, f_h, chi_h)
+    dual = energy_dual_discrete(z, f_h, chi_h, boundary_dof_values=bdry)
+    assert math.isfinite(dual)
+    assert abs(primal - dual) <= 1e-12 * max(1.0, abs(primal))
+    assert math.isfinite(energy_dual_continuous(mesh, bench.data, z, f_h))
+
+    lam = out.multiplier.values
+    free = int(np.flatnonzero(lam == 0.0)[0])
+    raised = lam.copy()
+    raised[free] += 1e-9 * (1.0 + float(np.abs(f_h.values).max()))
+    z_bad = marini_flux(out.solution, P0Function(mesh, raised), f_h)
+    assert energy_dual_discrete(z_bad, f_h, chi_h,
+                                boundary_dof_values=bdry) == -math.inf
+    assert energy_dual_continuous(mesh, bench.data, z_bad, f_h) == -math.inf
+
+    means = out.solution.element_means()
+    contact = int(np.flatnonzero(out.state.active)[0])
+    scale = 1.0 + float(np.abs(means).max()) + float(np.abs(chi_h.values).max())
+    side = next(s for s in mesh.elem_sides[contact]
+                if not mesh.dirichlet_side_mask[s])
+    lowered = out.solution.dofs.copy()
+    lowered[side] -= 3e-9 * scale           # the mean drops by 1e-9 * scale
+    below = CrFunction(mesh, lowered)
+    assert below.element_means()[contact] < chi_h.values[contact] - 1e-10 * scale
+    assert energy_primal_discrete(below, f_h, chi_h) == math.inf
+
+
 def test_energy_primal_discrete_values():
     mesh = grid_mesh(3, 3)
     data = ProblemData(name="p", f=-3.0, chi=-1.0)
@@ -211,7 +259,7 @@ def test_energy_primal_discrete_values():
     rng = np.random.default_rng(12)
     sysd = build_system(mesh, data)
     full = make_feasible_competitor(rng, mesh, sysd.dofmap,
-                                    sysd.boundary_values, sysd.obstacle_means)
+                                    sysd.boundary_values, sysd.chi_h.values)
     v = CrFunction(mesh, full)
     value = energy_primal_discrete(v, f_h, chi_h)
     oracle = broken_energy(mesh, full, f_h.values)
@@ -230,19 +278,21 @@ def test_energy_primal_discrete_values():
 
 
 def _zero_flux_case():
-    """A zero flux field on a 2x3 grid, a nonpositive load, its absolute
-    value (which makes the flux infeasible) and an obstacle."""
+    """A zero flux on a 2x3 grid with a nonpositive load, the same flux with
+    that load's absolute value (an infeasible residual load), both loads and
+    an obstacle."""
     mesh = grid_mesh(2, 3, (0.0, 0.0, 1.0, 1.5))
     rng = np.random.default_rng(8)
     f_vals = -rng.uniform(0.5, 2.0, size=mesh.n_elements)
     chi_vals = rng.normal(size=mesh.n_elements)
-    zero = dual_field(Rt0Function(mesh, np.zeros(mesh.n_sides)))
-    return (zero, P0Function(mesh, f_vals), P0Function(mesh, np.abs(f_vals)),
+    flux = Rt0Function(mesh, np.zeros(mesh.n_sides))
+    f_h, f_bad = P0Function(mesh, f_vals), P0Function(mesh, np.abs(f_vals))
+    return (dual_field(flux, f_h), dual_field(flux, f_bad), f_h, f_bad,
             P0Function(mesh, chi_vals))
 
 
 def test_energy_dual_discrete_values():
-    zero, f_h, f_bad, chi_h = _zero_flux_case()
+    zero, zero_bad, f_h, f_bad, chi_h = _zero_flux_case()
     mesh = zero.mesh
     no_data = np.zeros(mesh.n_sides)
     value = energy_dual_discrete(zero, f_h, chi_h, boundary_dof_values=no_data)
@@ -250,7 +300,7 @@ def test_energy_dual_discrete_values():
     assert abs(value - oracle) <= 1e-13 * (1.0 + abs(oracle))
 
     # positive residual load violates the sign constraint
-    infeasible = energy_dual_discrete(zero, f_bad, chi_h,
+    infeasible = energy_dual_discrete(zero_bad, f_bad, chi_h,
                                       boundary_dof_values=no_data)
     assert isinstance(infeasible, float)
     assert infeasible == -math.inf
@@ -345,13 +395,15 @@ def test_energy_dual_continuous_weak_duality_and_gap_rate():
 def test_energy_history_csv(tmp_path):
     # infinite energies are written as inf / -inf cells, the dual one as
     # energy_dual_discrete returns it for an infeasible flux
-    zero, _, f_bad, chi_h = _zero_flux_case()
-    dual = energy_dual_discrete(zero, f_bad, chi_h,
-                                boundary_dof_values=np.zeros(zero.mesh.n_sides))
+    _, zero_bad, _, f_bad, chi_h = _zero_flux_case()
+    dual = energy_dual_discrete(zero_bad, f_bad, chi_h,
+                                boundary_dof_values=np.zeros(zero_bad.mesh.n_sides))
     records = [
-        ErrorRecord(level=1, h_max=0.5, dofs=10, estimator_sq=0.25,
+        ErrorRecord(level=1, h_max=0.5, dofs=10, errors=None,
+                    estimator_sq=0.25, reduced_sq=math.nan,
                     primal_energy=3.375, dual_energy=3.375),
-        ErrorRecord(level=2, h_max=0.25, dofs=40, estimator_sq=0.0625,
+        ErrorRecord(level=2, h_max=0.25, dofs=40, errors=None,
+                    estimator_sq=0.0625, reduced_sq=math.nan,
                     primal_energy=math.inf, dual_energy=dual),
     ]
     path = tmp_path / "energies.csv"

@@ -167,7 +167,7 @@ def test_pdas_state_invariants_randomized():
         sys_ = out.system
         scale = sys_.scale
         means = sys_.element_means(out.state.free_values)
-        gap = means - sys_.obstacle_means
+        gap = means - sys_.chi_h.values
         lam = out.state.multipliers
         assert np.all(lam <= 1e-11 * scale)                      # sign
         assert gap.min() >= -1e-10 * scale                       # feasibility
@@ -191,7 +191,7 @@ def test_discrete_variational_inequality_and_minimality():
     scale = sys_.scale
     for _ in range(100):
         v_full = make_feasible_competitor(
-            rng, mesh, dm, sys_.boundary_values, sys_.obstacle_means,
+            rng, mesh, dm, sys_.boundary_values, sys_.chi_h.values,
             base=u_full, scale=0.7)
         # energy minimality
         assert broken_energy(mesh, v_full, f_vals) >= energy_u - 1e-10 * scale
@@ -281,19 +281,18 @@ def test_degenerate_inconsistent_constraints_raise():
     assert isinstance(err.value.__cause__, LinearSolveError)
 
 
-def test_all_dirichlet_element_excluded_and_multiplier_zero():
-    coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    tris = np.array([[0, 1, 2]])
-    from crobstacle.mesh import Mesh
-
-    mesh = Mesh(coords, tris)
-    data = ProblemData(name="single", f=3.0, chi=-1.0)
-    out = pdas_solve(mesh, data)
-    assert out.converged
-    assert out.system.dofmap.n_free == 0
-    assert out.system.dofmap.n_multipliers == 0
-    assert np.all(out.solution.dofs == 0.0)
-    assert np.all(out.multiplier.values == 0.0)
+def test_multiplier_is_the_pdas_vector_on_every_element():
+    # one multiplier per element: the coupling has a column for each, and
+    # the outcome's P0 multiplier holds the iterate's vector as it is
+    for bench in (ring(), corner(), pyramid()):
+        mesh = refine_rgb(bench.initial_mesh())
+        out = pdas_solve(mesh, bench.data)
+        dm = out.system.dofmap
+        assert np.array_equal(dm.elements, np.arange(mesh.n_elements))
+        assert out.system.coupling.shape == (dm.n_free, mesh.n_elements)
+        assert np.array_equal(out.multiplier.values, out.state.multipliers)
+        assert np.all(out.multiplier.values[~out.state.active] == 0.0)
+        assert np.all(out.multiplier.values[out.state.active] <= 0.0)
 
 
 # ----------------------------------------------------------------------
@@ -655,7 +654,7 @@ def test_dependent_final_set_above_the_dense_size(monkeypatch):
     assert out.converged
     assert out.residual <= 1e-10 * system.scale
     means = system.element_means(out.state.free_values)
-    assert np.abs(means - system.obstacle_means).max() <= 1e-12
+    assert np.abs(means - system.chi_h.values).max() <= 1e-12
 
 
 @pytest.mark.parametrize("divisions", [32, 64])
@@ -713,7 +712,7 @@ def test_penalized_violation_identity_exact():
             sys_ = out.system
             means = sys_.element_means(
                 out.solution.dofs[sys_.dofmap.free_sides])
-            neg = np.minimum(means - sys_.obstacle_means, 0.0)
+            neg = np.minimum(means - sys_.chi_h.values, 0.0)
             areas = mesh.areas[sys_.dofmap.elements]
             assert abs(lhs - np.sqrt((neg ** 2 * areas).sum())) <= 1e-14 * (1 + lhs)
             assert np.all(out.multiplier.values <= 0.0)

@@ -161,17 +161,15 @@ class TestQuadrature:
     def test_sample_data(self):
         mesh = lshape_mesh(2)
         pts = element_points(mesh, triangle_rule(5).bary)
-        assert sample_data(2.5, mesh, pts) == 2.5
-        vals = np.arange(mesh.n_elements, dtype=float)
-        col = sample_data(P0Function(mesh, vals), mesh, pts)
-        assert col.shape == (mesh.n_elements, 1)
-        assert np.array_equal(col[:, 0], vals)
-        got = sample_data(lambda p: p[..., 0] * p[..., 1], mesh, pts)
+        assert sample_data(2.5, pts) == 2.5
+        got = sample_data(lambda p: p[..., 0] * p[..., 1], pts)
         assert np.array_equal(got, pts[..., 0] * pts[..., 1])
+        # element values live on one mesh, not at the points
+        vals = np.arange(mesh.n_elements, dtype=float)
         with pytest.raises(SpaceError):
-            sample_data(P0Function(lshape_mesh(2), vals), mesh, pts)
+            sample_data(P0Function(mesh, vals), pts)
         with pytest.raises(SpaceError):
-            sample_data([1.0, 2.0], mesh, pts)
+            sample_data([1.0, 2.0], pts)
 
 
 # ----------------------------------------------------------------------
@@ -207,23 +205,22 @@ class TestSampleData:
         for fn in (corner().data.f, exact.u, exact.grad_u,
                    pyramid().data.chi, ring().data.exact.u):
             one_call = np.asarray(fn(pts), dtype=float)
-            got = sample_data(fn, mesh, pts)
+            got = sample_data(fn, pts)
             assert got.shape == one_call.shape
             assert np.array_equal(got, one_call), fn.__name__
         # per-point results of another dtype are converted as one call would
         contact = exact.contact
-        assert np.array_equal(sample_data(contact, mesh, pts),
+        assert np.array_equal(sample_data(contact, pts),
                               np.asarray(contact(pts), dtype=float))
 
     def test_scalar_callable_keeps_its_shape(self):
         mesh = corner_mesh(2)
         assert mesh.n_elements > spaces_mod._SAMPLE_BLOCK
         pts = element_points(mesh, triangle_rule(5).bary)
-        got = sample_data(lambda p: 2.5, mesh, pts)
+        got = sample_data(lambda p: 2.5, pts)
         assert got.shape == () and got == 2.5
         small = corner_mesh(0)
-        got = sample_data(lambda p: 2.5, small,
-                          element_points(small, triangle_rule(5).bary))
+        got = sample_data(lambda p: 2.5, element_points(small, triangle_rule(5).bary))
         assert got.shape == () and got == 2.5
 
     def test_blocked_sampler_memory_is_bounded_by_a_block(self):
@@ -233,7 +230,7 @@ class TestSampleData:
         grad_u = corner().data.exact.grad_u
         tracemalloc.start()
         try:
-            out = sample_data(grad_u, mesh, pts)
+            out = sample_data(grad_u, pts)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -259,7 +256,7 @@ class TestSharedSample:
         pts = element_points(mesh, rule.bary)
         fn = CountingCallable(corner().data.exact.grad_u)
         first = shared_sample(fn, mesh, rule, pts)
-        assert np.array_equal(first, sample_data(fn.fn, mesh, pts))
+        assert np.array_equal(first, sample_data(fn.fn, pts))
         assert not first.flags.writeable
         n_points = mesh.n_elements * rule.n_points
         assert fn.points == n_points
@@ -270,11 +267,8 @@ class TestSharedSample:
         twin = CountingCallable(fn.fn)
         assert np.array_equal(shared_sample(twin, mesh, rule, pts), first)
         assert twin.points == n_points
-        # scalars and piecewise constants pass straight through
+        # scalars pass straight through
         assert shared_sample(2.5, mesh, rule, pts) == 2.5
-        vals = np.arange(mesh.n_elements, dtype=float)
-        col = shared_sample(P0Function(mesh, vals), mesh, rule, pts)
-        assert np.array_equal(col[:, 0], vals)
         # another rule replaces the slot, so the first rule samples again
         rule5 = triangle_rule(5)
         shared_sample(fn, mesh, rule5, element_points(mesh, rule5.bary))
@@ -439,9 +433,10 @@ class TestInterpolants:
         # of a constant
         c = project_p0(2.5, mesh, rule)
         assert np.allclose(c.values, 2.5)
-        # of a piecewise constant: itself
+        # of a piecewise constant: rejected, it cannot be sampled at points
         p = P0Function(mesh, np.arange(mesh.n_elements, dtype=float))
-        assert project_p0(p, mesh, rule) is p
+        with pytest.raises(SpaceError):
+            project_p0(p, mesh, rule)
 
     def test_interp_av_recovers_conforming_fields(self):
         mesh = lshape_mesh(2)

@@ -214,7 +214,7 @@ def random_small_problem(rng, index):
         free, _ = solve_spd(sysd.stiffness, sysd.load)
     else:
         free = np.zeros(0)
-    defect = np.sort(sysd.element_means(free) - sysd.obstacle_means)
+    defect = np.sort(sysd.element_means(free) - sysd.chi_h.values)
     nm = defect.size
     dmask = mesh.dirichlet_side_mask
     cap = float(np.min(data.dirichlet_values_at(mesh.side_midpoints[dmask])
@@ -277,10 +277,14 @@ def zero_boundary_data(points):
     return np.zeros(np.shape(points)[:-1])
 
 
-def dual_field(flux):
-    """A bare lowest-order flux wrapped as the field ``marini_flux`` returns."""
-    return DualField(flux=flux, divergence=flux.divergence(),
-                     cell_average=flux.element_means(), max_normal_jump=0.0)
+def dual_field(flux, f_h):
+    """A bare lowest-order flux wrapped as the field ``marini_flux`` returns.
+
+    Its residual load is ``div flux + f_h``, differenced from the side fluxes.
+    """
+    load = P0Function(flux.mesh, flux.divergence().values + f_h.values)
+    return DualField(flux=flux, residual_load=load,
+                     cell_average=flux.element_means())
 
 
 # ----------------------------------------------------------------------

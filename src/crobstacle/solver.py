@@ -10,7 +10,11 @@ Each iteration solves the equality-constrained problem of its active set.
 Constrained iterates go through :class:`~crobstacle.sparse.BorderedKkt`:
 the first one of a solve gets a selector factorisation, the *base*, and
 later active sets are bordered onto it until one needs more new border
-columns than a factorisation costs.  The selector accepts dependent
+columns than a factorisation costs.  The selectors of one solve share a
+:class:`~crobstacle.sparse.SelectorPattern`, built with the first of them
+and dropped when the solve returns: its scatter map fills each selector
+matrix into the stiffness pattern, and the first factorisation's
+minimum-degree order serves every later one.  The selector accepts dependent
 constraints; an active set it cannot solve is inconsistent and raises
 :class:`SolverError`.  The constrained iterate a solve returns is solved
 once more by :func:`~crobstacle.sparse.solve_kkt`, so the result is bitwise
@@ -38,7 +42,7 @@ from .assembly import (
     find_excluded_element,
 )
 from .mesh import Mesh
-from .sparse import BorderedKkt, LinearSolveError, solve_kkt, solve_spd
+from .sparse import BorderedKkt, LinearSolveError, SelectorPattern, solve_kkt, solve_spd
 from .spaces import CrFunction, P0Function
 
 __all__ = [
@@ -240,7 +244,9 @@ def pdas_solve(mesh: Mesh | None = None, data: ProblemData | None = None, *,
     Each constrained iterate is bordered onto the base selector
     factorisation (:class:`BorderedKkt`) when there is one; otherwise, or
     when that solve fails, it gets a new selector factorisation, which
-    becomes the base.  A new selector that misses its refined-residual bound
+    becomes the base.  The selectors share one
+    :class:`~crobstacle.sparse.SelectorPattern`, which lives as long as the
+    call.  A new selector that misses its refined-residual bound
     means an inconsistent active set and raises :class:`SolverError` naming
     the iteration and the number of active constraints.  The returned
     constrained active set is solved once more through :func:`solve_kkt`,
@@ -260,6 +266,7 @@ def pdas_solve(mesh: Mesh | None = None, data: ProblemData | None = None, *,
         return free, np.zeros(dm.n_multipliers)
 
     free, mult = unconstrained() if init is None else _coerce_init(init, sys_)
+    pattern = None         # SelectorPattern of the system, built by the first selector
     base = None            # BorderedKkt of the last selector factorisation
     factorizations = 0
     rows = []
@@ -287,8 +294,9 @@ def pdas_solve(mesh: Mesh | None = None, data: ProblemData | None = None, *,
                 how, base = "fresh", None   # one factorisation alive at a time
                 factorizations += 1
                 try:
-                    base = BorderedKkt(sys_.stiffness, sys_.coupling, sys_.load,
-                                       sys_.constraint_rhs, act)
+                    if pattern is None:
+                        pattern = SelectorPattern(sys_.stiffness, sys_.coupling)
+                    base = BorderedKkt(pattern, sys_.load, sys_.constraint_rhs, act)
                 except LinearSolveError as exc:
                     raise SolverError(
                         f"PDAS iteration {it}: the active set of {int(act.sum())} "
@@ -302,7 +310,7 @@ def pdas_solve(mesh: Mesh | None = None, data: ProblemData | None = None, *,
         if step == 0.0:
             converged = True
             break
-    base = None
+    base = pattern = None
     if dm.n_free and act.any():
         factorizations += 1
         cols = np.flatnonzero(act)

@@ -458,12 +458,6 @@ class Rt0Function:
                             for j in range(3))
         return _barycentric_combination(bary, vertex_values)
 
-    def divergence(self) -> P0Function:
-        m = self.mesh
-        div = (self.side_fluxes[m.elem_sides] * m.elem_side_orient
-               * m.side_lengths[m.elem_sides]).sum(axis=1) / m.areas
-        return P0Function(m, div)
-
     def element_means(self) -> P0VectorField:
         """Element means; the field is affine per element, so this is the barycenter value."""
         centroid = np.full((1, 3), 1.0 / 3.0)

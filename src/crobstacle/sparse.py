@@ -17,13 +17,19 @@ exactly and factors the symmetric positive definite ``P = A + B~ B~^T /
 delta`` (``B~`` the scaled constraints).  A constraint couples only the free
 sides of one element, so ``P`` is filled into the stiffness matrix's own CSC
 pattern, explicit zeros included; a constraint that couples two unknowns the
-stiffness does not couple raises :class:`LinearSolveError`.  SuperLU factors
-``P`` in the minimum-degree ordering of ``P^T + P`` (``MMD_AT_PLUS_A``),
-without pivoting (``diag_pivot_thresh=0``, ``SymmetricMode``) and with
-one-column panels (``panel_size=1``).  It exists for every active set,
-dependent constraints included.  Its solves are refined against
-the unregularised matrix, and a refined residual above its bound (an
-inconsistent active set gives one) raises :class:`LinearSolveError`.
+stiffness does not couple raises :class:`LinearSolveError`.  The selector
+factorisations of one system share a :class:`SelectorPattern`: the scaled
+constraints, a scatter map from each constraint's pairs of unknowns to
+positions in that pattern, and one fill-reducing order.  SuperLU orders
+the first ``P`` of a system by minimum degree on ``P^T + P``
+(``MMD_AT_PLUS_A``); every later ``P`` has the same pattern, so it is
+scattered into the symmetric permutation of that pattern and factored in
+its natural order.  Every factorisation runs without pivoting
+(``diag_pivot_thresh=0``, ``SymmetricMode``) and with one-column panels
+(``panel_size=1``).  It exists for every active set, dependent constraints
+included.  Its solves are refined against the unregularised matrix, and a
+refined residual above its bound (an inconsistent active set gives one)
+raises :class:`LinearSolveError`.
 
 :class:`BorderedKkt` is the one solver of the package for a dependent
 active set.  A selector solution agrees with :func:`solve_kkt` to
@@ -49,6 +55,7 @@ __all__ = [
     "SingularConstraintError",
     "solve_spd",
     "solve_kkt",
+    "SelectorPattern",
     "BorderedKkt",
 ]
 
@@ -173,61 +180,121 @@ _REFACTOR_COLUMNS = 64
 SCHUR_INV_NORM_MIN = 100 * _DELTA
 
 
-def _keys(M):
-    """``col * n + row`` of each stored entry of the CSC matrix ``M``, in storage order."""
-    n = M.shape[0]
-    return np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(M.indptr)) + M.indices
+#: SuperLU options of every selector factorisation: no pivoting, a symmetric
+#: order, one-column panels (they factor the pipeline's ``P`` fastest)
+_SELECTOR_OPTIONS = {"diag_pivot_thresh": 0.0, "panel_size": 1,
+                     "options": {"SymmetricMode": True}}
 
 
-def _condensed(A, Bs, constraints):
-    """``A + Bs Bs^T / delta`` in CSC form, filled into ``A``'s own pattern.
+class SelectorPattern:
+    """What the selector factorisations of one system share.
 
-    ``P`` starts as a copy of ``A``'s CSC data, explicit zeros included, and
-    each entry of ``Bs Bs^T / delta`` is added at its position, found by
-    ``searchsorted`` among the keys of ``A``'s sorted CSC pattern.  An entry
-    outside that pattern raises :class:`LinearSolveError` naming a
-    constraint (``constraints`` labels the columns of ``Bs``) that couples
-    it.
+    ``A`` is the ``n x n`` stiffness and ``B`` holds every constraint
+    column.  The pattern keeps ``A``'s CSC data and pattern, the scale ``d_j
+    = 1 / max|b_j|`` of each constraint (0 for an empty support) with the
+    scaled constraints ``B~ = B D``, and a scatter map: for each pair ``(r,
+    c)`` of rows in the support of a constraint, constraint by constraint,
+    the position of ``(r, c)`` in ``A``'s CSC data and the product ``b~_rj
+    b~_cj``.  A pair outside ``A``'s pattern raises
+    :class:`LinearSolveError` naming its constraint.  The data of ``P = A +
+    B~_act B~_act^T / delta`` is then ``A``'s data plus one ``bincount`` of
+    the active constraints' pairs.
+
+    :meth:`factor` orders the first ``P`` by minimum degree on ``P^T + P``
+    (``MMD_AT_PLUS_A``) and keeps that order: every ``P`` has ``A``'s
+    pattern, so the order fits them all.  The second factorisation, when
+    the first factor is gone, moves ``A``'s data, its pattern and the
+    scatter positions into the symmetric permutation ``P[order][:, order]``
+    once; from then on ``P`` is scattered straight into it and factored in
+    its natural order.
     """
-    P = A.tocsc(copy=True)   # from CSR: rows sorted within each column
-    keys = _keys(P)
-    BBt = sp.csc_array(Bs @ Bs.T)
-    wanted = _keys(BBt)
-    pos = np.searchsorted(keys, wanted)
-    found = pos < keys.size
-    found[found] = keys[pos[found]] == wanted[found]
-    if not found.all():
-        c, r = divmod(int(wanted[np.argmin(found)]), P.shape[0])
-        j = np.flatnonzero(abs(Bs[[r, c], :]).min(axis=0).toarray())[0]
-        raise LinearSolveError(
-            f"constraint {int(constraints[j])} couples unknowns {r} and {c}, "
-            "which the stiffness matrix does not couple")
-    P.data[pos] += BBt.data / _DELTA
-    return P
+
+    def __init__(self, A, B):
+        self.A = sp.csr_array(A)
+        csc = self.A.tocsc()     # from CSR: rows sorted within each column
+        self._data, self._indices, self._indptr = csc.data, csc.indices, csc.indptr
+        self.B = sp.csc_array(B)
+        col_max = abs(self.B).max(axis=0).toarray()
+        self.scale = np.divide(1.0, col_max, out=np.zeros_like(col_max),
+                               where=col_max > 0.0)
+        self.scaled = self.B @ sp.diags_array(self.scale)
+        indptr = self.scaled.indptr
+        # pair k of a constraint with s support rows is (k // s, k % s)
+        counts = np.diff(indptr)
+        self._pairs = counts * counts
+        owner = np.repeat(np.arange(counts.size), self._pairs)
+        k = np.arange(owner.size) - np.repeat(np.cumsum(self._pairs) - self._pairs,
+                                              self._pairs)
+        start, size = indptr[owner], counts[owner]
+        first, second = start + k // size, start + k % size
+        rows, cols = self.scaled.indices[first], self.scaled.indices[second]
+        self._product = self.scaled.data[first] * self.scaled.data[second]
+        # 1 + the position of each stored entry of A; 0 off its pattern
+        lookup = sp.csc_array((np.arange(1, self._data.size + 1), self._indices,
+                               self._indptr), shape=self.A.shape)
+        self._pos = lookup[rows, cols] - 1
+        if np.any(self._pos < 0):
+            bad = np.argmax(self._pos < 0)
+            raise LinearSolveError(
+                f"constraint {int(owner[bad])} couples unknowns {int(rows[bad])} and "
+                f"{int(cols[bad])}, which the stiffness matrix does not couple")
+        self._order = None       # old index of each position of the kept order
+        self._rank = None        # position of each old index (the inverse)
+        self._permuted = False
+
+    def factor(self, active):
+        """Factor ``P`` of the active mask ``active``; returns ``b -> P^-1 b``."""
+        if self._order is not None and not self._permuted:
+            self._permute()
+        keep = np.repeat(active, self._pairs)
+        data = self._data + np.bincount(self._pos[keep], weights=self._product[keep],
+                                        minlength=self._data.size) / _DELTA
+        P = sp.csc_array((data, self._indices, self._indptr), shape=self.A.shape)
+        if self._order is None:
+            lu = spla.splu(P, permc_spec="MMD_AT_PLUS_A", **_SELECTOR_OPTIONS)
+            self._rank = lu.perm_c.copy()   # the view keeps the factor alive
+            self._order = np.argsort(self._rank)
+            return lu.solve
+        lu = spla.splu(P, permc_spec="NATURAL", **_SELECTOR_OPTIONS)
+        order, rank = self._order, self._rank
+        return lambda b: np.take(lu.solve(np.take(b, order, axis=0)), rank, axis=0)
+
+    def _permute(self):
+        """Move ``A``'s data and pattern and the scatter into ``P[order][:, order]``."""
+        gather = sp.csc_array((np.arange(self._data.size), self._indices, self._indptr),
+                              shape=self.A.shape)[self._order][:, self._order]
+        gather.sort_indices()
+        moved = np.empty_like(gather.data)
+        moved[gather.data] = np.arange(gather.data.size)
+        self._data = self._data[gather.data]
+        self._indices, self._indptr = gather.indices, gather.indptr
+        self._pos = moved[self._pos]
+        self._permuted = True
 
 
 class BorderedKkt:
     """The active-set systems of one PDAS solve: a selector base and systems bordered onto it.
 
     The system of active mask ``act`` is ``[[A, B_act], [B_act^T, 0]] [u; y]
-    = [f; g_act]``; ``B`` holds every constraint column and ``g`` every
-    target.  The constructor factors the base ``K0``, the system of
-    ``active``, on the selector path.  A raw solve applies ``M^-1`` for ``M
-    = [[A, B0], [B0^T, -delta D^-2]]`` with ``B0 = B_active`` and ``D =
+    = [f; g_act]``; ``B`` (of ``pattern``) holds every constraint column and
+    ``g`` every target.  The constructor factors the base ``K0``, the system
+    of ``active``, on the selector path.  A raw solve applies ``M^-1`` for
+    ``M = [[A, B0], [B0^T, -delta D^-2]]`` with ``B0 = B_active`` and ``D =
     diag(1 / max|b_j|)``, which differs from ``K0`` in its (2,2) block only.
     In the scaled variables ``M`` is the quasi-definite ``K_delta = [[A,
     B~], [B~^T, -delta I]]``, ``B~ = B0 D``; its multiplier block is
     eliminated, so only the ``n x n`` matrix ``P = A + B~ B~^T / delta`` is
     factored, and ``K_delta^-1 [q1; q2]`` is ``u = P^-1 (q1 + B~ q2 /
     delta)``, ``y~ = (B~^T u - q2) / delta``.  ``P`` is positive definite
-    whatever the rank of ``B0``; it is filled into ``A``'s CSC pattern
-    (:func:`_condensed`) and factored by SuperLU with ``MMD_AT_PLUS_A``, no
-    pivoting, ``SymmetricMode`` and one-column panels.  A raw solve is
-    accurate to about ``eps / delta`` relative, so every solve is refined
-    ``_REFINE_STEPS`` times against the unregularised matrix, bordered or
-    not; the refined base solution ``w0`` solves ``K0 w0 = [f; g_active]``.
-    On a consistent dependent active set it carries a regularised
-    representative of the multiplier family.
+    whatever the rank of ``B0``.  ``pattern``, the :class:`SelectorPattern`
+    of ``A`` and ``B``, scatters it into ``A``'s CSC pattern and factors it:
+    the system's first ``P`` in SuperLU's ``MMD_AT_PLUS_A`` order, a later
+    one symmetrically permuted into that order, with ``NATURAL``.  A raw
+    solve is accurate to about ``eps / delta`` relative, so every solve is
+    refined ``_REFINE_STEPS`` times against the unregularised matrix,
+    bordered or not; the refined base solution ``w0`` solves ``K0 w0 = [f;
+    g_active]``.  On a consistent dependent active set it carries a
+    regularised representative of the multiplier family.
 
     Any other active set is the base bordered by ``W``: a constraint ``j``
     added since the base is the column ``[b_j; 0]`` with target ``g_j``, a
@@ -239,24 +306,21 @@ class BorderedKkt:
     position ``_slot[j]``.
     """
 
-    def __init__(self, A, B, f, g, active):
-        self._A = sp.csr_array(A)
-        self._all = sp.csc_array(B)
+    def __init__(self, pattern, f, g, active):
+        self._A = pattern.A
+        self._all = pattern.B
         self._active = np.array(active, dtype=bool)
         columns = np.flatnonzero(self._active)
         self._B = self._all[:, columns]
         n, m = self._B.shape
-        col_max = abs(self._B).max(axis=0).toarray()
-        if not np.all(col_max > 0.0):
+        d = pattern.scale[columns]
+        if not np.all(d > 0.0):
             raise LinearSolveError("a constraint column has empty support")
-        d = 1.0 / col_max
-        self._scaled = self._B @ sp.diags_array(d)
+        self._scaled = pattern.scaled[:, columns]
         try:
-            # one-column panels factor the pipeline's P fastest; P dies with
-            # this call (held through the refinement, it raised peak RSS)
-            self._lu = spla.splu(_condensed(self._A, self._scaled, columns),
-                                 permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                                 panel_size=1, options={"SymmetricMode": True})
+            # P dies with this call (held through the refinement, it raised
+            # peak RSS); its factor's solve is kept
+            self._solve_p = pattern.factor(self._active)
         except RuntimeError as exc:
             raise LinearSolveError(f"selector factorisation failed: {exc}") from exc
         self._scale = np.concatenate([np.ones(n), d])
@@ -279,7 +343,7 @@ class BorderedKkt:
         """``K_delta^-1 q`` through the factor of ``P``; ``q`` is a vector or a block."""
         n = self._A.shape[0]
         q2 = q[n:]
-        u = self._lu.solve(q[:n] + self._scaled @ q2 / _DELTA)
+        u = self._solve_p(q[:n] + self._scaled @ q2 / _DELTA)
         return np.concatenate([u, (self._scaled.T @ u - q2) / _DELTA])
 
     def _raw(self, r):

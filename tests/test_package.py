@@ -199,3 +199,105 @@ def test_every_default_is_used_or_kept():
         label for label, callee, index, param in settings
         if all(_passes(c, index, param) for c in calls.get(callee, ())))
     assert unused == sorted(KEPT_DEFAULTS), unused
+
+
+#: ``global`` statements of the program, each kept for a reason: the writers
+#: of the module-level sample slot, until a per-level evaluation context
+#: replaces it (ROADMAP item 11)
+KEPT_GLOBALS = {
+    "spaces._release._level_samples": "empties the sample slot when its mesh dies",
+    "spaces.shared_sample._level_samples": "fills the sample slot of a level",
+}
+
+#: methods that change a list, dict, set or deque in place
+_MUTATORS = {"append", "extend", "insert", "pop", "popitem", "remove", "clear",
+             "update", "setdefault", "add", "discard", "sort", "reverse",
+             "appendleft", "extendleft", "__setitem__", "__delitem__"}
+
+
+def _functions(tree):
+    """``(qualified name, function node)`` of every function, nested ones included."""
+    def walk(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield prefix + child.name, child
+                yield from walk(child, prefix + child.name + ".")
+            elif isinstance(child, ast.ClassDef):
+                yield from walk(child, prefix + child.name + ".")
+    yield from walk(tree, "")
+
+
+def _module_names(tree):
+    """Names the module binds at its top level."""
+    names = set()
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, (ast.AnnAssign, ast.AugAssign))
+                   else [])
+        names.update(t.id for target in targets for t in ast.walk(target)
+                     if isinstance(t, ast.Name))
+    return names
+
+
+def _local_names(fn):
+    """Parameters and names a function binds itself (``global`` ones excluded)."""
+    args = fn.args
+    names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+    names.update(a.arg for a in (args.vararg, args.kwarg) if a is not None)
+    declared = set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Global):
+            declared.update(node.names)
+    return names - declared
+
+
+def _in_place_writes(fn, shared):
+    """Module-level names in ``shared`` that ``fn`` changes in place."""
+    shared = shared - _local_names(fn)
+    for node in ast.walk(fn):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.Delete)):
+            targets = (node.targets if isinstance(node, (ast.Assign, ast.Delete))
+                       else [node.target])
+            for target in targets:
+                if (isinstance(target, ast.Subscript) and isinstance(target.value, ast.Name)
+                        and target.value.id in shared):
+                    yield target.value.id
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in _MUTATORS and isinstance(node.func.value, ast.Name)
+              and node.func.value.id in shared):
+            yield node.func.value.id
+
+
+def _program_modules():
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted((SRC / "crobstacle").glob("*.py"))}
+
+
+def test_every_global_statement_is_kept():
+    # module state outlives every call; the program writes it only where
+    # KEPT_GLOBALS says why
+    found = sorted(f"{module}.{name}.{target}"
+                   for module, tree in _program_modules().items()
+                   for name, fn in _functions(tree)
+                   for node in ast.walk(fn) if isinstance(node, ast.Global)
+                   for target in node.names)
+    assert found == sorted(KEPT_GLOBALS), found
+
+
+def test_no_function_changes_module_state_in_place():
+    # a module-level list, dict or set that a function fills is a cache
+    # that outlives the call (a factor cache, say); module-level containers
+    # are read only, and no function is memoised
+    writes, memoised = [], []
+    for module, tree in _program_modules().items():
+        shared = _module_names(tree)
+        for name, fn in _functions(tree):
+            writes += [f"{module}.{name}: {target}"
+                       for target in _in_place_writes(fn, shared)]
+            memoised += [f"{module}.{name}" for d in fn.decorator_list
+                         for node in ast.walk(d)
+                         if getattr(node, "id", getattr(node, "attr", None))
+                         in ("cache", "lru_cache")]
+    assert writes == [] and memoised == [], (writes, memoised)

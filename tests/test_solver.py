@@ -7,6 +7,8 @@ closed-form/unconstrained limits.  All tolerances are absolute contracts,
 not tuned numbers.
 """
 from dataclasses import replace
+import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from crobstacle.solver import (
 from crobstacle.sparse import (
     BorderedKkt,
     LinearSolveError,
+    SelectorPattern,
     SingularConstraintError,
     solve_kkt,
     solve_spd,
@@ -379,10 +382,15 @@ def selector_case(name, corner_warm_levels, ring_divisions=24):
     return system, pdas_solve(system=system).state.active
 
 
-def selector(system, act):
-    """The selector factorisation of ``system`` with base ``act``."""
-    return BorderedKkt(system.stiffness, system.coupling, system.load,
-                       system.constraint_rhs, act)
+def selector(system, act, pattern=None):
+    """The selector factorisation of ``system`` with base ``act``.
+
+    Without ``pattern`` it is the first build of a new
+    :class:`SelectorPattern`, ordered by SuperLU's minimum degree.
+    """
+    if pattern is None:
+        pattern = SelectorPattern(system.stiffness, system.coupling)
+    return BorderedKkt(pattern, system.load, system.constraint_rhs, act)
 
 
 def relative_error(value, reference):
@@ -401,33 +409,57 @@ def test_selector_factor_matches_solve_kkt(name, corner_warm_levels):
     assert relative_error(mult[cols], ref_mult) <= 1e-10
 
 
+def captured_factorizations(monkeypatch):
+    """``(matrix, options, factor)`` of each SuperLU factorisation from now on."""
+    factored = []
+    splu = sparse.spla.splu
+
+    def capture(matrix, **kwargs):
+        factored.append((matrix, kwargs, splu(matrix, **kwargs)))
+        return factored[-1][2]
+
+    monkeypatch.setattr(sparse.spla, "splu", capture)
+    return factored
+
+
+def symmetric_permutation(matrix, order):
+    """``matrix[order][:, order]`` in canonical CSC form."""
+    permuted = sp.csc_array(sp.csr_array(matrix)[order][:, order])
+    permuted.sort_indices()
+    return permuted
+
+
 @pytest.mark.parametrize("active", ["converged", "random"])
 @pytest.mark.parametrize("name", ["ring", "corner", "pyramid"])
 def test_selector_matrix_has_the_stiffness_pattern(name, active, corner_warm_levels,
                                                    monkeypatch):
     # each constraint couples the free sides of one element, which the
     # stiffness already couples: A + B B^T / delta adds no entry, and A's
-    # explicit zeros stay stored
+    # explicit zeros stay stored.  The first build orders P by minimum
+    # degree; a later build of the same pattern factors P permuted into
+    # that order, in its natural order
     system, act = selector_case(name, corner_warm_levels, ring_divisions=16)
     if active == "random":
         act = np.random.default_rng(3).random(act.size) < 0.3
-    factored = []
-    splu = sparse.spla.splu
-
-    def capture(matrix, **kwargs):
-        factored.append((matrix, kwargs))
-        return splu(matrix, **kwargs)
-
-    monkeypatch.setattr(sparse.spla, "splu", capture)
-    selector(system, act)
+    factored = captured_factorizations(monkeypatch)
+    pattern = SelectorPattern(system.stiffness, system.coupling)
+    selector(system, act, pattern)
+    selector(system, act, pattern)
     stiffness = system.stiffness.tocsc()
-    [(matrix, options)] = factored
+    [(first, first_options, lu), (later, later_options, _)] = factored
     assert act.any() and np.any(stiffness.data == 0.0)
-    assert np.array_equal(matrix.indptr, stiffness.indptr)
-    assert np.array_equal(matrix.indices, stiffness.indices)
+    assert np.array_equal(first.indptr, stiffness.indptr)
+    assert np.array_equal(first.indices, stiffness.indices)
     # symmetric fill-reducing order, no pivoting, one-column panels
-    assert options == {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
-                       "panel_size": 1, "options": {"SymmetricMode": True}}
+    assert first_options == {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
+                             "panel_size": 1, "options": {"SymmetricMode": True}}
+    order = np.argsort(lu.perm_c)
+    assert np.any(order != np.arange(order.size))
+    expected = symmetric_permutation(first, order)
+    assert np.array_equal(later.indptr, expected.indptr)
+    assert np.array_equal(later.indices, expected.indices)
+    assert np.array_equal(later.data, expected.data)
+    assert later_options == {**first_options, "permc_spec": "NATURAL"}
 
 
 def coo_condensed(A, Bs):
@@ -442,23 +474,50 @@ def coo_condensed(A, Bs):
 @pytest.mark.parametrize("active", ["converged", "random"])
 @pytest.mark.parametrize("name", ["ring", "corner", "pyramid"])
 def test_condensed_matches_the_coo_sum(name, active, corner_warm_levels, monkeypatch):
+    # the scatter map against a COO sum, in A's pattern (the first build)
+    # and in its permutation (a later build, here of other constraints)
     system, act = selector_case(name, corner_warm_levels)
+    rng = np.random.default_rng(4)
     if active == "random":
-        act = np.random.default_rng(4).random(act.size) < 0.3
-    scattered = []
-    condensed = sparse._condensed
+        act = rng.random(act.size) < 0.3
+    other = random_changes(rng, act, act.size // 4)
+    factored = captured_factorizations(monkeypatch)
+    pattern = SelectorPattern(system.stiffness, system.coupling)
+    selector(system, act, pattern)
+    selector(system, other, pattern)
+    [(first, _, lu), (later, _, _)] = factored
+    order = np.argsort(lu.perm_c)
+    B = sp.csc_array(system.coupling)
+    for matrix, mask, permutation in ((first, act, None), (later, other, order)):
+        columns = B[:, np.flatnonzero(mask)]
+        Bs = columns @ sp.diags_array(1.0 / abs(columns).max(axis=0).toarray())
+        expected = coo_condensed(system.stiffness, Bs)
+        if permutation is not None:
+            expected = symmetric_permutation(expected, permutation)
+        assert np.array_equal(matrix.indptr, expected.indptr)
+        assert np.array_equal(matrix.indices, expected.indices)
+        assert np.all(np.abs(matrix.data - expected.data)
+                      <= np.spacing(np.abs(expected.data)))
 
-    def capture(A, Bs, constraints):
-        scattered.append((A, Bs, condensed(A, Bs, constraints)))
-        return scattered[-1][2]
 
-    monkeypatch.setattr(sparse, "_condensed", capture)
-    selector(system, act)
-    [(A, Bs, matrix)] = scattered
-    expected = coo_condensed(A, Bs)
-    assert np.array_equal(matrix.indptr, expected.indptr)
-    assert np.array_equal(matrix.indices, expected.indices)
-    assert np.all(np.abs(matrix.data - expected.data) <= np.spacing(np.abs(expected.data)))
+@pytest.mark.parametrize("active", ["converged", "random"])
+@pytest.mark.parametrize("name", ["ring", "corner", "pyramid"])
+def test_permuted_selector_solve_matches_the_first_build(name, active, corner_warm_levels):
+    # a later build factors P permuted into the first build's order: only
+    # the rounding of the raw solves differs, and two refinement steps take
+    # both to the same iterate
+    system, act = selector_case(name, corner_warm_levels)
+    rng = np.random.default_rng(6)
+    if active == "random":
+        act = rng.random(act.size) < 0.3
+    pattern = SelectorPattern(system.stiffness, system.coupling)
+    first = selector(system, act, pattern)
+    permuted = selector(system, act, pattern)
+    for changed in [act] + [random_changes(rng, act, count) for count in (1, 4, 16)]:
+        free, mult = permuted.solve(changed)
+        ref_free, ref_mult = first.solve(changed)
+        assert relative_error(free, ref_free) <= 1e-12
+        assert relative_error(mult, ref_mult) <= 1e-12
 
 
 @pytest.mark.parametrize("name, active", [("ring", "converged"), ("ring", "random"),
@@ -596,6 +655,40 @@ def test_base_survives_an_unconstrained_iterate(monkeypatch):
     assert out.log[2].residual == out.log[0].residual
 
 
+def held_elsewhere(objects):
+    """Indices of the members of list ``objects`` that anything else references."""
+    objects.append(object())        # referenced by the list only
+    counts = [sys.getrefcount(objects[i]) for i in range(len(objects))]
+    objects.pop()
+    return [i for i, count in enumerate(counts[:-1]) if count > counts[-1]]
+
+
+def test_no_pattern_or_factor_outlives_its_solve(monkeypatch):
+    # the SelectorPattern and every SuperLU factor die with pdas_solve, and
+    # each factorisation finds every earlier factor dead already
+    system = structured_system(ring(), 16)
+    factors, alive_before, patterns = [], [], []
+    splu = sparse.spla.splu
+
+    def capture(matrix, **kwargs):
+        alive_before.append(held_elsewhere(factors))
+        factors.append(splu(matrix, **kwargs))
+        return factors[-1]
+
+    class Recorded(SelectorPattern):
+        def __init__(self, *args):
+            super().__init__(*args)
+            patterns.append(weakref.ref(self))
+
+    monkeypatch.setattr(sparse.spla, "splu", capture)
+    monkeypatch.setattr(solver, "SelectorPattern", Recorded)
+    out = pdas_solve(system=system)
+    assert [row.solve for row in out.log].count("fresh") >= 2 and len(patterns) == 1
+    assert alive_before == [[]] * len(factors)
+    assert patterns[0]() is None
+    assert held_elsewhere(factors) == []
+
+
 def test_bordered_dependent_column_goes_to_a_fresh_selector(monkeypatch):
     # on a structured pyramid mesh the dual graph is bipartite with equal
     # areas, so activating every element makes the constraints dependent;
@@ -605,15 +698,17 @@ def test_bordered_dependent_column_goes_to_a_fresh_selector(monkeypatch):
     everything = np.ones(system.dofmap.n_multipliers, dtype=bool)
     base = everything.copy()
     base[0] = False
+    pattern = SelectorPattern(system.stiffness, system.coupling)
     with pytest.raises(LinearSolveError, match="singular"):
-        selector(system, base).solve(everything)
+        selector(system, base, pattern).solve(everything)
     script_active_sets(monkeypatch, [base, everything, everything])
     out = pdas_solve(system=system)
     assert [row.solve for row in out.log] == ["fresh", "fresh"]
     # two selector bases and the final solve_kkt attempt, which refuses the
-    # dependent set: the selector iterate is returned
+    # dependent set: the selector iterate is returned.  It is the second
+    # build of the solve's pattern, as here
     assert out.factorizations == 3
-    free, mult = selector(system, everything).solve(everything)
+    free, mult = selector(system, everything, pattern).solve(everything)
     assert np.array_equal(out.state.free_values, free)
     assert np.array_equal(out.state.multipliers, mult)
     ref_free, ref_mult, _ = min_norm_kkt(system.stiffness, system.coupling,

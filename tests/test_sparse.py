@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from crobstacle.sparse import (
     BorderedKkt,
     LinearSolveError,
+    SelectorPattern,
     SingularConstraintError,
     _DELTA,
     solve_kkt,
@@ -94,6 +95,15 @@ def mask(m, indices):
     return out
 
 
+def regularised_matrix(A, B0):
+    """The matrix of a raw solve: ``M = [[A, B0], [B0^T, -delta D^-2]]``.
+
+    ``D = diag(1 / max|b_j|)`` scales the constraints of ``B0``.
+    """
+    d = 1.0 / np.abs(B0).max(axis=0)
+    return np.block([[A, B0], [B0.T, -_DELTA * np.diag(d ** -2.0)]])
+
+
 class TestBorderedKkt:
     @staticmethod
     def base(seed, n=14, m=6, m0=4):
@@ -102,7 +112,8 @@ class TestBorderedKkt:
         B = rng.normal(size=(n, m))
         f = rng.normal(size=n)
         g = rng.normal(size=m)
-        kkt = BorderedKkt(sp.csr_array(A), sp.csr_array(B), f, g, mask(m, range(m0)))
+        pattern = SelectorPattern(sp.csr_array(A), sp.csr_array(B))
+        kkt = BorderedKkt(pattern, f, g, mask(m, range(m0)))
         return A, B, f, g, kkt
 
     def test_added_and_dropped_columns_against_dense_oracle(self):
@@ -132,10 +143,8 @@ class TestBorderedKkt:
         # raw solve is held to (n + m) eps / delta; one refinement step
         # against M then squares that relative error away.
         A, B, _, _, kkt = self.base(16)
-        B0 = B[:, :4]
         size = A.shape[0] + 4
-        d = 1.0 / np.abs(B0).max(axis=0)
-        M = np.block([[A, B0], [B0.T, -_DELTA * np.diag(d ** -2.0)]])
+        M = regularised_matrix(A, B[:, :4])
         rng = np.random.default_rng(17)
         for r in (rng.normal(size=size), rng.normal(size=(size, 3))):
             expected = np.linalg.solve(M, r)
@@ -158,13 +167,15 @@ class TestBorderedKkt:
         A, B, f, g, _ = self.base(13, m=4)
         B = np.column_stack([B, B[:, 0] - 2.0 * B[:, 3]])
         g = np.append(g, 0.0)
-        kkt = BorderedKkt(sp.csr_array(A), sp.csr_array(B), f, g, mask(5, range(4)))
+        pattern = SelectorPattern(sp.csr_array(A), sp.csr_array(B))
+        kkt = BorderedKkt(pattern, f, g, mask(5, range(4)))
         with pytest.raises(LinearSolveError, match="singular"):
             kkt.solve(np.ones(5, dtype=bool))
 
     def test_coupling_outside_the_stiffness_pattern_raises(self):
         # P is filled into A's pattern: a constraint that couples two
-        # unknowns A does not couple is named, never scattered elsewhere
+        # unknowns A does not couple is named when the pattern is built,
+        # never scattered elsewhere
         n = 5
         A = sp.diags_array([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)],
                            offsets=[-1, 0, 1], format="csr")
@@ -172,7 +183,32 @@ class TestBorderedKkt:
         B[[0, 1], 0] = 1.0
         B[[1, 2], 1] = 1.0
         B[[0, 3], 2] = 1.0
-        args = (A, sp.csr_array(B), np.ones(n), np.zeros(3))
-        BorderedKkt(*args, mask(3, [0, 1]))
+        pattern = SelectorPattern(A, sp.csr_array(B[:, :2]))
+        BorderedKkt(pattern, np.ones(n), np.zeros(2), mask(2, [0, 1]))
         with pytest.raises(LinearSolveError, match="constraint 2 couples unknowns"):
-            BorderedKkt(*args, mask(3, [0, 2]))
+            SelectorPattern(A, sp.csr_array(B))
+
+    def test_permuted_build_against_dense_oracles(self):
+        # the second build of a pattern factors P permuted into the first
+        # build's order; with every support of 14 rows the scatter sums 6
+        # products into each entry
+        rng = np.random.default_rng(18)
+        A = random_spd(14, seed=19)
+        B = rng.normal(size=(14, 6))
+        f = rng.normal(size=14)
+        g = rng.normal(size=6)
+        pattern = SelectorPattern(sp.csr_array(A), sp.csr_array(B))
+        BorderedKkt(pattern, f, g, mask(6, range(4)))
+        base = mask(6, [1, 2, 4, 5])
+        kkt = BorderedKkt(pattern, f, g, base)
+        assert pattern._permuted and np.any(pattern._order != np.arange(14))
+        for act in (base, mask(6, [0, 2, 4, 5]), mask(6, [1, 3])):
+            u, mult = kkt.solve(act)
+            expected_u, expected_mult = dense_kkt_solution(A, B, f, g, act)
+            assert np.allclose(u, expected_u, rtol=0.0, atol=1e-10)
+            assert np.allclose(mult, expected_mult, rtol=0.0, atol=1e-10)
+        M = regularised_matrix(A, B[:, base])
+        r = np.random.default_rng(19).normal(size=(M.shape[0], 2))
+        expected = np.linalg.solve(M, r)
+        assert (np.abs(kkt._raw(r) - expected).max()
+                <= M.shape[0] * np.finfo(float).eps / _DELTA * np.abs(expected).max())

@@ -11,7 +11,8 @@ mesh refinement with a constant-free primal-dual error estimator.
 
 Modules
 -------
-mesh        triangulations, structured generation, red-green-blue refinement
+mesh        triangulations, structured generation, red-green-blue refinement,
+            nested-dissection orders
 spaces      Crouzeix-Raviart, piecewise-constant and lowest-order flux fields,
             interpolation, barycentric quadrature and the data sampler
 sparse      sparse LU solvers for SPD and saddle-point systems

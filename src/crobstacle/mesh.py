@@ -15,6 +15,9 @@ The mesh data structure is array-based and immutable after construction:
 Jumps across a side are evaluated as ``trace_plus - trace_minus``; on the
 boundary the convention degenerates to ``-trace_minus``, i.e. the normal is
 the outward normal of the domain.
+
+:func:`nested_dissection` orders side unknowns for a sparse factorisation,
+from a recursive bisection of the elements.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ __all__ = [
     "LShape",
     "build_structured",
     "refine_rgb",
+    "nested_dissection",
     "mesh_stats",
     "export_vtk",
 ]
@@ -555,6 +559,115 @@ def refine_rgb(mesh, marked=None):
 
     return Mesh(coords, tris, side_labeler=_inherited_labeler(mesh, side_ids),
                 parent=mesh, parent_elements=parent)
+
+
+# ----------------------------------------------------------------------
+# Nested dissection
+# ----------------------------------------------------------------------
+#: a part of at most this many elements is a leaf of the bisection
+_LEAF_ELEMENTS = 8
+
+
+def _bisection_labels(mesh):
+    """Recursive bisection of the elements; returns ``(labels, depth)``.
+
+    Each part is cut across the longer extent of its barycenters.  The cut
+    is the position, in coordinate order, crossed by the fewest interior
+    sides of the part, chosen among the middle 30% of its elements (the one
+    nearest the middle on a tie, the lower of two).  Parts of at most
+    ``_LEAF_ELEMENTS`` elements are leaves.  Every level cuts all parts at
+    once: each part is a run of one ordering of the elements by x and of
+    one by y, and a cut splits the run it was chosen in and partitions the
+    other run stably.  Bit ``depth - 1 - k`` of ``labels[t]`` says whether
+    element ``t`` went to the second half at level ``k`` (0 below a leaf),
+    so the labels of two elements share as many leading bits as the levels
+    at which they shared a part.
+    """
+    nt = mesh.n_elements
+    centers = mesh.barycenters
+    by_x, by_y = (np.argsort(centers[:, axis], kind="stable") for axis in (0, 1))
+    bounds = np.array([0, nt])
+    labels = np.zeros(nt, dtype=np.int64)
+    interior = mesh.side_elem_plus >= 0
+    left, right = mesh.side_elem_minus[interior], mesh.side_elem_plus[interior].copy()
+    positions = np.arange(nt)
+    rank = np.empty(nt, dtype=np.intp)
+    depth = 0
+    while True:
+        start, stop = bounds[:-1], bounds[1:]
+        sizes = stop - start
+        split = np.flatnonzero(sizes > _LEAF_ELEMENTS)
+        if split.size == 0:
+            return labels, depth
+        along_y = np.repeat(centers[by_y[stop - 1], 1] - centers[by_y[start], 1]
+                            > centers[by_x[stop - 1], 0] - centers[by_x[start], 0], sizes)
+        order = np.where(along_y, by_y, by_x)
+        other = np.where(along_y, by_x, by_y)
+        rank[order] = positions
+        # crossing[k - 1] counts the interior sides of a part that cross a
+        # cut before position k: first < k <= last
+        at_left, at_right = rank[left], rank[right]
+        first = np.minimum(at_left, at_right)
+        last = np.maximum(at_left, at_right)
+        crossing = np.cumsum(np.bincount(first, minlength=nt)
+                             - np.bincount(last, minlength=nt))
+        # candidate cuts: positions 0.35 n to 0.65 n of each part to split
+        n = sizes[split]
+        low = start[split] + -(-7 * n // 20)
+        count = start[split] + 13 * n // 20 - low + 1
+        offset = np.cumsum(count) - count
+        cand = np.arange(count.sum()) - np.repeat(offset - low, count)
+        # fewest crossings, then nearest the middle, then the lower
+        middle = np.repeat(2 * start[split] + n, count)
+        key = (crossing[cand - 1] * (4 * nt + 2) + 2 * np.abs(2 * cand - middle)
+               + (2 * cand > middle))
+        cut = stop.copy()
+        cut[split] = cand[key == np.repeat(np.minimum.reduceat(key, offset), count)]
+        cut_at = np.repeat(cut, sizes)
+        upper_at = positions >= cut_at
+        upper = upper_at[rank]
+        labels <<= 1
+        labels |= upper
+        depth += 1
+        # the cut splits the run it was chosen in; the other run keeps its
+        # order within each half: its lower elements, part by part, fill
+        # the positions before the cuts
+        up = upper[other]
+        parted = np.empty_like(other)
+        parted[~upper_at] = other[~up]
+        parted[upper_at] = other[up]
+        by_x = np.where(along_y, parted, order)
+        by_y = np.where(along_y, order, parted)
+        bounds = np.sort(np.concatenate([bounds, cut[split]]))
+        # a side between the halves leaves the crossing counts: it now
+        # joins its left element to itself
+        cross = np.flatnonzero(upper[left] != upper[right])
+        right[cross] = left[cross]
+
+
+def nested_dissection(mesh, sides):
+    """Nested-dissection elimination order of the side unknowns ``sides``.
+
+    Returns the permutation ``order`` of ``range(len(sides))`` that lists,
+    for every part of :func:`_bisection_labels`'s tree in post-order, the
+    sides it owns: a leaf owns the sides of its elements that no other part
+    shares (its boundary sides among them), and an inner part owns the
+    interior sides between its two halves.  A Crouzeix-Raviart stiffness
+    couples two sides only through a common element, so those sides
+    separate the two halves exactly: no stiffness entry couples a side of
+    one half with a side of the other, and each half comes before its
+    separator.  Sides of one part keep their order in ``sides``.
+    """
+    labels, depth = _bisection_labels(mesh)
+    sides = np.asarray(sides)
+    one = mesh.side_elem_minus[sides]
+    other = mesh.side_elem_plus[sides]
+    first = labels[one]
+    second = labels[np.where(other >= 0, other, one)]
+    # bits below the common prefix: the owner is the part of label first >> below
+    below = np.frexp((first ^ second).astype(float))[1].astype(np.int64)
+    end = ((first >> below) + 1) << below
+    return np.argsort(end * (depth + 1) + below, kind="stable")
 
 
 # ----------------------------------------------------------------------

@@ -12,9 +12,10 @@ the first one of a solve gets a selector factorisation, the *base*, and
 later active sets are bordered onto it until one needs more new border
 columns than a factorisation costs.  The selectors of one solve share a
 :class:`~crobstacle.sparse.SelectorPattern`, built with the first of them
-and dropped when the solve returns: its scatter map fills each selector
-matrix into the stiffness pattern, and the first factorisation's
-minimum-degree order serves every later one.  The selector accepts dependent
+and dropped when the solve returns: it holds the stiffness pattern in the
+mesh's nested-dissection order of the free sides
+(:func:`~crobstacle.mesh.nested_dissection`), and its scatter map fills
+each selector matrix into that pattern.  The selector accepts dependent
 constraints; an active set it cannot solve is inconsistent and raises
 :class:`SolverError`.  The constrained iterate a solve returns is solved
 once more by :func:`~crobstacle.sparse.solve_kkt`, so the result is bitwise
@@ -41,7 +42,7 @@ from .assembly import (
     dirichlet_dof_values,
     find_excluded_element,
 )
-from .mesh import Mesh
+from .mesh import Mesh, nested_dissection
 from .sparse import BorderedKkt, LinearSolveError, SelectorPattern, solve_kkt, solve_spd
 from .spaces import CrFunction, P0Function
 
@@ -246,7 +247,10 @@ def pdas_solve(mesh: Mesh | None = None, data: ProblemData | None = None, *,
     when that solve fails, it gets a new selector factorisation, which
     becomes the base.  The selectors share one
     :class:`~crobstacle.sparse.SelectorPattern`, which lives as long as the
-    call.  A new selector that misses its refined-residual bound
+    call: the first selector builds it, in the nested-dissection order
+    :func:`~crobstacle.mesh.nested_dissection` gives the free sides of the
+    system's mesh, and every selector factors in that order.  A new
+    selector that misses its refined-residual bound
     means an inconsistent active set and raises :class:`SolverError` naming
     the iteration and the number of active constraints.  The returned
     constrained active set is solved once more through :func:`solve_kkt`,
@@ -295,7 +299,9 @@ def pdas_solve(mesh: Mesh | None = None, data: ProblemData | None = None, *,
                 factorizations += 1
                 try:
                     if pattern is None:
-                        pattern = SelectorPattern(sys_.stiffness, sys_.coupling)
+                        pattern = SelectorPattern(
+                            sys_.stiffness, sys_.coupling,
+                            nested_dissection(sys_.mesh, dm.free_sides))
                     base = BorderedKkt(pattern, sys_.load, sys_.constraint_rhs, act)
                 except LinearSolveError as exc:
                     raise SolverError(

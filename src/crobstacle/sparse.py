@@ -18,18 +18,19 @@ delta`` (``B~`` the scaled constraints).  A constraint couples only the free
 sides of one element, so ``P`` is filled into the stiffness matrix's own CSC
 pattern, explicit zeros included; a constraint that couples two unknowns the
 stiffness does not couple raises :class:`LinearSolveError`.  The selector
-factorisations of one system share a :class:`SelectorPattern`: the scaled
-constraints, a scatter map from each constraint's pairs of unknowns to
-positions in that pattern, and one fill-reducing order.  SuperLU orders
-the first ``P`` of a system by minimum degree on ``P^T + P``
-(``MMD_AT_PLUS_A``); every later ``P`` has the same pattern, so it is
-scattered into the symmetric permutation of that pattern and factored in
-its natural order.  Every factorisation runs without pivoting
-(``diag_pivot_thresh=0``, ``SymmetricMode``) and with one-column panels
-(``panel_size=1``).  It exists for every active set, dependent constraints
-included.  Its solves are refined against the unregularised matrix, and a
-refined residual above its bound (an inconsistent active set gives one)
-raises :class:`LinearSolveError`.
+factorisations of one system share a :class:`SelectorPattern`: the
+stiffness pattern moved once into the symmetric permutation of a given
+elimination order (the mesh's nested-dissection order of the free sides,
+:func:`crobstacle.mesh.nested_dissection`, in the solver), the scaled
+constraints and a scatter map from each constraint's pairs of unknowns to
+positions in that permuted pattern.  Every ``P`` of the system is scattered
+into it and factored in its natural order (``permc_spec="NATURAL"``),
+without pivoting (``diag_pivot_thresh=0``, ``SymmetricMode``) and with
+one-column panels (``panel_size=1``).  It exists for every active set,
+dependent constraints included.  Its solves are refined against the
+unregularised matrix, the constraint residuals formed in extended
+precision, and a refined residual above its bound (an inconsistent active
+set gives one) raises :class:`LinearSolveError`.
 
 :class:`BorderedKkt` is the one solver of the package for a dependent
 active set.  A selector solution agrees with :func:`solve_kkt` to
@@ -189,30 +190,29 @@ _SELECTOR_OPTIONS = {"diag_pivot_thresh": 0.0, "panel_size": 1,
 class SelectorPattern:
     """What the selector factorisations of one system share.
 
-    ``A`` is the ``n x n`` stiffness and ``B`` holds every constraint
-    column.  The pattern keeps ``A``'s CSC data and pattern, the scale ``d_j
-    = 1 / max|b_j|`` of each constraint (0 for an empty support) with the
-    scaled constraints ``B~ = B D``, and a scatter map: for each pair ``(r,
-    c)`` of rows in the support of a constraint, constraint by constraint,
-    the position of ``(r, c)`` in ``A``'s CSC data and the product ``b~_rj
-    b~_cj``.  A pair outside ``A``'s pattern raises
-    :class:`LinearSolveError` naming its constraint.  The data of ``P = A +
-    B~_act B~_act^T / delta`` is then ``A``'s data plus one ``bincount`` of
-    the active constraints' pairs.
-
-    :meth:`factor` orders the first ``P`` by minimum degree on ``P^T + P``
-    (``MMD_AT_PLUS_A``) and keeps that order: every ``P`` has ``A``'s
-    pattern, so the order fits them all.  The second factorisation, when
-    the first factor is gone, moves ``A``'s data, its pattern and the
-    scatter positions into the symmetric permutation ``P[order][:, order]``
-    once; from then on ``P`` is scattered straight into it and factored in
-    its natural order.
+    ``A`` is the ``n x n`` stiffness, ``B`` holds every constraint column and
+    ``order`` is the elimination order of the ``n`` unknowns, a permutation
+    (``order[k]`` is eliminated ``k``-th).  The pattern moves ``A``'s data
+    and pattern into the CSC form of the symmetric permutation ``A[order][:,
+    order]`` once.  It keeps the scale ``d_j = 1 / max|b_j|`` of each
+    constraint (0 for an empty support) with the scaled constraints ``B~ =
+    B D``, and a scatter map: for each pair ``(r, c)`` of rows in the support
+    of a constraint, constraint by constraint, the position of the permuted
+    ``(r, c)`` in that data and the product ``b~_rj b~_cj``.  A pair outside
+    ``A``'s pattern raises :class:`LinearSolveError` naming its constraint.
+    The data of the permuted ``P = A + B~_act B~_act^T / delta`` is then the
+    permuted data of ``A`` plus one ``bincount`` of the active constraints'
+    pairs, and :meth:`factor` factors it in its natural order.
     """
 
-    def __init__(self, A, B):
+    def __init__(self, A, B, order):
         self.A = sp.csr_array(A)
-        csc = self.A.tocsc()     # from CSR: rows sorted within each column
-        self._data, self._indices, self._indptr = csc.data, csc.indices, csc.indptr
+        self._order = np.asarray(order)
+        self._rank = np.empty_like(self._order)
+        self._rank[self._order] = np.arange(self._order.size)
+        # fancy indexing keeps A's explicit zeros; CSR -> CSC sorts the rows
+        moved = self.A[self._order][:, self._order].tocsc()
+        self._data, self._indices, self._indptr = moved.data, moved.indices, moved.indptr
         self.B = sp.csc_array(B)
         col_max = abs(self.B).max(axis=0).toarray()
         self.scale = np.divide(1.0, col_max, out=np.zeros_like(col_max),
@@ -229,47 +229,25 @@ class SelectorPattern:
         first, second = start + k // size, start + k % size
         rows, cols = self.scaled.indices[first], self.scaled.indices[second]
         self._product = self.scaled.data[first] * self.scaled.data[second]
-        # 1 + the position of each stored entry of A; 0 off its pattern
+        # 1 + the position of each stored entry; 0 off the pattern
         lookup = sp.csc_array((np.arange(1, self._data.size + 1), self._indices,
                                self._indptr), shape=self.A.shape)
-        self._pos = lookup[rows, cols] - 1
+        self._pos = lookup[self._rank[rows], self._rank[cols]] - 1
         if np.any(self._pos < 0):
             bad = np.argmax(self._pos < 0)
             raise LinearSolveError(
                 f"constraint {int(owner[bad])} couples unknowns {int(rows[bad])} and "
                 f"{int(cols[bad])}, which the stiffness matrix does not couple")
-        self._order = None       # old index of each position of the kept order
-        self._rank = None        # position of each old index (the inverse)
-        self._permuted = False
 
     def factor(self, active):
         """Factor ``P`` of the active mask ``active``; returns ``b -> P^-1 b``."""
-        if self._order is not None and not self._permuted:
-            self._permute()
         keep = np.repeat(active, self._pairs)
         data = self._data + np.bincount(self._pos[keep], weights=self._product[keep],
                                         minlength=self._data.size) / _DELTA
         P = sp.csc_array((data, self._indices, self._indptr), shape=self.A.shape)
-        if self._order is None:
-            lu = spla.splu(P, permc_spec="MMD_AT_PLUS_A", **_SELECTOR_OPTIONS)
-            self._rank = lu.perm_c.copy()   # the view keeps the factor alive
-            self._order = np.argsort(self._rank)
-            return lu.solve
         lu = spla.splu(P, permc_spec="NATURAL", **_SELECTOR_OPTIONS)
         order, rank = self._order, self._rank
         return lambda b: np.take(lu.solve(np.take(b, order, axis=0)), rank, axis=0)
-
-    def _permute(self):
-        """Move ``A``'s data and pattern and the scatter into ``P[order][:, order]``."""
-        gather = sp.csc_array((np.arange(self._data.size), self._indices, self._indptr),
-                              shape=self.A.shape)[self._order][:, self._order]
-        gather.sort_indices()
-        moved = np.empty_like(gather.data)
-        moved[gather.data] = np.arange(gather.data.size)
-        self._data = self._data[gather.data]
-        self._indices, self._indptr = gather.indices, gather.indptr
-        self._pos = moved[self._pos]
-        self._permuted = True
 
 
 class BorderedKkt:
@@ -287,14 +265,15 @@ class BorderedKkt:
     factored, and ``K_delta^-1 [q1; q2]`` is ``u = P^-1 (q1 + B~ q2 /
     delta)``, ``y~ = (B~^T u - q2) / delta``.  ``P`` is positive definite
     whatever the rank of ``B0``.  ``pattern``, the :class:`SelectorPattern`
-    of ``A`` and ``B``, scatters it into ``A``'s CSC pattern and factors it:
-    the system's first ``P`` in SuperLU's ``MMD_AT_PLUS_A`` order, a later
-    one symmetrically permuted into that order, with ``NATURAL``.  A raw
-    solve is accurate to about ``eps / delta`` relative, so every solve is
-    refined ``_REFINE_STEPS`` times against the unregularised matrix,
-    bordered or not; the refined base solution ``w0`` solves ``K0 w0 = [f;
-    g_active]``.  On a consistent dependent active set it carries a
-    regularised representative of the multiplier family.
+    of ``A`` and ``B``, scatters it into ``A``'s CSC pattern, symmetrically
+    permuted into the pattern's elimination order, and factors it in its
+    natural order.  A raw solve is accurate to about ``eps / delta``
+    relative, so every solve is refined ``_REFINE_STEPS`` times against the
+    unregularised matrix, bordered or not; the refined base solution ``w0``
+    solves ``K0 w0 = [f; g_active]``.  On a consistent dependent active set
+    it carries a regularised representative of the multiplier family, close
+    to the minimum-norm one because the constraint residuals and a vector's
+    multiplier block are formed in extended precision.
 
     Any other active set is the base bordered by ``W``: a constraint ``j``
     added since the base is the column ``[b_j; 0]`` with target ``g_j``, a
@@ -317,6 +296,8 @@ class BorderedKkt:
         if not np.all(d > 0.0):
             raise LinearSolveError("a constraint column has empty support")
         self._scaled = pattern.scaled[:, columns]
+        self._scaled_t = self._scaled.T.astype(np.longdouble)
+        self._b_t = self._B.T.astype(np.longdouble)
         try:
             # P dies with this call (held through the refinement, it raised
             # peak RSS); its factor's solve is kept
@@ -330,8 +311,8 @@ class BorderedKkt:
         self._rhs = np.concatenate([f, self._g[self._active]])
         sol = self._raw(self._rhs)
         for _ in range(_REFINE_STEPS):
-            sol += self._raw(self._rhs - self._apply(sol))
-        self._check(self._rhs - self._apply(sol))
+            sol += self._raw(self._residual(sol))
+        self._check(self._residual(sol))
         self._solution = sol
         self._slot = np.full(self._active.size, -1, dtype=np.intp)
         self._columns = sp.csc_array((n + m, 0))
@@ -340,21 +321,40 @@ class BorderedKkt:
         self._weights = np.zeros(0)
 
     def _solve(self, q):
-        """``K_delta^-1 q`` through the factor of ``P``; ``q`` is a vector or a block."""
+        """``K_delta^-1 q`` through the factor of ``P``; ``q`` is a vector or a block.
+
+        ``B~^T u`` agrees with ``q2`` to about ``delta``, so a vector's
+        multiplier ``(B~^T u - q2) / delta`` is formed in extended precision
+        (see :meth:`_residual`); a block's, for the Schur complement, in
+        float64.
+        """
         n = self._A.shape[0]
         q2 = q[n:]
         u = self._solve_p(q[:n] + self._scaled @ q2 / _DELTA)
-        return np.concatenate([u, (self._scaled.T @ u - q2) / _DELTA])
+        if q.ndim == 2:
+            return np.concatenate([u, (self._scaled.T @ u - q2) / _DELTA])
+        y = (self._scaled_t @ u.astype(np.longdouble) - q2) / _DELTA
+        return np.concatenate([u, y.astype(float)])
 
     def _raw(self, r):
         """``M^-1 r`` by one solve with the factor; ``r`` is a vector or a block."""
         s = self._scale if r.ndim == 1 else self._scale[:, None]
         return s * self._solve(s * r)
 
-    def _apply(self, v):
-        """``K0 v``."""
+    def _residual(self, v):
+        """``[f; g_active] - K0 v``, its constraint block in extended precision.
+
+        A raw solve divides the constraint block by ``delta``.  On a
+        dependent active set, float64 rounding of ``g - B^T u`` (about eps
+        of ``g``) then moves the multiplier along the null space of ``B``
+        by about ``eps / delta`` relative at every refinement step, and no
+        residual sees that component again.
+        """
         n = self._A.shape[0]
-        return np.concatenate([self._A @ v[:n] + self._B @ v[n:], self._B.T @ v[:n]])
+        u = v[:n]
+        constraint = self._rhs[n:] - self._b_t @ u.astype(np.longdouble)
+        return np.concatenate([self._rhs[:n] - (self._A @ u + self._B @ v[n:]),
+                               constraint.astype(float)])
 
     def _check(self, residual):
         res = float(np.abs(residual).max(initial=0.0))
@@ -417,11 +417,11 @@ class BorderedKkt:
         z = schur_solve(self._projected[idx] - r2)
         w = self._solution - self._raw(W @ z)
         for _ in range(_REFINE_STEPS):
-            dw = self._raw(self._rhs - self._apply(w) - W @ z)
+            dw = self._raw(self._residual(w) - W @ z)
             dz = schur_solve(W.T @ (w + dw) - r2)
             w += dw - self._raw(W @ dz)
             z += dz
-        self._check(np.concatenate([self._rhs - self._apply(w) - W @ z,
+        self._check(np.concatenate([self._residual(w) - W @ z,
                                     r2 - W.T @ w]))
         mult[self._active] = w[n:]
         mult[dropped] = 0.0

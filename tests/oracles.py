@@ -9,7 +9,9 @@
   bordered updates of :func:`~crobstacle.solver.pdas_solve` must reproduce
   bitwise),
 * :func:`min_norm_kkt` -- the dense minimum-norm solution of a saddle-point
-  system, the reference multiplier of a dependent active set.
+  system, the reference multiplier of a dependent active set,
+* :func:`bisection_labels` -- the recursive element bisection behind
+  :func:`~crobstacle.mesh.nested_dissection`, part by part.
 
 None of them runs in the package pipeline; they live with the tests.
 """
@@ -321,3 +323,44 @@ def brute_force_solve(mesh: Mesh | None = None, data: ProblemData | None = None,
         state=state, converged=True, iterations=0,
         residual=sys_.residual_inf(free, mult), log=(),
         system=sys_, factorizations=0)
+
+
+def bisection_labels(mesh, leaf):
+    """``(labels, depth)`` of the recursive element bisection, one part at a time.
+
+    A part of more than ``leaf`` elements is sorted by the barycentric
+    coordinate of its longer extent (ties by element number) and cut before
+    the position ``k``, ``0.35 n <= k <= 0.65 n``, crossed by the fewest of
+    its interior sides (then nearest ``n / 2``, then the lower).  Bit
+    ``depth - 1 - l`` of a label says whether the element went to the second
+    half at level ``l``.
+    """
+    centers = mesh.barycenters
+    interior = mesh.side_elem_plus >= 0
+    pairs = list(zip(mesh.side_elem_minus[interior].tolist(),
+                     mesh.side_elem_plus[interior].tolist()))
+    halves = {}
+
+    def split(elements, path):
+        if len(elements) <= leaf:
+            for element in elements:
+                halves[element] = path
+            return
+        extent = centers[elements].max(axis=0) - centers[elements].min(axis=0)
+        axis = 1 if extent[1] > extent[0] else 0
+        ordered = [elements[i] for i in np.lexsort((elements, centers[elements, axis]))]
+        place = {element: i for i, element in enumerate(ordered)}
+        spans = [sorted((place[a], place[b])) for a, b in pairs
+                 if a in place and b in place]
+        n = len(ordered)
+        best = min(range(-(-7 * n // 20), 13 * n // 20 + 1),
+                   key=lambda k: (sum(first < k <= last for first, last in spans),
+                                  abs(2 * k - n), k))
+        split(ordered[:best], path + "0")
+        split(ordered[best:], path + "1")
+
+    split(list(range(mesh.n_elements)), "")
+    depth = max(len(path) for path in halves.values())
+    labels = np.array([int(halves[t].ljust(depth, "0") or "0", 2)
+                       for t in range(mesh.n_elements)], dtype=np.int64)
+    return labels, depth

@@ -6,10 +6,15 @@ the implementation existed; the conformity scans in tests/util.py work
 directly on vertex/element arrays and are independent of the mesh class.
 """
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from crobstacle.adaptivity import AfemConfig, afem_run
+from crobstacle.assembly import assemble_stiffness_full
+from crobstacle.benchmarks import corner, ring
 from crobstacle.mesh import (
     DIRICHLET,
     INTERIOR,
@@ -18,11 +23,15 @@ from crobstacle.mesh import (
     Mesh,
     MeshError,
     Rectangle,
+    _LEAF_ELEMENTS,
+    _bisection_labels,
     build_structured,
     export_vtk,
     mesh_stats,
+    nested_dissection,
     refine_rgb,
 )
+from oracles import bisection_labels
 from util import (
     children_inside_parents,
     conformity_scan,
@@ -439,3 +448,105 @@ class TestPatchesStatsExport:
         n_boundary = sum(1 for c in counts.values() if c == 1)
         assert n_boundary == int(m.boundary_mask.sum())
         assert len(counts) == m.n_sides
+
+
+# ----------------------------------------------------------------------
+# nested dissection
+# ----------------------------------------------------------------------
+def dissection_mesh(name):
+    """The meshes the order is checked on."""
+    if name == "ring-16":
+        bench = ring()
+        return build_structured(bench.domain, 16, pattern=bench.mesh_pattern)
+    if name == "corner-adaptive-6":
+        bench = corner()
+        history = afem_run(bench.data, AfemConfig(max_levels=6), bench.initial_mesh())
+        return history.levels[-1].mesh
+
+    def rule(sides, mid):
+        return np.where((mid[:, 0] > 0.9999) | (mid[:, 1] < 1e-4), NEUMANN, DIRICHLET)
+
+    return build_structured(Rectangle(0, 0, 1, 1), 12, boundary_rule=rule)
+
+
+def side_owners(mesh, sides):
+    """The part of the bisection tree owning each side, as a string of halves.
+
+    It is the common prefix of the labels of the side's elements, written
+    as ``depth`` binary digits: a leaf's full label for a side inside a
+    leaf or on the boundary, the label of the part a side cuts otherwise.
+    Returns the owners and the parts that were cut.
+    """
+    labels, depth = _bisection_labels(mesh)
+    text = [format(int(label), f"0{depth}b") for label in labels]
+    owners = []
+    for side in sides:
+        a, b = mesh.side_elem_minus[side], mesh.side_elem_plus[side]
+        owners.append(text[a] if b < 0 else os.path.commonprefix([text[a], text[b]]))
+    prefixes = {label[:k] for label in text for k in range(depth + 1)}
+    cut = {part for part in prefixes if part + "0" in prefixes and part + "1" in prefixes}
+    return owners, cut
+
+
+DISSECTION_MESHES = ["ring-16", "corner-adaptive-6", "neumann-square"]
+
+
+class TestNestedDissection:
+    @pytest.mark.parametrize("name", DISSECTION_MESHES)
+    def test_bisection_matches_the_recursive_reference(self, name):
+        # every level cuts all parts at once; the reference cuts one part
+        # at a time
+        mesh = dissection_mesh(name)
+        labels, depth = _bisection_labels(mesh)
+        ref_labels, ref_depth = bisection_labels(mesh, _LEAF_ELEMENTS)
+        assert depth == ref_depth and depth >= 3
+        assert labels.dtype == ref_labels.dtype and np.array_equal(labels, ref_labels)
+
+    @pytest.mark.parametrize("name", DISSECTION_MESHES)
+    def test_order_is_a_repeatable_permutation(self, name):
+        mesh = dissection_mesh(name)
+        free = np.flatnonzero(~mesh.dirichlet_side_mask)
+        order = nested_dissection(mesh, free)
+        assert np.array_equal(np.sort(order), np.arange(free.size))
+        again = nested_dissection(mesh, free)
+        assert again.dtype == order.dtype and np.array_equal(again, order)
+
+    @pytest.mark.parametrize("name", DISSECTION_MESHES)
+    def test_separators_split_the_stiffness(self, name):
+        # a Crouzeix-Raviart stiffness couples two sides only through a
+        # common element, so the interior sides between the two halves of a
+        # part separate them: no stored entry couples a side of one half
+        # with a side of the other
+        mesh = dissection_mesh(name)
+        free = np.flatnonzero(~mesh.dirichlet_side_mask)
+        stiffness = assemble_stiffness_full(mesh)[free][:, free]
+        owners, cut = side_owners(mesh, free)
+        assert len(cut) >= 7 and "" in cut
+        if name == "neumann-square":
+            assert np.any(mesh.neumann_side_mask[free])
+        for part in cut:
+            lower = np.array([owner.startswith(part + "0") for owner in owners])
+            upper = np.array([owner.startswith(part + "1") for owner in owners])
+            separator = np.array([owner == part for owner in owners])
+            assert lower.any() and upper.any() and separator.any(), part
+            assert stiffness[lower][:, upper].nnz == 0, part
+
+    @pytest.mark.parametrize("name", DISSECTION_MESHES)
+    def test_each_part_follows_its_halves(self, name):
+        # post-order: the sides a part owns are consecutive, in the order
+        # of ``sides``, and come after every side of its two halves
+        mesh = dissection_mesh(name)
+        free = np.flatnonzero(~mesh.dirichlet_side_mask)
+        order = nested_dissection(mesh, free)
+        owners, _ = side_owners(mesh, free)
+        place = np.empty_like(order)
+        place[order] = np.arange(order.size)
+        by_owner = {}
+        for side, owner in enumerate(owners):
+            by_owner.setdefault(owner, []).append(side)
+        for owner, sides in by_owner.items():
+            spots = place[sides]
+            assert np.array_equal(spots, spots[0] + np.arange(len(sides))), owner
+            below = [place[other] for inner, others in by_owner.items()
+                     if inner != owner and inner.startswith(owner) for other in others]
+            assert not below or max(below) < spots[0], owner

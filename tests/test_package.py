@@ -301,3 +301,55 @@ def test_no_function_changes_module_state_in_place():
                          if getattr(node, "id", getattr(node, "attr", None))
                          in ("cache", "lru_cache")]
     assert writes == [] and memoised == [], (writes, memoised)
+
+
+def _calls_by_function(tree):
+    """``(qualified name of the innermost enclosing function, call node)`` of every call."""
+    def walk(node, prefix, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from walk(child, prefix + child.name + ".", prefix + child.name)
+            elif isinstance(child, ast.ClassDef):
+                yield from walk(child, prefix + child.name + ".", owner)
+            else:
+                if isinstance(child, ast.Call):
+                    yield owner, child
+                yield from walk(child, prefix, owner)
+    yield from walk(tree, "", "<module>")
+
+
+def _is_selector_factorisation(call):
+    """``splu(P, permc_spec="NATURAL", **_SELECTOR_OPTIONS)``."""
+    given = [(k.arg, k.value) for k in call.keywords]
+    return (len(call.args) == 1 and len(given) == 2
+            and given[0][0] == "permc_spec"
+            and isinstance(given[0][1], ast.Constant) and given[0][1].value == "NATURAL"
+            and given[1][0] is None
+            and isinstance(given[1][1], ast.Name) and given[1][1].id == "_SELECTOR_OPTIONS")
+
+
+#: the functions whose one SuperLU factorisation keeps SuperLU's defaults:
+#: their bits set every record, and even the panel width moves them
+DEFAULT_FACTORISATIONS = ("sparse.solve_kkt", "sparse.solve_spd")
+
+
+def test_every_factorisation_is_a_selector_or_a_default_one():
+    # a selector factors P in the order its pattern holds, so it asks
+    # SuperLU for none; solve_kkt and solve_spd pass no option at all
+    selectors, defaults, other, named = [], [], [], 0
+    for module, tree in _program_modules().items():
+        named += sum(1 for node in ast.walk(tree)
+                     if getattr(node, "id", getattr(node, "attr", None)) == "splu")
+        for owner, call in _calls_by_function(tree):
+            if getattr(call.func, "id", getattr(call.func, "attr", None)) != "splu":
+                continue
+            where = f"{module}.{owner}"
+            if _is_selector_factorisation(call):
+                selectors.append(where)
+            elif len(call.args) == 1 and not call.keywords:
+                defaults.append(where)
+            else:
+                other.append(f"{where}: {ast.unparse(call)}")
+    assert other == [], other
+    assert sorted(defaults) == sorted(DEFAULT_FACTORISATIONS), defaults
+    assert selectors and named == len(selectors) + len(defaults)

@@ -18,7 +18,7 @@ from crobstacle import solver, sparse
 from crobstacle.adaptivity import AfemConfig, afem_run
 from crobstacle.assembly import AssemblyError, ProblemData, build_dofmap
 from crobstacle.benchmarks import corner, pyramid, ring
-from crobstacle.mesh import build_structured, refine_rgb
+from crobstacle.mesh import build_structured, nested_dissection, refine_rgb
 from crobstacle.solver import (
     SolverError,
     active_set,
@@ -382,14 +382,33 @@ def selector_case(name, corner_warm_levels, ring_divisions=24):
     return system, pdas_solve(system=system).state.active
 
 
+def elimination_order(system):
+    """The nested-dissection order ``pdas_solve`` factors ``system``'s selectors in."""
+    return nested_dissection(system.mesh, system.dofmap.free_sides)
+
+
+def selector_pattern(system, order=None):
+    """The :class:`SelectorPattern` of ``system`` in ``order`` (default: as ``pdas_solve``)."""
+    if order is None:
+        order = elimination_order(system)
+    return SelectorPattern(system.stiffness, system.coupling, order)
+
+
+def minimum_degree_order(system):
+    """SuperLU's minimum-degree order of the stiffness, which every ``P`` shares."""
+    lu = sparse.spla.splu(sp.csc_array(system.stiffness), permc_spec="MMD_AT_PLUS_A",
+                          **sparse._SELECTOR_OPTIONS)
+    return np.argsort(lu.perm_c)
+
+
 def selector(system, act, pattern=None):
     """The selector factorisation of ``system`` with base ``act``.
 
-    Without ``pattern`` it is the first build of a new
-    :class:`SelectorPattern`, ordered by SuperLU's minimum degree.
+    Without ``pattern`` it is a build of a new :class:`SelectorPattern` in
+    the system's nested-dissection order, as in ``pdas_solve``.
     """
     if pattern is None:
-        pattern = SelectorPattern(system.stiffness, system.coupling)
+        pattern = selector_pattern(system)
     return BorderedKkt(pattern, system.load, system.constraint_rhs, act)
 
 
@@ -435,31 +454,33 @@ def test_selector_matrix_has_the_stiffness_pattern(name, active, corner_warm_lev
                                                    monkeypatch):
     # each constraint couples the free sides of one element, which the
     # stiffness already couples: A + B B^T / delta adds no entry, and A's
-    # explicit zeros stay stored.  The first build orders P by minimum
-    # degree; a later build of the same pattern factors P permuted into
-    # that order, in its natural order
+    # explicit zeros stay stored.  Every build factors P permuted into the
+    # system's nested-dissection order, in its natural order: bitwise the
+    # P of the unpermuted pattern, moved
     system, act = selector_case(name, corner_warm_levels, ring_divisions=16)
     if active == "random":
         act = np.random.default_rng(3).random(act.size) < 0.3
+    order = elimination_order(system)
     factored = captured_factorizations(monkeypatch)
-    pattern = SelectorPattern(system.stiffness, system.coupling)
+    pattern = selector_pattern(system, order)
     selector(system, act, pattern)
     selector(system, act, pattern)
-    stiffness = system.stiffness.tocsc()
-    [(first, first_options, lu), (later, later_options, _)] = factored
+    selector(system, act, selector_pattern(system, np.arange(order.size)))
+    stiffness = symmetric_permutation(system.stiffness, order)
+    [(first, first_options, _), (later, later_options, _), (plain, _, _)] = factored
     assert act.any() and np.any(stiffness.data == 0.0)
+    assert np.any(order != np.arange(order.size))
     assert np.array_equal(first.indptr, stiffness.indptr)
     assert np.array_equal(first.indices, stiffness.indices)
-    # symmetric fill-reducing order, no pivoting, one-column panels
-    assert first_options == {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
+    # the order is the pattern's, no pivoting, one-column panels
+    assert first_options == {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.0,
                              "panel_size": 1, "options": {"SymmetricMode": True}}
-    order = np.argsort(lu.perm_c)
-    assert np.any(order != np.arange(order.size))
-    expected = symmetric_permutation(first, order)
-    assert np.array_equal(later.indptr, expected.indptr)
-    assert np.array_equal(later.indices, expected.indices)
-    assert np.array_equal(later.data, expected.data)
-    assert later_options == {**first_options, "permc_spec": "NATURAL"}
+    expected = symmetric_permutation(plain, order)
+    for matrix in (first, later):
+        assert np.array_equal(matrix.indptr, expected.indptr)
+        assert np.array_equal(matrix.indices, expected.indices)
+        assert np.array_equal(matrix.data, expected.data)
+    assert later_options == first_options
 
 
 def coo_condensed(A, Bs):
@@ -474,26 +495,23 @@ def coo_condensed(A, Bs):
 @pytest.mark.parametrize("active", ["converged", "random"])
 @pytest.mark.parametrize("name", ["ring", "corner", "pyramid"])
 def test_condensed_matches_the_coo_sum(name, active, corner_warm_levels, monkeypatch):
-    # the scatter map against a COO sum, in A's pattern (the first build)
-    # and in its permutation (a later build, here of other constraints)
+    # the scatter map against a COO sum permuted into the pattern's order,
+    # for two builds of one pattern with different constraints
     system, act = selector_case(name, corner_warm_levels)
     rng = np.random.default_rng(4)
     if active == "random":
         act = rng.random(act.size) < 0.3
     other = random_changes(rng, act, act.size // 4)
+    order = elimination_order(system)
     factored = captured_factorizations(monkeypatch)
-    pattern = SelectorPattern(system.stiffness, system.coupling)
+    pattern = selector_pattern(system, order)
     selector(system, act, pattern)
     selector(system, other, pattern)
-    [(first, _, lu), (later, _, _)] = factored
-    order = np.argsort(lu.perm_c)
     B = sp.csc_array(system.coupling)
-    for matrix, mask, permutation in ((first, act, None), (later, other, order)):
+    for (matrix, _, _), mask in zip(factored, (act, other)):
         columns = B[:, np.flatnonzero(mask)]
         Bs = columns @ sp.diags_array(1.0 / abs(columns).max(axis=0).toarray())
-        expected = coo_condensed(system.stiffness, Bs)
-        if permutation is not None:
-            expected = symmetric_permutation(expected, permutation)
+        expected = symmetric_permutation(coo_condensed(system.stiffness, Bs), order)
         assert np.array_equal(matrix.indptr, expected.indptr)
         assert np.array_equal(matrix.indices, expected.indices)
         assert np.all(np.abs(matrix.data - expected.data)
@@ -503,21 +521,56 @@ def test_condensed_matches_the_coo_sum(name, active, corner_warm_levels, monkeyp
 @pytest.mark.parametrize("active", ["converged", "random"])
 @pytest.mark.parametrize("name", ["ring", "corner", "pyramid"])
 def test_permuted_selector_solve_matches_the_first_build(name, active, corner_warm_levels):
-    # a later build factors P permuted into the first build's order: only
-    # the rounding of the raw solves differs, and two refinement steps take
-    # both to the same iterate
+    # a build in the nested-dissection order against one in SuperLU's
+    # minimum-degree order: only the rounding of the raw solves differs,
+    # and two refinement steps take both to the same iterate
     system, act = selector_case(name, corner_warm_levels)
     rng = np.random.default_rng(6)
     if active == "random":
         act = rng.random(act.size) < 0.3
-    pattern = SelectorPattern(system.stiffness, system.coupling)
-    first = selector(system, act, pattern)
-    permuted = selector(system, act, pattern)
+    first = selector(system, act, selector_pattern(system, minimum_degree_order(system)))
+    permuted = selector(system, act)
     for changed in [act] + [random_changes(rng, act, count) for count in (1, 4, 16)]:
         free, mult = permuted.solve(changed)
         ref_free, ref_mult = first.solve(changed)
         assert relative_error(free, ref_free) <= 1e-12
         assert relative_error(mult, ref_mult) <= 1e-12
+
+
+def fill_case(name):
+    """(system, converged active mask) of a fill guard."""
+    if name == "ring-cold-48":
+        system = structured_system(ring(), 48)
+        return system, pdas_solve(system=system).state.active
+    bench = pyramid()
+    history = afem_run(bench.data, AfemConfig(max_levels=10), bench.initial_mesh())
+    out = history.levels[-1].outcome
+    return out.system, out.state.active
+
+
+#: bound on the L+U count of the nested-dissection factor of P relative to
+#: the minimum-degree one.  Measured: 179,046 / 200,788 = 0.892 on the cold
+#: ring 48x48 system (6,816 unknowns) and 23,400 / 20,602 = 1.136 on the
+#: 10-level adaptive pyramid system (1,478 unknowns); each bound leaves
+#: about 3% of the minimum-degree count
+FILL_RATIO_BOUND = {"ring-cold-48": 0.92, "pyramid-adaptive-10": 1.17}
+
+
+@pytest.mark.parametrize("name", sorted(FILL_RATIO_BOUND))
+def test_nested_dissection_fill_against_minimum_degree(name, monkeypatch):
+    # the symbolic factor without pivoting depends on the pattern only, so
+    # the counts are exact and the same on every machine
+    system, act = fill_case(name)
+    factored = captured_factorizations(monkeypatch)
+    selector(system, act)
+    [(P, options, lu)] = factored
+    assert options["permc_spec"] == "NATURAL"
+    columns = sp.csc_array(system.coupling)[:, np.flatnonzero(act)]
+    Bs = columns @ sp.diags_array(1.0 / abs(columns).max(axis=0).toarray())
+    reference = sparse.spla.splu(coo_condensed(system.stiffness, Bs),
+                                 **{**options, "permc_spec": "MMD_AT_PLUS_A"})
+    fill = lu.L.nnz + lu.U.nnz
+    assert fill <= FILL_RATIO_BOUND[name] * (reference.L.nnz + reference.U.nnz)
 
 
 @pytest.mark.parametrize("name, active", [("ring", "converged"), ("ring", "random"),
@@ -698,15 +751,15 @@ def test_bordered_dependent_column_goes_to_a_fresh_selector(monkeypatch):
     everything = np.ones(system.dofmap.n_multipliers, dtype=bool)
     base = everything.copy()
     base[0] = False
-    pattern = SelectorPattern(system.stiffness, system.coupling)
+    pattern = selector_pattern(system)
     with pytest.raises(LinearSolveError, match="singular"):
         selector(system, base, pattern).solve(everything)
     script_active_sets(monkeypatch, [base, everything, everything])
     out = pdas_solve(system=system)
     assert [row.solve for row in out.log] == ["fresh", "fresh"]
     # two selector bases and the final solve_kkt attempt, which refuses the
-    # dependent set: the selector iterate is returned.  It is the second
-    # build of the solve's pattern, as here
+    # dependent set: the selector iterate is returned.  It is a build of
+    # the solve's pattern, in the same order, as here
     assert out.factorizations == 3
     free, mult = selector(system, everything, pattern).solve(everything)
     assert np.array_equal(out.state.free_values, free)

@@ -112,7 +112,7 @@ class TestBorderedKkt:
         B = rng.normal(size=(n, m))
         f = rng.normal(size=n)
         g = rng.normal(size=m)
-        pattern = SelectorPattern(sp.csr_array(A), sp.csr_array(B))
+        pattern = SelectorPattern(sp.csr_array(A), sp.csr_array(B), rng.permutation(n))
         kkt = BorderedKkt(pattern, f, g, mask(m, range(m0)))
         return A, B, f, g, kkt
 
@@ -167,7 +167,7 @@ class TestBorderedKkt:
         A, B, f, g, _ = self.base(13, m=4)
         B = np.column_stack([B, B[:, 0] - 2.0 * B[:, 3]])
         g = np.append(g, 0.0)
-        pattern = SelectorPattern(sp.csr_array(A), sp.csr_array(B))
+        pattern = SelectorPattern(sp.csr_array(A), sp.csr_array(B), np.arange(14))
         kkt = BorderedKkt(pattern, f, g, mask(5, range(4)))
         with pytest.raises(LinearSolveError, match="singular"):
             kkt.solve(np.ones(5, dtype=bool))
@@ -183,25 +183,30 @@ class TestBorderedKkt:
         B[[0, 1], 0] = 1.0
         B[[1, 2], 1] = 1.0
         B[[0, 3], 2] = 1.0
-        pattern = SelectorPattern(A, sp.csr_array(B[:, :2]))
+        order = np.arange(n)[::-1]
+        pattern = SelectorPattern(A, sp.csr_array(B[:, :2]), order)
         BorderedKkt(pattern, np.ones(n), np.zeros(2), mask(2, [0, 1]))
-        with pytest.raises(LinearSolveError, match="constraint 2 couples unknowns"):
-            SelectorPattern(A, sp.csr_array(B))
+        # named by the unknowns of A, not by their places in the order
+        with pytest.raises(LinearSolveError,
+                           match="constraint 2 couples unknowns (0 and 3|3 and 0)"):
+            SelectorPattern(A, sp.csr_array(B), order)
 
     def test_permuted_build_against_dense_oracles(self):
-        # the second build of a pattern factors P permuted into the first
-        # build's order; with every support of 14 rows the scatter sums 6
-        # products into each entry
+        # a build factors P permuted into the pattern's order; with every
+        # support of 14 rows the scatter sums 6 products into each entry.  A
+        # second build of the pattern, with other constraints, sees the same
+        # moved data
         rng = np.random.default_rng(18)
         A = random_spd(14, seed=19)
         B = rng.normal(size=(14, 6))
         f = rng.normal(size=14)
         g = rng.normal(size=6)
-        pattern = SelectorPattern(sp.csr_array(A), sp.csr_array(B))
+        order = rng.permutation(14)
+        assert np.any(order != np.arange(14))
+        pattern = SelectorPattern(sp.csr_array(A), sp.csr_array(B), order)
         BorderedKkt(pattern, f, g, mask(6, range(4)))
         base = mask(6, [1, 2, 4, 5])
         kkt = BorderedKkt(pattern, f, g, base)
-        assert pattern._permuted and np.any(pattern._order != np.arange(14))
         for act in (base, mask(6, [0, 2, 4, 5]), mask(6, [1, 3])):
             u, mult = kkt.solve(act)
             expected_u, expected_mult = dense_kkt_solution(A, B, f, g, act)

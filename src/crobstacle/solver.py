@@ -244,8 +244,9 @@ def pdas_solve(mesh: Mesh | None = None, data: ProblemData | None = None, *,
 
     Each constrained iterate is bordered onto the base selector
     factorisation (:class:`BorderedKkt`) when there is one; otherwise, or
-    when that solve fails, it gets a new selector factorisation, which
-    becomes the base.  The selectors share one
+    when that solve fails (more than 16 constraints new to the base, the
+    measured break-even of a factorisation, or a singular bordering), it
+    gets a new selector factorisation, which becomes the base.  The selectors share one
     :class:`~crobstacle.sparse.SelectorPattern`, which lives as long as the
     call: the first selector builds it, in the nested-dissection order
     :func:`~crobstacle.mesh.nested_dissection` gives the free sides of the

@@ -159,44 +159,17 @@ def _collapsed_square_rule(degree: int):
     return QuadratureRule(f"collapsed-gauss-{m}", 2 * m - 2, bary, 2.0 * weights)
 
 
-def triangle_rule(degree: int, subdivisions: int = 0) -> QuadratureRule:
-    """A triangle rule exact (at least) to the given polynomial degree.
-
-    ``subdivisions > 0`` returns a composite rule on the 4**subdivisions
-    similar subtriangles of the regular subdivision, useful for integrands
-    with interior kinks.
-    """
+def triangle_rule(degree: int) -> QuadratureRule:
+    """A triangle rule exact (at least) to the given polynomial degree."""
     if degree < 1:
         raise SpaceError(f"quadrature degree must be >= 1, got {degree}")
     if degree == 1:
-        rule = _centroid_rule()
-    elif degree == 2:
-        rule = _midpoint_rule()
-    elif degree <= 5:
-        rule = _seven_point_rule()
-    else:
-        rule = _collapsed_square_rule(degree)
-    for _ in range(int(subdivisions)):
-        rule = _subdivide_rule(rule)
-    return rule
-
-
-def _subdivide_rule(rule: QuadratureRule) -> QuadratureRule:
-    """Composite rule on the four children of the regular (red) subdivision."""
-    b = rule.bary
-    # children in barycentric coordinates of the parent:
-    # corner children: lambda -> corner + 0.5 * (lambda shuffled), central child.
-    maps = []
-    eye = np.eye(3)
-    mids = 0.5 * (eye[[1, 2, 0]] + eye[[2, 0, 1]])  # midpoints opposite each vertex
-    for j in range(3):
-        corners = np.stack([eye[j], mids[(j + 2) % 3], mids[(j + 1) % 3]])
-        maps.append(corners)
-    maps.append(mids)
-    parts = [b @ corners for corners in maps]
-    bary = np.vstack(parts)
-    weights = np.concatenate([rule.weights / 4.0] * 4)
-    return QuadratureRule(f"{rule.name}-x4", rule.degree, bary, weights)
+        return _centroid_rule()
+    if degree == 2:
+        return _midpoint_rule()
+    if degree <= 5:
+        return _seven_point_rule()
+    return _collapsed_square_rule(degree)
 
 
 def segment_rule(n: int) -> SegmentRule:

@@ -32,6 +32,15 @@ unregularised matrix, the constraint residuals formed in extended
 precision, and a refined residual above its bound (an inconsistent active
 set gives one) raises :class:`LinearSolveError`.
 
+A :class:`BorderedKkt` solve borders the base with the columns of the
+constraints its active set changes.  At most ``_REFACTOR_COLUMNS`` of them
+may be new to the base; they are solved against it in one SuperLU call and
+cached, and more make the caller factor a new selector.  Sixteen columns is
+the break-even on the benchmark workloads: summed in-process PDAS time was
+0.91x (ring), 0.75x (pyramid) and 0.85x (corner) of the time at 64 columns
+(medians of 5 interleaved runs; 8, 12, 24 and 32 columns were slower on
+pyramid and corner), with the same iterates.
+
 :class:`BorderedKkt` is the one solver of the package for a dependent
 active set.  A selector solution agrees with :func:`solve_kkt` to
 round-off, not bitwise; :func:`crobstacle.solver.pdas_solve` therefore
@@ -171,11 +180,11 @@ _REFINE_STEPS = 2
 #: bound on a refined selector residual (max norm) relative to ``1 + max|f|``,
 #: the residual contract of :func:`crobstacle.solver.pdas_solve`
 _RESIDUAL_TOL = 1e-10
-#: border columns solved against the base per SuperLU call; bounds the dense
-#: right-hand-side and solution buffers of :meth:`BorderedKkt._extend`
-BORDER_CHUNK = 16
-#: new border columns of one solve that cost about one selector factorisation
-_REFACTOR_COLUMNS = 64
+#: new border columns of one solve above which a selector is refactored, the
+#: measured break-even (module docstring); they are solved against the base
+#: in one SuperLU call, so this also bounds the dense block of
+#: :meth:`BorderedKkt._extend`
+_REFACTOR_COLUMNS = 16
 #: ``1 / |S^-1|_1`` of the scaled Schur complement below which a bordered
 #: solve is singular: a dependent border column shows at about ``delta``
 SCHUR_INV_NORM_MIN = 100 * _DELTA
@@ -196,13 +205,14 @@ class SelectorPattern:
     and pattern into the CSC form of the symmetric permutation ``A[order][:,
     order]`` once.  It keeps the scale ``d_j = 1 / max|b_j|`` of each
     constraint (0 for an empty support) with the scaled constraints ``B~ =
-    B D``, and a scatter map: for each pair ``(r, c)`` of rows in the support
-    of a constraint, constraint by constraint, the position of the permuted
-    ``(r, c)`` in that data and the product ``b~_rj b~_cj``.  A pair outside
-    ``A``'s pattern raises :class:`LinearSolveError` naming its constraint.
-    The data of the permuted ``P = A + B~_act B~_act^T / delta`` is then the
-    permuted data of ``A`` plus one ``bincount`` of the active constraints'
-    pairs, and :meth:`factor` factors it in its natural order.
+    B D``, each column's rows stored in reverse of ``B``'s, and a scatter
+    map: for each pair ``(r, c)`` of those rows, constraint by constraint,
+    the position of the permuted ``(r, c)`` in that data and the product
+    ``b~_rj b~_cj``.  A pair outside ``A``'s pattern raises
+    :class:`LinearSolveError` naming its constraint.  The data of the
+    permuted ``P = A + B~_act B~_act^T / delta`` is then the permuted data of
+    ``A`` plus one ``bincount`` of the active constraints' pairs, and
+    :meth:`factor` factors it in its natural order.
     """
 
     def __init__(self, A, B, order):
@@ -210,34 +220,49 @@ class SelectorPattern:
         self._order = np.asarray(order)
         self._rank = np.empty_like(self._order)
         self._rank[self._order] = np.arange(self._order.size)
-        # fancy indexing keeps A's explicit zeros; CSR -> CSC sorts the rows
-        moved = self.A[self._order][:, self._order].tocsc()
+        # one row gather and the columns' ranks; CSR -> CSC sorts the rows
+        # and keeps A's explicit zeros
+        gathered = self.A[self._order]
+        columns = self._rank[gathered.indices].astype(gathered.indices.dtype, copy=False)
+        moved = sp.csr_array((gathered.data, columns, gathered.indptr),
+                             shape=self.A.shape).tocsc()
         self._data, self._indices, self._indptr = moved.data, moved.indices, moved.indptr
         self.B = sp.csc_array(B)
-        col_max = abs(self.B).max(axis=0).toarray()
+        indptr = self.B.indptr
+        counts = np.diff(indptr)
+        col_max = np.zeros(counts.size)
+        np.maximum.at(col_max, np.repeat(np.arange(counts.size), counts),
+                      np.abs(self.B.data))
         self.scale = np.divide(1.0, col_max, out=np.zeros_like(col_max),
                                where=col_max > 0.0)
-        self.scaled = self.B @ sp.diags_array(self.scale)
-        indptr = self.scaled.indptr
-        # pair k of a constraint with s support rows is (k // s, k % s)
-        counts = np.diff(indptr)
+        # each column's rows in reverse, as a product B @ diag(scale) stores
+        # them: the scatter map sums in this order, so it fixes P's bits
+        entry = np.repeat(indptr[:-1] + indptr[1:] - 1, counts) - np.arange(indptr[-1])
+        self.scaled = sp.csc_array((self.B.data[entry] * np.repeat(self.scale, counts),
+                                    self.B.indices[entry], indptr), shape=self.B.shape)
+        # pair k of a constraint with s support rows is (k // s, k % s): each
+        # entry, s times, against the entries of its column in turn
         self._pairs = counts * counts
-        owner = np.repeat(np.arange(counts.size), self._pairs)
-        k = np.arange(owner.size) - np.repeat(np.cumsum(self._pairs) - self._pairs,
-                                              self._pairs)
-        start, size = indptr[owner], counts[owner]
-        first, second = start + k // size, start + k % size
-        rows, cols = self.scaled.indices[first], self.scaled.indices[second]
-        self._product = self.scaled.data[first] * self.scaled.data[second]
+        repeats = np.repeat(counts, counts)
+        second = np.repeat(np.repeat(indptr[:-1], counts) + repeats - np.cumsum(repeats),
+                           repeats)
+        second += np.arange(second.size)
+        self._product = np.repeat(self.scaled.data, repeats)
+        self._product *= self.scaled.data[second]
+        ranked = self._rank[self.scaled.indices]
+        rows, cols = np.repeat(ranked, repeats), ranked[second]
         # 1 + the position of each stored entry; 0 off the pattern
         lookup = sp.csc_array((np.arange(1, self._data.size + 1), self._indices,
                                self._indptr), shape=self.A.shape)
-        self._pos = lookup[self._rank[rows], self._rank[cols]] - 1
+        self._pos = lookup[rows, cols]
+        self._pos -= 1
         if np.any(self._pos < 0):
             bad = np.argmax(self._pos < 0)
+            owner = np.searchsorted(np.cumsum(self._pairs), bad, side="right")
             raise LinearSolveError(
-                f"constraint {int(owner[bad])} couples unknowns {int(rows[bad])} and "
-                f"{int(cols[bad])}, which the stiffness matrix does not couple")
+                f"constraint {int(owner)} couples unknowns {int(self._order[rows[bad]])} "
+                f"and {int(self._order[cols[bad]])}, which the stiffness matrix does "
+                "not couple")
 
     def factor(self, active):
         """Factor ``P`` of the active mask ``active``; returns ``b -> P^-1 b``."""
@@ -362,30 +387,34 @@ class BorderedKkt:
             raise LinearSolveError(f"refined residual {res:.1e} exceeds {self._tol:.1e}")
 
     def _extend(self, keys):
-        """Solve the border columns of constraints ``keys`` against ``M`` and cache them."""
+        """Solve the border columns of constraints ``keys`` against ``M`` and cache them.
+
+        All of them go through one block solve: there are at most
+        ``_REFACTOR_COLUMNS``.
+        """
         n, m = self._B.shape
         added = keys[~self._active[keys]]
         dropped = keys[self._active[keys]]
         units = n + np.searchsorted(np.flatnonzero(self._active), dropped)
-        new = sp.hstack([sp.vstack([self._all[:, added], sp.csc_array((m, added.size))]),
-                         sp.eye_array(n + m, format="csc")[:, units]], format="csc")
+        columns = self._all[:, added]
+        new = sp.csc_array((np.concatenate([columns.data, np.ones(dropped.size)]),
+                            np.concatenate([columns.indices, units]),
+                            np.concatenate([columns.indptr,
+                                            columns.nnz + np.arange(1, dropped.size + 1)])),
+                           shape=(n + m, keys.size))
         k0, c = self._columns.shape[1], keys.size
         border = sp.hstack([self._columns, new], format="csc")
+        block = new.toarray(order="F")
+        solved = self._raw(block)
         schur = np.empty((k0 + c, k0 + c))
         schur[:k0, :k0] = self._schur
-        weights = np.empty(c)
-        for start in range(0, c, BORDER_CHUNK):
-            stop = min(start + BORDER_CHUNK, c)
-            chunk = new[:, start:stop].toarray(order="F")
-            solved = self._raw(chunk)
-            schur[:, k0 + start:k0 + stop] = border.T @ solved
-            weights[start:stop] = np.sqrt(np.linalg.norm(chunk, axis=0)
-                                          * np.linalg.norm(solved, axis=0))
+        schur[:, k0:] = border.T @ solved
         schur[k0:, :k0] = schur[:k0, k0:].T   # M is symmetric
         self._schur = schur
         self._columns = border
         self._projected = np.concatenate([self._projected, new.T @ self._solution])
-        self._weights = np.concatenate([self._weights, weights])
+        self._weights = np.concatenate([self._weights, np.sqrt(
+            np.linalg.norm(block, axis=0) * np.linalg.norm(solved, axis=0))])
         self._slot[np.concatenate([added, dropped])] = np.arange(k0, k0 + c)
 
     def solve(self, act):

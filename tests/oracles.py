@@ -11,7 +11,10 @@
 * :func:`min_norm_kkt` -- the dense minimum-norm solution of a saddle-point
   system, the reference multiplier of a dependent active set,
 * :func:`bisection_labels` -- the recursive element bisection behind
-  :func:`~crobstacle.mesh.nested_dissection`, part by part.
+  :func:`~crobstacle.mesh.nested_dissection`, part by part,
+* :func:`selector_pattern_arrays` -- the arrays of a
+  :class:`~crobstacle.sparse.SelectorPattern`, built through scipy's
+  fancy indexing, matrix product and element lookup.
 
 None of them runs in the package pipeline; they live with the tests.
 """
@@ -35,7 +38,12 @@ from crobstacle.solver import (
     build_system,
 )
 from crobstacle.spaces import CrFunction, P0Function
-from crobstacle.sparse import SingularConstraintError, solve_kkt, solve_spd
+from crobstacle.sparse import (
+    LinearSolveError,
+    SingularConstraintError,
+    solve_kkt,
+    solve_spd,
+)
 
 MAX_BRUTE_FORCE_MULTIPLIERS = 20
 _BATCH = 4096
@@ -326,14 +334,15 @@ def brute_force_solve(mesh: Mesh | None = None, data: ProblemData | None = None,
 
 
 def bisection_labels(mesh, leaf):
-    """``(labels, depth)`` of the recursive element bisection, one part at a time.
+    """``(labels, depth, leaf_levels)`` of the recursive element bisection, one part at a time.
 
     A part of more than ``leaf`` elements is sorted by the barycentric
     coordinate of its longer extent (ties by element number) and cut before
     the position ``k``, ``0.35 n <= k <= 0.65 n``, crossed by the fewest of
     its interior sides (then nearest ``n / 2``, then the lower).  Bit
     ``depth - 1 - l`` of a label says whether the element went to the second
-    half at level ``l``.
+    half at level ``l``; ``leaf_levels[t]`` is the level at which the part of
+    element ``t`` became a leaf.
     """
     centers = mesh.barycenters
     interior = mesh.side_elem_plus >= 0
@@ -363,4 +372,46 @@ def bisection_labels(mesh, leaf):
     depth = max(len(path) for path in halves.values())
     labels = np.array([int(halves[t].ljust(depth, "0") or "0", 2)
                        for t in range(mesh.n_elements)], dtype=np.int64)
-    return labels, depth
+    leaf_levels = np.array([len(halves[t]) for t in range(mesh.n_elements)])
+    return labels, depth, leaf_levels
+
+
+def selector_pattern_arrays(A, B, order):
+    """The arrays a :class:`~crobstacle.sparse.SelectorPattern` of ``A``, ``B`` keeps.
+
+    Returns a dict of ``_data``, ``_indices`` and ``_indptr`` (the CSC form of
+    ``A[order][:, order]``), ``scale``, ``scaled`` (``B @ diag(scale)``),
+    ``_pairs``, ``_pos`` and ``_product``.  Pair ``k`` of a constraint with
+    ``s`` support rows is ``(k // s, k % s)``; its position is looked up in
+    a CSC matrix of ``1 +`` the position of each stored entry.  A pair
+    outside the pattern raises :class:`LinearSolveError` naming its
+    constraint.
+    """
+    A = sp.csr_array(A)
+    order = np.asarray(order)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    moved = A[order][:, order].tocsc()
+    B = sp.csc_array(B)
+    col_max = abs(B).max(axis=0).toarray()
+    scale = np.divide(1.0, col_max, out=np.zeros_like(col_max), where=col_max > 0.0)
+    scaled = B @ sp.diags_array(scale)
+    indptr = scaled.indptr
+    counts = np.diff(indptr)
+    pairs = counts * counts
+    owner = np.repeat(np.arange(counts.size), pairs)
+    k = np.arange(owner.size) - np.repeat(np.cumsum(pairs) - pairs, pairs)
+    start, size = indptr[owner], counts[owner]
+    first, second = start + k // size, start + k % size
+    rows, cols = scaled.indices[first], scaled.indices[second]
+    lookup = sp.csc_array((np.arange(1, moved.data.size + 1), moved.indices,
+                           moved.indptr), shape=A.shape)
+    pos = lookup[rank[rows], rank[cols]] - 1
+    if np.any(pos < 0):
+        bad = np.argmax(pos < 0)
+        raise LinearSolveError(
+            f"constraint {int(owner[bad])} couples unknowns {int(rows[bad])} and "
+            f"{int(cols[bad])}, which the stiffness matrix does not couple")
+    return {"_data": moved.data, "_indices": moved.indices, "_indptr": moved.indptr,
+            "scale": scale, "scaled": scaled, "_pairs": pairs, "_pos": pos,
+            "_product": scaled.data[first] * scaled.data[second]}

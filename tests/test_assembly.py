@@ -32,8 +32,8 @@ from crobstacle.spaces import (
     VertexFunction,
     element_points,
     interp_cr,
-    triangle_rule,
 )
+from util import composite_rule
 
 
 def reference_triangle(all_neumann=False):
@@ -197,7 +197,7 @@ class TestLoad:
         m = square_mesh(3)
         f = lambda p: np.sin(p[..., 0]) * np.exp(0.3 * p[..., 1])
         f_h = assemble_load(m, plain_data(f=f))
-        oracle_rule = triangle_rule(12, subdivisions=1)
+        oracle_rule = composite_rule(12, 1)
         pts = element_points(m, oracle_rule.bary)
         oracle = np.asarray(f(pts)) @ oracle_rule.weights
         assert np.allclose(f_h.values, oracle, atol=1e-8)

@@ -64,7 +64,7 @@ from crobstacle.spaces import (
     triangle_rule,
 )
 
-from util import dual_field, grid_mesh
+from util import composite_rule, dual_field, grid_mesh
 
 # Tabulated reference errors for the radial benchmark on successive uniform
 # refinements (levels 1..7), and the convergence orders printed next to them.
@@ -463,7 +463,7 @@ class TestOsc:
         m = _square_mesh(2)
         f = lambda p: np.cos(p[..., 0] * p[..., 1])
         per, total = self.osc(m, _plain_data(f=f))
-        rule = triangle_rule(12, subdivisions=1)
+        rule = composite_rule(12, 1)
         pts = element_points(m, rule.bary)
         f_h = project_p0(f, m, triangle_rule(5))
         diff2 = (np.asarray(f(pts)) - f_h.values[:, None]) ** 2

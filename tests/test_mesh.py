@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from crobstacle.adaptivity import AfemConfig, afem_run
 from crobstacle.assembly import assemble_stiffness_full
-from crobstacle.benchmarks import corner, ring
+from crobstacle.benchmarks import corner, pyramid, ring
 from crobstacle.mesh import (
     DIRICHLET,
     INTERIOR,
@@ -458,9 +458,11 @@ def dissection_mesh(name):
     if name == "ring-16":
         bench = ring()
         return build_structured(bench.domain, 16, pattern=bench.mesh_pattern)
-    if name == "corner-adaptive-6":
-        bench = corner()
-        history = afem_run(bench.data, AfemConfig(max_levels=6), bench.initial_mesh())
+    if "-adaptive-" in name:
+        benchmark, _, levels = name.split("-")
+        bench = {"corner": corner, "pyramid": pyramid}[benchmark]()
+        history = afem_run(bench.data, AfemConfig(max_levels=int(levels)),
+                           bench.initial_mesh())
         return history.levels[-1].mesh
 
     def rule(sides, mid):
@@ -492,15 +494,19 @@ DISSECTION_MESHES = ["ring-16", "corner-adaptive-6", "neumann-square"]
 
 
 class TestNestedDissection:
-    @pytest.mark.parametrize("name", DISSECTION_MESHES)
+    @pytest.mark.parametrize("name", DISSECTION_MESHES
+                             + ["pyramid-adaptive-12", "corner-adaptive-14"])
     def test_bisection_matches_the_recursive_reference(self, name):
-        # every level cuts all parts at once; the reference cuts one part
-        # at a time
+        # every level cuts all parts at once, and a leaf leaves the working
+        # runs; the reference cuts one part at a time.  On the adaptive
+        # meshes, leaves end at different levels
         mesh = dissection_mesh(name)
         labels, depth = _bisection_labels(mesh)
-        ref_labels, ref_depth = bisection_labels(mesh, _LEAF_ELEMENTS)
+        ref_labels, ref_depth, leaf_levels = bisection_labels(mesh, _LEAF_ELEMENTS)
         assert depth == ref_depth and depth >= 3
         assert labels.dtype == ref_labels.dtype and np.array_equal(labels, ref_labels)
+        if name.startswith(("pyramid", "corner-adaptive-14")):
+            assert leaf_levels.min() < leaf_levels.max() == depth
 
     @pytest.mark.parametrize("name", DISSECTION_MESHES)
     def test_order_is_a_repeatable_permutation(self, name):

@@ -83,7 +83,6 @@ _NO_CLI_YET = ("no program code constructs AfemConfig until the crobstacle "
 #: reason; a setting with one value in use is code, not a parameter
 KEPT_SETTINGS = {
     "build_structured.boundary_rule": "the paper's mixed Dirichlet/Neumann setting",
-    "triangle_rule.subdivisions": "composite reference rules that tests compare against",
     "pdas_solve.max_iter": "tests exhaust the iteration budget",
     "AfemHistory.decay_slope.skip": "drops a pre-asymptotic transient from a rate fit",
     "rho_reduced.reference_energy": "an extrapolated energy where none is exact (pyramid)",

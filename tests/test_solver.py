@@ -46,6 +46,7 @@ from oracles import (
     fresh_solve,
     min_norm_kkt,
     penalized_solve,
+    selector_pattern_arrays,
 )
 from util import (
     broken_energy,
@@ -333,11 +334,9 @@ def test_pdas_bitwise_fresh_cold_pyramid_min_norm():
     assert_same_iterate(out, fresh_pdas_solve(system=system))
 
 
-@pytest.fixture(scope="module")
-def corner_warm_levels():
-    """(system, init, outcome) of corner levels 1-8, warm-started from level 2."""
-    bench = corner()
-    history = afem_run(bench.data, AfemConfig(max_levels=8), bench.initial_mesh())
+def warm_levels(bench, max_levels):
+    """(system, init, outcome) of every level of an adaptive run, warm-started from level 2."""
+    history = afem_run(bench.data, AfemConfig(max_levels=max_levels), bench.initial_mesh())
     levels, prev = [], None
     for level in history.levels:
         system = level.outcome.system
@@ -349,6 +348,18 @@ def corner_warm_levels():
         levels.append((system, init, level.outcome))
         prev = level.outcome
     return levels
+
+
+@pytest.fixture(scope="module")
+def corner_warm_levels():
+    """(system, init, outcome) of corner levels 1-8, warm-started from level 2."""
+    return warm_levels(corner(), 8)
+
+
+@pytest.fixture(scope="module")
+def pyramid_warm_levels():
+    """(system, init, outcome) of pyramid levels 1-10, warm-started from level 2."""
+    return warm_levels(pyramid(), 10)
 
 
 def test_pdas_bitwise_fresh_warm_corner_levels(corner_warm_levels):
@@ -392,6 +403,35 @@ def selector_pattern(system, order=None):
     if order is None:
         order = elimination_order(system)
     return SelectorPattern(system.stiffness, system.coupling, order)
+
+
+def assert_same_pattern(pattern, reference):
+    """Every array of ``pattern`` bitwise that of :func:`selector_pattern_arrays`."""
+    for key in ("_data", "_indices", "_indptr", "scale", "_pairs", "_pos", "_product"):
+        value, expected = getattr(pattern, key), reference[key]
+        assert value.dtype == expected.dtype and np.array_equal(value, expected), key
+    for key in ("data", "indices", "indptr"):
+        value, expected = getattr(pattern.scaled, key), getattr(reference["scaled"], key)
+        assert np.array_equal(value, expected), key
+    assert pattern.scaled.shape == reference["scaled"].shape
+
+
+@pytest.mark.parametrize("name", ["ring", "pyramid", "corner"])
+def test_selector_pattern_matches_the_indexing_reference(name, corner_warm_levels,
+                                                        pyramid_warm_levels):
+    # the build by one row gather, a scaled copy of the data and one lookup
+    # against the build by fancy indexing, a matrix product and the lookup:
+    # the ring 24x24, the 10-level adaptive pyramid and every corner level
+    if name == "ring":
+        systems = [structured_system(ring(), 24)]
+    elif name == "pyramid":
+        systems = [pyramid_warm_levels[-1][0]]
+    else:
+        systems = [system for system, _, _ in corner_warm_levels]
+    for system in systems:
+        order = elimination_order(system)
+        assert_same_pattern(selector_pattern(system, order),
+                            selector_pattern_arrays(system.stiffness, system.coupling, order))
 
 
 def minimum_degree_order(system):
@@ -693,6 +733,31 @@ def test_refactors_when_new_columns_exceed_the_budget(monkeypatch):
     ref_free, ref_mult = fresh_solve(system, flipped(3, 4, 5))
     assert np.array_equal(out.state.free_values, ref_free)
     assert np.array_equal(out.state.multipliers, ref_mult)
+
+
+def test_refactor_budget_is_a_speed_setting(corner_warm_levels, pyramid_warm_levels,
+                                            monkeypatch):
+    # the budget only decides whether an iterate is bordered or factored
+    # afresh: every returned iterate is the solve_kkt re-solve of the same
+    # active-set sequence, so only the factorisation count and the solve
+    # kinds may move (and the steps and residuals of the iterates before
+    # the last, which a bordered and a fresh selector round apart)
+    cases = [(structured_system(ring(), 24), None)]
+    cases += [(system, init) for system, init, _ in corner_warm_levels[1:]]
+    cases += [(system, init) for system, init, _ in pyramid_warm_levels[2:]]
+    assert len(cases) == 1 + 7 + 8
+    runs = {}
+    for budget in (0, 16, 64):
+        monkeypatch.setattr(sparse, "_REFACTOR_COLUMNS", budget)
+        runs[budget] = [pdas_solve(system=system, init=init) for system, init in cases]
+    for budget in (0, 64):
+        for out, ref in zip(runs[budget], runs[16]):
+            assert_same_iterate(out, ref)
+            assert [row.n_active for row in out.log] == [row.n_active for row in ref.log]
+    # no border at all refactors every constrained iterate
+    assert all(row.solve != "bordered" for out in runs[0] for row in out.log)
+    total = {budget: sum(out.factorizations for out in runs[budget]) for budget in runs}
+    assert total[0] > total[16] > total[64]
 
 
 def test_base_survives_an_unconstrained_iterate(monkeypatch):

@@ -48,7 +48,7 @@ from crobstacle.spaces import (
 from crobstacle import spaces as spaces_mod
 from crobstacle.benchmarks import corner, pyramid, ring
 
-from util import divergence, eval_cr, side_values, zero_boundary_data
+from util import composite_rule, divergence, eval_cr, side_values, zero_boundary_data
 
 
 def reference_triangle():
@@ -90,7 +90,7 @@ class TestQuadrature:
     @pytest.mark.parametrize("subdivisions", [1, 2])
     def test_composite_rule_exactness(self, subdivisions):
         mesh = reference_triangle()
-        rule = triangle_rule(5, subdivisions=subdivisions)
+        rule = composite_rule(5, subdivisions)
         assert rule.weights.sum() == pytest.approx(1.0, abs=1e-13)
         pts = element_points(mesh, rule.bary)[0]
         for a, b in [(0, 0), (2, 1), (3, 2), (1, 4)]:
@@ -136,7 +136,7 @@ class TestQuadrature:
         a point moves ``chi`` enough to fail that check.
         """
         mesh = rgb_mesh()
-        rule = triangle_rule(degree, subdivisions=subdivisions)
+        rule = composite_rule(degree, subdivisions)
         corners = mesh.vertex_coords[mesh.elem_vertices]
         expected = np.einsum("qj,tjd->tqd", rule.bary, corners)
         assert np.array_equal(element_points(mesh, rule.bary), expected)

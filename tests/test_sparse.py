@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from oracles import selector_pattern_arrays
 from crobstacle.sparse import (
     BorderedKkt,
     LinearSolveError,
@@ -188,8 +189,32 @@ class TestBorderedKkt:
         BorderedKkt(pattern, np.ones(n), np.zeros(2), mask(2, [0, 1]))
         # named by the unknowns of A, not by their places in the order
         with pytest.raises(LinearSolveError,
-                           match="constraint 2 couples unknowns (0 and 3|3 and 0)"):
+                           match="constraint 2 couples unknowns (0 and 3|3 and 0)") as err:
             SelectorPattern(A, sp.csr_array(B), order)
+        with pytest.raises(LinearSolveError) as reference:
+            selector_pattern_arrays(A, sp.csr_array(B), order)
+        assert str(err.value) == str(reference.value)
+
+    @pytest.mark.parametrize("seed", [20, 21])
+    def test_pattern_arrays_match_the_indexing_reference(self, seed):
+        # supports of 0 to 5 rows, empty columns inside and at the end, a
+        # dense stiffness in a random order
+        rng = np.random.default_rng(seed)
+        n, m = 9, 7
+        B = rng.normal(size=(n, m)) * (rng.random((n, m)) < 0.4)
+        B[:, 2] = B[:, -1] = 0.0
+        B[:5, 3] = rng.normal(size=5)
+        A = sp.csr_array(random_spd(n, seed=seed))
+        order = rng.permutation(n)
+        pattern = SelectorPattern(A, sp.csr_array(B), order)
+        reference = selector_pattern_arrays(A, sp.csr_array(B), order)
+        assert np.array_equal(pattern.scale[[2, 6]], [0.0, 0.0])
+        for key in ("_data", "_indices", "_indptr", "scale", "_pairs", "_pos", "_product"):
+            value, expected = getattr(pattern, key), reference[key]
+            assert value.dtype == expected.dtype and np.array_equal(value, expected), key
+        for key in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(pattern.scaled, key),
+                                  getattr(reference["scaled"], key)), key
 
     def test_permuted_build_against_dense_oracles(self):
         # a build factors P permuted into the pattern's order; with every

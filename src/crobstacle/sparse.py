@@ -404,17 +404,17 @@ class BorderedKkt:
                            shape=(n + m, keys.size))
         k0, c = self._columns.shape[1], keys.size
         border = sp.hstack([self._columns, new], format="csc")
-        block = new.toarray(order="F")
-        solved = self._raw(block)
         schur = np.empty((k0 + c, k0 + c))
         schur[:k0, :k0] = self._schur
+        block = new.toarray(order="F")
+        solved = self._raw(block)
         schur[:, k0:] = border.T @ solved
+        weights = np.sqrt(np.linalg.norm(block, axis=0) * np.linalg.norm(solved, axis=0))
         schur[k0:, :k0] = schur[:k0, k0:].T   # M is symmetric
         self._schur = schur
         self._columns = border
         self._projected = np.concatenate([self._projected, new.T @ self._solution])
-        self._weights = np.concatenate([self._weights, np.sqrt(
-            np.linalg.norm(block, axis=0) * np.linalg.norm(solved, axis=0))])
+        self._weights = np.concatenate([self._weights, weights])
         self._slot[np.concatenate([added, dropped])] = np.arange(k0, k0 + c)
 
     def solve(self, act):

@@ -497,9 +497,9 @@ class TestNestedDissection:
     @pytest.mark.parametrize("name", DISSECTION_MESHES
                              + ["pyramid-adaptive-12", "corner-adaptive-14"])
     def test_bisection_matches_the_recursive_reference(self, name):
-        # every level cuts all parts at once, and a leaf leaves the working
-        # runs; the reference cuts one part at a time.  On the adaptive
-        # meshes, leaves end at different levels
+        # every level cuts all parts at once; the reference cuts one part
+        # at a time.  On the deeper adaptive meshes, leaves end at different
+        # levels
         mesh = dissection_mesh(name)
         labels, depth = _bisection_labels(mesh)
         ref_labels, ref_depth, leaf_levels = bisection_labels(mesh, _LEAF_ELEMENTS)

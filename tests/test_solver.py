@@ -49,6 +49,7 @@ from oracles import (
     selector_pattern_arrays,
 )
 from util import (
+    assert_same_pattern,
     broken_energy,
     grid_mesh,
     make_feasible_competitor,
@@ -403,17 +404,6 @@ def selector_pattern(system, order=None):
     if order is None:
         order = elimination_order(system)
     return SelectorPattern(system.stiffness, system.coupling, order)
-
-
-def assert_same_pattern(pattern, reference):
-    """Every array of ``pattern`` bitwise that of :func:`selector_pattern_arrays`."""
-    for key in ("_data", "_indices", "_indptr", "scale", "_pairs", "_pos", "_product"):
-        value, expected = getattr(pattern, key), reference[key]
-        assert value.dtype == expected.dtype and np.array_equal(value, expected), key
-    for key in ("data", "indices", "indptr"):
-        value, expected = getattr(pattern.scaled, key), getattr(reference["scaled"], key)
-        assert np.array_equal(value, expected), key
-    assert pattern.scaled.shape == reference["scaled"].shape
 
 
 @pytest.mark.parametrize("name", ["ring", "pyramid", "corner"])

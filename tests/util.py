@@ -41,6 +41,20 @@ def composite_rule(degree, subdivisions):
     return rule
 
 
+def assert_same_pattern(pattern, reference):
+    """Every array of a ``SelectorPattern`` bitwise that of ``reference``.
+
+    ``reference`` is the dict of ``oracles.selector_pattern_arrays``.
+    """
+    for key in ("_data", "_indices", "_indptr", "scale", "_pairs", "_pos", "_product"):
+        value, expected = getattr(pattern, key), reference[key]
+        assert value.dtype == expected.dtype and np.array_equal(value, expected), key
+    for key in ("data", "indices", "indptr"):
+        value, expected = getattr(pattern.scaled, key), getattr(reference["scaled"], key)
+        assert np.array_equal(value, expected), key
+    assert pattern.scaled.shape == reference["scaled"].shape
+
+
 def undirected_edge_counts(elem_vertices):
     """Map (min_vertex, max_vertex) -> number of elements containing that edge."""
     counts = {}

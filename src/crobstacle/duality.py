@@ -179,18 +179,18 @@ def energy_dual_discrete(y: DualField, f_h: P0Function, chi_h: P0Function, *,
 # ----------------------------------------------------------------------
 # continuous energies
 # ----------------------------------------------------------------------
-def energy_primal_continuous(mesh: Mesh, data: ProblemData, values, grad_sq,
-                             points: np.ndarray) -> float:
+def energy_primal_continuous(mesh: Mesh, data: ProblemData, values,
+                             grad_sq) -> float:
     """Dirichlet energy ``1/2 ||grad v||^2 - (f, v)`` by high-order quadrature.
 
     ``values`` and ``grad_sq`` ``(n_elements, nq)`` are ``v`` and
-    ``|grad v|^2`` sampled at ``points``, the element points of
-    ``triangle_rule(HIGH_ORDER_DEGREE)``; the points serve only to sample
-    the load.  Feasibility of ``v`` is the caller's responsibility.
+    ``|grad v|^2`` sampled at the points of
+    ``triangle_rule(HIGH_ORDER_DEGREE)``, where the load is sampled too.
+    Feasibility of ``v`` is the caller's responsibility.
     """
     rule = triangle_rule(HIGH_ORDER_DEGREE)
     density = 0.5 * np.asarray(grad_sq, dtype=float)
-    density -= (shared_sample(data.f, mesh, rule, points)
+    density -= (shared_sample(data.f, mesh, rule)
                 * np.asarray(values, dtype=float))
     return float(integrate_elementwise(mesh, rule, density).sum())
 
@@ -220,7 +220,7 @@ def energy_dual_continuous(mesh: Mesh, data: ProblemData, field: DualField,
     rule = triangle_rule(HIGH_ORDER_DEGREE)
     pts = element_points(mesh, rule.bary)
     chi_vals = sample_data(data.chi, pts)
-    f_vals = shared_sample(data.f, mesh, rule, pts)
+    f_vals = shared_sample(data.f, mesh, rule)
     div_vals = (residual_load - f_h.values)[:, None]
     pairing = float(integrate_elementwise(
         mesh, rule, (div_vals + f_vals) * chi_vals).sum())

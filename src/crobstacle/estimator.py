@@ -16,11 +16,10 @@ On one level, :func:`oscillation` (through :func:`estimate`),
 ``energy_primal_continuous``) need the load ``f`` and the exact ``u`` and
 ``grad u`` at the same degree-12 element points.  They take them from
 :func:`~crobstacle.spaces.shared_sample`, so each callable is evaluated
-once per level, not once per caller.  The shared samples are those of the
-latest mesh and rule only: the next level's sampling replaces them, and
-they go when their mesh does.  Each call still builds its own element
-points.  The obstacle is not shared: :func:`estimate` and
-:func:`rho_reduced` each sample it once.
+once per level, not once per caller, and on a refined level only on the
+elements the refinement created, at element points that only the slot
+builds.  The obstacle is not shared: :func:`estimate` and
+:func:`rho_reduced` each sample it once, at points built only for a callable.
 """
 from __future__ import annotations
 
@@ -88,9 +87,8 @@ class PostprocessedField:
     so constant obstacles never require an obstacle gradient).
 
     Evaluation is barycentric: ``bary`` are rule points shared by every
-    element; ``points``, when given, are their element points from
-    :func:`element_points` (built here otherwise) and serve only to sample
-    the obstacle data.
+    element.  Their element points are built only for a callable obstacle,
+    which is sampled there.
     """
     mesh: Mesh
     nodal: VertexFunction
@@ -100,12 +98,12 @@ class PostprocessedField:
         """Values at shared barycentric points; shape (n_elements, nq)."""
         return self.sample(bary).values
 
-    def sample(self, bary, points=None) -> "FieldSample":
+    def sample(self, bary) -> "FieldSample":
         """The nodal part and the obstacle at shared barycentric points."""
-        if points is None:
-            points = element_points(self.mesh, bary)
+        chi = self.data.chi
+        points = element_points(self.mesh, bary) if callable(chi) else None
         return FieldSample(self, points, self.nodal.eval_at(bary),
-                           sample_data(self.data.chi, points))
+                           sample_data(chi, points))
 
 
 @dataclass(frozen=True)
@@ -113,7 +111,7 @@ class FieldSample:
     """A post-processed field on one set of element points.
 
     ``p1`` is the nodal part ``(n_elements, nq)`` and ``chi`` the obstacle
-    as :func:`sample_data` returns it (a float for a constant obstacle).
+    as :func:`sample_data` returns it (for a constant, a float and no points).
     """
     field: PostprocessedField
     points: np.ndarray
@@ -207,16 +205,14 @@ def eta_C(multiplier: P0Function, f_h: P0Function, mesh: Mesh) -> np.ndarray:
     return 0.25 * mesh.h_elements ** 2 * diff ** 2 * mesh.areas
 
 
-def oscillation(mesh: Mesh, data: ProblemData, f_h: P0Function,
-                points: np.ndarray) -> np.ndarray:
+def oscillation(mesh: Mesh, data: ProblemData, f_h: P0Function) -> np.ndarray:
     """Per-element data oscillation ``h_T^2 * int_T (f - f_h)^2``.
 
-    ``points`` are the high-order rule's element points.  Exactly zero (by
-    construction, not by quadrature) when ``f`` is a constant and ``f_h``
-    is its projection.
+    Exactly zero (by construction, not by quadrature) when ``f`` is a
+    constant and ``f_h`` is its projection.
     """
     rule = triangle_rule(HIGH_ORDER_DEGREE)
-    f = shared_sample(data.f, mesh, rule, points)
+    f = shared_sample(data.f, mesh, rule)
     diff_sq = (f - f_h.values[:, None]) ** 2
     return mesh.h_elements ** 2 * integrate_elementwise(mesh, rule, diff_sq)
 
@@ -291,7 +287,7 @@ def estimate(outcome) -> EstimateResult:
             eta_A(v, outcome.solution, sample),
             eta_B(v, outcome.multiplier, sample),
             eta_C(outcome.multiplier, system.f_h, mesh),
-            oscillation(mesh, data, system.f_h, sample.points),
+            oscillation(mesh, data, system.f_h),
         ),
     )
 
@@ -330,22 +326,21 @@ def rho_reduced(v: PostprocessedField, solution: CrFunction,
 
     mesh = v.mesh
     rule = triangle_rule(HIGH_ORDER_DEGREE)
-    pts = element_points(mesh, rule.bary)
-    sample = v.sample(rule.bary, pts)
+    sample = v.sample(rule.bary)
     chi = sample.chi
     values = sample.values
     grad_sq = sample.gradient_error_sq(np.zeros((mesh.n_elements, 2)))
     # Free the nodal part before the energy and the energy's inputs after
     # it: level-sized arrays kept past their use raise the run's peak memory.
     del sample
-    total = energy_primal_continuous(mesh, data, values, grad_sq,
-                                     pts) - float(reference_energy)
+    total = (energy_primal_continuous(mesh, data, values, grad_sq)
+             - float(reference_energy))
     del values, grad_sq
     if include_exact_terms:
         grad_h = solution.gradient().values
-        grad_u = shared_sample(exact.grad_u, mesh, rule, pts)
+        grad_u = shared_sample(exact.grad_u, mesh, rule)
         total += float(_distance_sq(mesh, rule, grad_h[:, None, :], grad_u).sum())
-        gap = shared_sample(exact.u, mesh, rule, pts) - chi
+        gap = shared_sample(exact.u, mesh, rule) - chi
         total += float(np.sum((-multiplier.values)
                               * integrate_elementwise(mesh, rule, gap)))
     return float(total)
@@ -391,12 +386,15 @@ class ExactErrors:
 def _distance_sq(mesh: Mesh, rule, a, b) -> np.ndarray:
     """Per-element ``int_T |a - b|^2`` of vector fields sampled on ``rule``.
 
-    ``a`` and ``b`` broadcast to ``(n_elements, nq, 2)``.  The two
-    components are added directly: the same bits as ``sum(axis=-1)``, which
-    is many times slower over a length-2 axis.
+    ``a`` and ``b`` broadcast to ``(n_elements, nq, 2)``.  Each component's
+    difference is squared in place and the two are added: the bits of
+    ``((a - b) ** 2).sum(axis=-1)`` without its ``(n_elements, nq, 2)``
+    temporaries.
     """
-    diff = a - b
-    return integrate_elementwise(mesh, rule, diff[..., 0] ** 2 + diff[..., 1] ** 2)
+    dist, dy = a[..., 0] - b[..., 0], a[..., 1] - b[..., 1]
+    dist *= dist
+    dist += np.square(dy, out=dy)
+    return integrate_elementwise(mesh, rule, dist)
 
 
 def _element_means_vector(rt_field, rule) -> np.ndarray:
@@ -418,9 +416,7 @@ def exact_errors(solution: CrFunction, flux: DualField, multiplier: P0Function,
                              "solution")
     mesh = solution.mesh
     rule = triangle_rule(HIGH_ORDER_DEGREE)
-    pts = element_points(mesh, rule.bary)
-
-    grad_u = shared_sample(exact.grad_u, mesh, rule, pts)
+    grad_u = shared_sample(exact.grad_u, mesh, rule)
 
     def error(field_vals) -> float:
         return math.sqrt(float(_distance_sq(mesh, rule, field_vals, grad_u).sum()))
@@ -443,7 +439,7 @@ def exact_errors(solution: CrFunction, flux: DualField, multiplier: P0Function,
         (((zh_mean - zi_mean) ** 2).sum(axis=1) * mesh.areas).sum()))
 
     mean_u = integrate_elementwise(
-        mesh, rule, shared_sample(exact.u, mesh, rule, pts)) / mesh.areas
+        mesh, rule, shared_sample(exact.u, mesh, rule)) / mesh.areas
     m_uh = solution.element_means()
     neg_mult = -multiplier.values
     pairing_error = float(np.sum(neg_mult * (mean_u - m_uh) * mesh.areas))

@@ -24,8 +24,8 @@ Interpolants
 Quadrature
 ----------
 Quadrature is barycentric only: fields evaluate at the barycentric points of
-a rule (``eval_at``), and :func:`element_points` builds the physical points
-once per pass, only for :func:`sample_data` to evaluate problem data there;
+a rule (``eval_at``), and :func:`element_points` builds physical points only
+for the elements where :func:`sample_data` evaluates problem data;
 :func:`side_points` does the same for segment rules on sides.
 Nothing maps physical points back to barycentric coordinates except
 prolongation, which locates fine side midpoints in coarse elements.
@@ -38,7 +38,7 @@ each block into one preallocated array, so the callable's temporaries are
 bounded by a block rather than by the mesh; the result is bitwise equal to
 one call on all points.  :func:`shared_sample` puts a single slot in front of
 it: the samples of the latest mesh and rule, reused by every caller on that
-level (see its docstring for the lifetime).
+level; a refined mesh samples only its new elements (see its docstring).
 
 All scalar callables used as data must accept ``(..., 2)`` coordinate arrays
 and evaluate vectorised; vector callables return ``(..., 2)`` arrays.  Data
@@ -197,7 +197,7 @@ def _barycentric_combination(bary, corner_values) -> np.ndarray:
     return np.moveaxis(out, 0, -1)
 
 
-def element_points(mesh: Mesh, bary: np.ndarray) -> np.ndarray:
+def element_points(mesh: Mesh, bary: np.ndarray, elements=None) -> np.ndarray:
     """Physical coordinates ``(n_elements, nq, 2)`` of barycentric points.
 
     The points are bitwise equal to ``np.einsum("qj,tjd->tqd", bary,
@@ -205,8 +205,10 @@ def element_points(mesh: Mesh, bary: np.ndarray) -> np.ndarray:
     that way, with no tolerance (a 1-ulp shift can move an obstacle value
     across the post-processed field).  Each coordinate is stored
     contiguously, so ``points[..., 0]`` is a cheap strided view.
+    ``elements`` selects rows by index or mask (all by default).
     """
-    return _barycentric_combination(bary, mesh.vertex_coords[mesh.elem_vertices])
+    ev = mesh.elem_vertices if elements is None else mesh.elem_vertices[elements]
+    return _barycentric_combination(bary, mesh.vertex_coords[ev])
 
 
 def side_points(mesh: Mesh, rule: SegmentRule, sides=None) -> np.ndarray:
@@ -268,9 +270,10 @@ class _LevelSamples:
     mesh: object       # weak reference to the mesh (None: empty slot)
     rule: object
     samples: list      # (callable, read-only sample) pairs
+    inherited: list    # the parent mesh's pairs not yet taken over
 
 
-_NO_SAMPLES = _LevelSamples(None, None, ())
+_NO_SAMPLES = _LevelSamples(None, None, (), ())
 _level_samples = _NO_SAMPLES
 
 
@@ -281,39 +284,57 @@ def _release(mesh_ref) -> None:
         _level_samples = _NO_SAMPLES
 
 
-def shared_sample(value, mesh: Mesh, rule: QuadratureRule, points: np.ndarray):
+def shared_sample(value, mesh: Mesh, rule: QuadratureRule):
     """:func:`sample_data` at the element points of ``rule``, shared per level.
 
-    ``points`` must be ``element_points(mesh, rule.bary)``.  A callable is
-    sampled at most once per mesh and rule: a later call with the same
-    callable object (compared with ``is``), the same mesh and a rule with
-    the same barycentric points returns the same read-only array.  Scalars
-    go straight to :func:`sample_data`.
+    A callable is sampled at most once per mesh and rule: a later call with
+    the same callable object (compared with ``is``), the same mesh and a
+    rule with the same barycentric points returns the same read-only array.
+    Scalars go straight to :func:`sample_data`.
 
     The samples live in one module-level slot, since the diagnostics'
     signatures carry no per-level state to hang them on, and the mesh cannot
-    carry them (an adaptive run keeps every level's mesh).  The slot holds a
-    weak reference to its mesh, the rule and the samples, never the element
-    points.
+    carry them (an adaptive run keeps every level's mesh).  It holds a weak
+    reference to its mesh, the rule and the samples, never element points.
     Sampling on another mesh or rule replaces the whole slot, and the slot
-    empties when its mesh is collected, so it holds at most one level's
-    samples and nothing of an older mesh.
+    empties when its mesh is collected.  Replacing a slot of the live
+    ``mesh.parent`` with the same points keeps the parent's samples, each
+    until its callable's first call here: an element that is its parent's
+    only child is the parent triangle, vertices in the same order, so those
+    rows are copied and only the other elements are sampled.
     """
     global _level_samples
     if not callable(value):
-        return sample_data(value, points)
+        return sample_data(value, None)
     slot = _level_samples
-    if (slot.mesh is None or slot.mesh() is not mesh
-            or not np.array_equal(slot.rule.bary, rule.bary)):
-        slot = _LevelSamples(weakref.ref(mesh, _release), rule, [])
+    same_rule = slot.mesh is not None and np.array_equal(slot.rule.bary, rule.bary)
+    if not same_rule or slot.mesh() is not mesh:
+        inherit = same_rule and mesh.parent is not None and slot.mesh() is mesh.parent
+        slot = _LevelSamples(weakref.ref(mesh, _release), rule, [],
+                             slot.samples if inherit else [])
         _level_samples = slot
     for fn, values in slot.samples:
         if fn is value:
             return values
     # a read-only view: an array the callable returned stays writeable
-    values = sample_data(value, points).view()
+    values = _sample_level(value, mesh, rule, slot.inherited).view()
     values.flags.writeable = False
     slot.samples.append((value, values))
+    return values
+
+
+def _sample_level(value, mesh: Mesh, rule: QuadratureRule, inherited: list):
+    """``value`` on ``mesh``, its kept rows taken out of ``inherited`` if there."""
+    hit = [i for i, (fn, _) in enumerate(inherited) if fn is value]
+    old = inherited.pop(hit[0])[1] if hit else None
+    if old is None or old.ndim < 2:   # a constant callable may give a scalar
+        return sample_data(value, element_points(mesh, rule.bary))
+    parents = mesh.parent_elements
+    kept = np.bincount(parents)[parents] == 1
+    values = np.empty((mesh.n_elements,) + old.shape[1:])
+    values[kept] = old[parents[kept]]
+    del old
+    values[~kept] = sample_data(value, element_points(mesh, rule.bary, ~kept))
     return values
 
 

@@ -133,16 +133,14 @@ def solve_kkt(A, B, f, g):
         raise LinearSolveError(
             f"shape mismatch: A {Acsr.shape}, B {Bcsr.shape}, f {f.shape}, g {g.shape}")
 
-    Bcsc = sp.csc_array(Bcsr)
-    Bcsc.eliminate_zeros()
-    empty = np.flatnonzero(np.diff(Bcsc.indptr) == 0)
+    empty = np.flatnonzero(np.bincount(Bcsr.indices[Bcsr.data != 0], minlength=m) == 0)
     if empty.size:
         raise SingularConstraintError(
             f"constraints {empty.tolist()} have empty support "
             "(no unknown couples to them)", constraints=empty)
 
     t0 = time.perf_counter()
-    K = sp.bmat([[Acsr, Bcsr], [Bcsr.T, None]], format="csc")
+    K = _saddle_point(Acsr, Bcsr)
     try:
         lu = spla.splu(K)
     except RuntimeError as exc:
@@ -169,6 +167,21 @@ def solve_kkt(A, B, f, g):
     residual = float(np.linalg.norm(K @ sol - rhs))
     report = SolveReport(n + m, int(K.nnz), residual, time.perf_counter() - t0)
     return x, y, report
+
+
+def _saddle_point(A, B):
+    """``sp.bmat([[A, B], [B.T, None]], format="csc")`` of canonical CSR blocks
+    without a COO pass: the same arrays, which fix the COLAMD order."""
+    Ac, Bc, n = A.tocsc(), B.tocsc(), B.shape[0]
+    head = Ac.indptr + B.indptr   # column j: A's column j, then B's row j
+    indptr = np.concatenate([head, head[-1] + Bc.indptr[1:]])
+    data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=indptr.dtype)
+    at_a = np.arange(Ac.nnz) + np.repeat(B.indptr[:-1], np.diff(Ac.indptr))
+    at_b = np.arange(B.nnz) + np.repeat(Ac.indptr[1:], np.diff(B.indptr))
+    data[at_a], indices[at_a] = Ac.data, Ac.indices
+    data[at_b], indices[at_b] = B.data, B.indices + n
+    data[head[-1]:], indices[head[-1]:] = Bc.data, Bc.indices
+    return sp.csc_array((data, indices, indptr), shape=(len(indptr) - 1,) * 2)
 
 
 #: (2,2) block of a selector factorisation: ``-_DELTA I`` against constraint

@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from crobstacle import adaptivity
+from crobstacle import spaces as spaces_mod
 from crobstacle.adaptivity import (
     AdaptivityError,
     AfemConfig,
@@ -370,6 +371,36 @@ def test_pyramid_adaptive_strong_duality_each_level():
         primal, dual = rec.primal_energy, rec.dual_energy
         assert math.isfinite(primal) and math.isfinite(dual), rec.level
         assert abs(primal - dual) <= 1e-8 * max(1.0, abs(primal)), rec.level
+
+
+def test_inherited_samples_give_the_records_of_fresh_ones(monkeypatch):
+    """Refined levels copy unrefined elements' samples, with no record bit moved.
+
+    The reference run samples every element on every level.  A counting
+    load shows that the inheriting run evaluates fewer points.
+    """
+    bench = corner()
+
+    def run():
+        points = []
+
+        def f(pts):
+            points.append(pts.shape[0] * pts.shape[1])
+            return bench.data.f(pts)
+
+        hist = afem_run(replace(bench.data, f=f), AfemConfig(max_levels=6),
+                        bench.initial_mesh())
+        return [np.asarray(rec.row(), dtype=float).tobytes()
+                for rec in hist.records], sum(points)
+
+    inherited, inherited_points = run()
+    monkeypatch.setattr(
+        spaces_mod, "_sample_level",
+        lambda value, mesh, rule, inherited: spaces_mod.sample_data(
+            value, spaces_mod.element_points(mesh, rule.bary)))
+    fresh, fresh_points = run()
+    assert len(inherited) == 6 and inherited == fresh
+    assert inherited_points < fresh_points
 
 
 def test_ring_adaptive_exact_errors_recorded(ring_adaptive):

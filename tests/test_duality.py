@@ -341,7 +341,7 @@ def test_energy_primal_continuous_trivial_zero():
 
     pts = element_points(mesh, triangle_rule(12).bary)
     zeros = np.zeros(pts.shape[:-1])
-    value = energy_primal_continuous(mesh, bench.data, zeros, zeros, pts)
+    value = energy_primal_continuous(mesh, bench.data, zeros, zeros)
     assert abs(value) <= 1e-14
 
 
@@ -354,7 +354,7 @@ def test_energy_primal_continuous_reproduces_ring_energy():
     pts = element_points(mesh, triangle_rule(12).bary)
     grads = exact.grad_u(pts)
     value = energy_primal_continuous(mesh, bench.data, exact.u(pts),
-                                     grads[..., 0] ** 2 + grads[..., 1] ** 2, pts)
+                                     grads[..., 0] ** 2 + grads[..., 1] ** 2)
     # the integrand kinks along the contact circle; with the high-order rule
     # the remaining quadrature error is dominated by the crossing elements
     assert abs(value - RING_ENERGY) <= 5e-4 * (1.0 + abs(RING_ENERGY))

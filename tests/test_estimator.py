@@ -27,6 +27,7 @@ from crobstacle.assembly import (
 )
 from crobstacle.benchmarks import RING_ENERGY, corner, pyramid, ring
 from crobstacle.duality import energy_primal_continuous, marini_flux
+from crobstacle import estimator as estimator_module
 from crobstacle.estimator import (
     ErrorRecord,
     EstimatorBreakdown,
@@ -90,11 +91,6 @@ def _high(v):
     return v.sample(triangle_rule(12).bary)
 
 
-def _high_points(mesh):
-    """The element points of the estimator's degree-12 rule."""
-    return element_points(mesh, triangle_rule(12).bary)
-
-
 def _grad_sq(sample):
     """``|grad v|^2`` of a post-processed field at its sample points."""
     return sample.gradient_error_sq(np.zeros((sample.field.mesh.n_elements, 2)))
@@ -123,10 +119,9 @@ def ring_study():
         flux = marini_flux(out.solution, out.multiplier, out.system.f_h)
         res = estimate(out)
         errs = exact_errors(out.solution, flux, out.multiplier, data)
-        pts = _high_points(mesh)
-        sample = res.field.sample(triangle_rule(12).bary, pts)
+        sample = _high(res.field)
         i_v = energy_primal_continuous(mesh, data, sample.values,
-                                       _grad_sq(sample), pts)
+                                       _grad_sq(sample))
         rho_full = rho_reduced(res.field, out.solution, out.multiplier, data)
         rho_energy = rho_reduced(res.field, out.solution, out.multiplier,
                                  data, include_exact_terms=False)
@@ -250,9 +245,8 @@ def test_postprocess_physical_point_evaluation_consistent():
         assert np.allclose(((grads - ref[:, None, :]) ** 2).sum(axis=-1),
                            v.sample(rule.bary).gradient_error_sq(ref),
                            atol=1e-12, rtol=1e-12)
-    assert np.array_equal(v.sample(rule.bary, pts).values, v.values_on(rule.bary))
-    assert np.array_equal(_grad_sq(v.sample(rule.bary, pts)),
-                          _grad_sq(v.sample(rule.bary)))
+    # a constant obstacle needs no element points
+    assert v.sample(rule.bary).points is None
 
 
 def test_postprocess_pyramid_feasible_at_quadrature_nodes():
@@ -293,9 +287,8 @@ def test_eta_a_matches_independent_quadrature():
     cr_grads = u.gradient().values
     expected = ((p1_grads - cr_grads) ** 2).sum(axis=1) * mesh.areas
     assert np.allclose(eta_A(v, u, _high(v)), expected, rtol=1e-13)
-    # a sample on points built by the caller gives the same bits
-    shared = v.sample(triangle_rule(12).bary, _high_points(mesh))
-    assert np.array_equal(eta_A(v, u, shared), eta_A(v, u, _high(v)))
+    # a constant obstacle is sampled without element points
+    assert _high(v).points is None
 
 
 def test_eta_a_total_decreases_under_refinement(ring_study):
@@ -416,7 +409,7 @@ def test_oscillation_zero_for_constant_load():
     mesh = grid_mesh(2, 2)
     data = ProblemData(name="const", f=-2.0, chi=0.0)
     f_h = P0Function(mesh, np.full(mesh.n_elements, -2.0))
-    assert np.all(oscillation(mesh, data, f_h, _high_points(mesh)) == 0.0)
+    assert np.all(oscillation(mesh, data, f_h) == 0.0)
 
 
 def test_oscillation_matches_independent_quadrature():
@@ -430,7 +423,7 @@ def test_oscillation_matches_independent_quadrature():
     pts = element_points(mesh, rule.bary)
     diff_sq = (f(pts) - f_h.values[:, None]) ** 2
     expected = mesh.h_elements ** 2 * integrate_elementwise(mesh, rule, diff_sq)
-    got = oscillation(mesh, data, f_h, _high_points(mesh))
+    got = oscillation(mesh, data, f_h)
     assert np.allclose(got, expected, rtol=1e-12, atol=1e-16)
 
 
@@ -444,7 +437,7 @@ class TestOsc:
     @staticmethod
     def osc(mesh, data):
         f_h = assemble_load(mesh, data)
-        per = oscillation(mesh, data, f_h, _high_points(mesh))
+        per = oscillation(mesh, data, f_h)
         return per, float(per.sum())
 
     def test_constant_zero_exactly(self):
@@ -544,8 +537,7 @@ def test_estimate_composes_the_parts(ring_study):
                        eta_C(out.multiplier, out.system.f_h, lvl.mesh),
                        rtol=1e-13)
     assert np.allclose(res.breakdown.osc_sq,
-                       oscillation(lvl.mesh, data, out.system.f_h,
-                                   _high_points(lvl.mesh)),
+                       oscillation(lvl.mesh, data, out.system.f_h),
                        rtol=1e-13)
 
 
@@ -631,10 +623,9 @@ def test_rho_reduced_variant_drops_exact_solution_terms(ring_study):
     lvl = ring_study[1]
     out, data = lvl.out, lvl.out.system.data
     v = lvl.result.field
-    pts = _high_points(lvl.mesh)
-    sample = v.sample(triangle_rule(12).bary, pts)
+    sample = _high(v)
     i_v = energy_primal_continuous(lvl.mesh, data, sample.values,
-                                   _grad_sq(sample), pts)
+                                   _grad_sq(sample))
     assert lvl.rho_energy == pytest.approx(i_v - RING_ENERGY, abs=1e-10)
     # the dropped terms: broken gradient error squared plus the pairing of
     # the discrete constraint force with the exact gap
@@ -818,12 +809,32 @@ def test_breakdown_exports_to_vtk(tmp_path, ring_study):
 # ----------------------------------------------------------------------
 # Quadrature passes
 # ----------------------------------------------------------------------
+@pytest.mark.parametrize("per_element", [True, False])
+def test_distance_sq_is_todays_formula_bitwise(per_element):
+    # squared in place per component, without the (n, nq, 2) difference
+    bench = corner()
+    mesh = refine_rgb(bench.initial_mesh())
+    rule = triangle_rule(12)
+    b = bench.data.exact.grad_u(element_points(mesh, rule.bary))
+    rng = np.random.default_rng(5)
+    a = (rng.normal(size=(mesh.n_elements, 1, 2)) if per_element
+         else rng.normal(size=b.shape))
+    diff = a - b
+    expected = integrate_elementwise(mesh, rule, diff[..., 0] ** 2 + diff[..., 1] ** 2)
+    assert np.array_equal(estimator_module._distance_sq(mesh, rule, a, b), expected)
+
+
 def test_each_diagnostic_builds_one_point_set(monkeypatch):
-    """estimate, exact_errors and rho_reduced each lay one quadrature pass.
+    """Element points are built once per data callable, only where it is sampled.
 
     Calls are counted by wrapping the module attributes through which the
     package reaches ``element_points`` and ``Mesh.barycentric_coordinates``,
-    as the benchmark's tracer does.
+    as the benchmark's tracer does.  On a fresh level the load (in
+    ``estimate``) and the exact u and grad u (in ``exact_errors``) each get
+    one point set on every element, and ``rho_reduced`` builds none.  On a
+    refined level each gets one on the new elements only.  None of the
+    diagnostics builds points itself for a constant obstacle; a callable
+    one gets one point set in ``estimate``.
     """
     import crobstacle.assembly as assembly_mod
     import crobstacle.duality as duality_mod
@@ -831,39 +842,54 @@ def test_each_diagnostic_builds_one_point_set(monkeypatch):
     import crobstacle.spaces as spaces_mod
 
     bench = corner()
-    mesh = bench.initial_mesh()
-    mesh = refine_rgb(mesh, np.arange(0, mesh.n_elements, 5))
     data = bench.data
-    out = pdas_solve(mesh, data)
-    flux = marini_flux(out.solution, out.multiplier, out.system.f_h)
+    coarse = refine_rgb(bench.initial_mesh(), np.arange(0, 96, 5))
+    fine = refine_rgb(coarse, np.arange(0, coarse.n_elements, 7))
+    nq = triangle_rule(12).n_points
+    built = {}    # module -> row counts of the point sets built through it
+    barycentric = []
 
-    calls = {"points": 0, "barycentric": 0}
-
-    def counting(key, fn):
+    def counting(module, fn):
         def wrapper(*args, **kwargs):
-            calls[key] += 1
-            return fn(*args, **kwargs)
+            points = fn(*args, **kwargs)
+            built.setdefault(module.__name__, []).append(points.shape[:2])
+            return points
         return wrapper
 
     for module in (spaces_mod, assembly_mod, duality_mod, estimator_mod):
         monkeypatch.setattr(module, "element_points",
-                            counting("points", module.element_points))
+                            counting(module, module.element_points))
+    locate = Mesh.barycentric_coordinates
     monkeypatch.setattr(Mesh, "barycentric_coordinates",
-                        counting("barycentric", Mesh.barycentric_coordinates))
+                        lambda *args: barycentric.append(args) or locate(*args))
+    monkeypatch.setattr(spaces_mod, "_level_samples", spaces_mod._NO_SAMPLES)
 
-    runs = {
-        "estimate": lambda: estimate(out),
-        "exact_errors": lambda: exact_errors(out.solution, flux,
-                                             out.multiplier, data),
-    }
-    field = runs["estimate"]().field
-    runs["rho_reduced"] = lambda: rho_reduced(field, out.solution,
-                                              out.multiplier, data)
-    for name, run in runs.items():
-        calls.update(points=0, barycentric=0)
-        run()
-        assert calls["points"] == 1, name
-        assert calls["barycentric"] == 0, name
+    def level(mesh, data, rows):
+        out = pdas_solve(mesh, data)
+        flux = marini_flux(out.solution, out.multiplier, out.system.f_h)
+        runs = {"estimate": lambda: estimate(out),
+                "exact_errors": lambda: exact_errors(out.solution, flux,
+                                                     out.multiplier, data)}
+        runs["rho_reduced"] = lambda: rho_reduced(
+            estimate(out).field, out.solution, out.multiplier, data)
+        for name, run in runs.items():
+            built.clear()
+            run()
+            assert built == ({} if name == "rho_reduced" else {
+                "crobstacle.spaces": [(rows, nq)] * (1 if name == "estimate" else 2)
+            }), name
+            assert barycentric == [], name
+
+    level(coarse, data, coarse.n_elements)
+    new = int((np.bincount(fine.parent_elements)[fine.parent_elements] > 1).sum())
+    assert 0 < new < fine.n_elements
+    level(fine, data, new)
+
+    bench = pyramid()
+    out = pdas_solve(bench.initial_mesh(), bench.data)
+    built.clear()
+    estimate(out)
+    assert built == {"crobstacle.estimator": [(out.system.mesh.n_elements, nq)]}
 
 
 def test_rho_reduced_samples_the_obstacle_once():
@@ -929,22 +955,27 @@ def test_diagnostics_sample_each_data_callable_once_per_level():
         return result.breakdown, errs, reduced
 
     data = wrapped_data()
-    out = pdas_solve(mesh, data)
-    for name in counts:
-        counts[name] = 0
-    breakdown, errs, reduced = diagnostics(out, data)
-    n_points = mesh.n_elements * nq
-    assert counts == {"f": n_points, "u": n_points, "grad_u": n_points}
+    # a refined second level, its parent alive, samples the new elements only
+    fine = refine_rgb(mesh, np.arange(0, mesh.n_elements, 7))
+    new = int((np.bincount(fine.parent_elements)[fine.parent_elements] > 1).sum())
+    assert 0 < new < fine.n_elements
+    for level, n_sampled in ((mesh, mesh.n_elements), (fine, new)):
+        out = pdas_solve(level, data)
+        for name in counts:
+            counts[name] = 0
+        breakdown, errs, reduced = diagnostics(out, data)
+        n_points = n_sampled * nq
+        assert counts == {"f": n_points, "u": n_points, "grad_u": n_points}
 
-    # unshared reference: new callables for every diagnostic
-    ref_out = replace(out, system=replace(out.system, data=wrapped_data()))
-    ref_breakdown = estimate(ref_out).breakdown
-    flux = marini_flux(out.solution, out.multiplier, out.system.f_h)
-    assert exact_errors(out.solution, flux, out.multiplier,
-                        wrapped_data()) == errs
-    ref_data = wrapped_data()
-    field = postprocess_conforming(out.solution, ref_data)
-    assert rho_reduced(field, out.solution, out.multiplier, ref_data) == reduced
-    for name in ("eta_a_sq", "eta_b_sq", "eta_c_sq", "osc_sq"):
-        assert np.array_equal(getattr(breakdown, name),
-                              getattr(ref_breakdown, name)), name
+        # unshared reference: new callables for every diagnostic
+        ref_out = replace(out, system=replace(out.system, data=wrapped_data()))
+        ref_breakdown = estimate(ref_out).breakdown
+        flux = marini_flux(out.solution, out.multiplier, out.system.f_h)
+        assert exact_errors(out.solution, flux, out.multiplier,
+                            wrapped_data()) == errs
+        ref_data = wrapped_data()
+        field = postprocess_conforming(out.solution, ref_data)
+        assert rho_reduced(field, out.solution, out.multiplier, ref_data) == reduced
+        for name in ("eta_a_sq", "eta_b_sq", "eta_c_sq", "osc_sq"):
+            assert np.array_equal(getattr(breakdown, name),
+                                  getattr(ref_breakdown, name)), name

@@ -35,6 +35,8 @@ from oracles import bisection_labels
 from util import (
     children_inside_parents,
     conformity_scan,
+    graded_meshes,
+    kept_elements,
     total_area,
     undirected_edge_counts,
 )
@@ -282,6 +284,18 @@ class TestRefineRgb:
         # the marked element was refined red (4 children)
         assert int((f.parent_elements == 0).sum()) == 4
         assert f.n_elements > m.n_elements
+
+    @pytest.mark.parametrize("bench", [corner, pyramid])
+    def test_kept_elements_keep_their_corners_bitwise(self, bench):
+        # an element whose parent has one child is the parent triangle, its
+        # vertices in the same order: the sample slot copies its data rows
+        meshes = graded_meshes(bench(), 4)
+        for coarse, fine in zip(meshes, meshes[1:]):
+            kept = kept_elements(fine)
+            assert kept.any() and not kept.all()
+            assert np.array_equal(
+                fine.vertex_coords[fine.elem_vertices[kept]],
+                coarse.vertex_coords[coarse.elem_vertices[fine.parent_elements[kept]]])
 
     def test_marked_elements_get_four_children(self):
         m = lshape_mesh(4)

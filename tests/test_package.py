@@ -7,6 +7,7 @@ module imports nothing from the package itself, so it still collects and
 reports such a fault.
 """
 import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -198,6 +199,18 @@ def test_every_default_is_used_or_kept():
         label for label, callee, index, param in settings
         if all(_passes(c, index, param) for c in calls.get(callee, ())))
     assert unused == sorted(KEPT_DEFAULTS), unused
+
+
+def test_no_data_sampler_takes_element_points():
+    # the sample slot builds the element points of the rows it samples, and
+    # a post-processed field those of a callable obstacle; no caller hands
+    # element points to a sampler or a diagnostic
+    from crobstacle import duality, estimator, spaces
+    for fn in (spaces.shared_sample, estimator.oscillation,
+               estimator.PostprocessedField.sample, duality.energy_primal_continuous):
+        assert "points" not in inspect.signature(fn).parameters, fn.__qualname__
+    settings, _ = _program()
+    assert "element_points.elements" in {label for label, *_ in settings}
 
 
 #: ``global`` statements of the program, each kept for a reason: the writers

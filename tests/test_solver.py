@@ -381,6 +381,28 @@ def test_pdas_counts_fewer_factorizations_than_iterations(corner_warm_levels):
         assert out.factorizations == kinds.count("fresh") + (kinds[-1] != "unconstrained")
 
 
+def test_saddle_point_matrix_is_bmat_bitwise(corner_warm_levels, pyramid_warm_levels):
+    # solve_kkt builds [[A, B], [B^T, 0]] without sp.bmat; its arrays, explicit
+    # zeros included, fix the COLAMD order and so every record's bits
+    ring_system = structured_system(ring(), 24)
+    cases = [(ring_system, pdas_solve(system=ring_system).state.active)]
+    cases += [(out.system, out.state.active)
+              for levels in (corner_warm_levels, pyramid_warm_levels)
+              for _, _, out in levels[1:]]
+    zeros = 0
+    for system, act in cases:
+        A = sp.csr_array(system.stiffness)
+        B = sp.csr_array(system.coupling[:, np.flatnonzero(act)])
+        expected = sp.bmat([[A, B], [B.T, None]], format="csc")
+        got = sparse._saddle_point(A, B)
+        assert got.format == "csc" and got.shape == expected.shape
+        for key in ("data", "indices", "indptr"):
+            value, reference = getattr(got, key), getattr(expected, key)
+            assert value.dtype == reference.dtype and np.array_equal(value, reference), key
+        zeros += int(np.count_nonzero(expected.data == 0.0))
+    assert zeros > 0
+
+
 def selector_case(name, corner_warm_levels, ring_divisions=24):
     """(system, active mask) of a benchmark system with its converged active set."""
     if name == "corner":

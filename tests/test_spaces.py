@@ -48,7 +48,8 @@ from crobstacle.spaces import (
 from crobstacle import spaces as spaces_mod
 from crobstacle.benchmarks import corner, pyramid, ring
 
-from util import composite_rule, divergence, eval_cr, side_values, zero_boundary_data
+from util import (composite_rule, divergence, eval_cr, graded_meshes, kept_elements,
+                  side_values, zero_boundary_data)
 
 
 def reference_triangle():
@@ -255,42 +256,47 @@ class TestSharedSample:
         rule = triangle_rule(12)
         pts = element_points(mesh, rule.bary)
         fn = CountingCallable(corner().data.exact.grad_u)
-        first = shared_sample(fn, mesh, rule, pts)
+        first = shared_sample(fn, mesh, rule)
         assert np.array_equal(first, sample_data(fn.fn, pts))
         assert not first.flags.writeable
         n_points = mesh.n_elements * rule.n_points
         assert fn.points == n_points
         # a fresh rule object with the same points hits
-        assert shared_sample(fn, mesh, triangle_rule(12), pts) is first
+        assert shared_sample(fn, mesh, triangle_rule(12)) is first
         assert fn.points == n_points
         # a different callable object never hits, even with the same code
         twin = CountingCallable(fn.fn)
-        assert np.array_equal(shared_sample(twin, mesh, rule, pts), first)
+        assert np.array_equal(shared_sample(twin, mesh, rule), first)
         assert twin.points == n_points
         # scalars pass straight through
-        assert shared_sample(2.5, mesh, rule, pts) == 2.5
+        assert shared_sample(2.5, mesh, rule) == 2.5
         # another rule replaces the slot, so the first rule samples again
         rule5 = triangle_rule(5)
-        shared_sample(fn, mesh, rule5, element_points(mesh, rule5.bary))
-        again = shared_sample(fn, mesh, rule, pts)
+        shared_sample(fn, mesh, rule5)
+        again = shared_sample(fn, mesh, rule)
         assert again is not first and np.array_equal(again, first)
         assert fn.points == 2 * n_points + mesh.n_elements * rule5.n_points
 
-    def test_nothing_of_an_older_mesh_survives(self):
+    def test_nothing_of_an_older_mesh_survives(self, monkeypatch):
         rule = triangle_rule(12)
         fn = corner().data.f
+        built = []
+
+        def recording(*args):
+            points = element_points(*args)
+            built.append(weakref.ref(points))
+            return points
+
+        monkeypatch.setattr(spaces_mod, "element_points", recording)
         mesh_a = corner_mesh(1)
-        pts_a = element_points(mesh_a, rule.bary)
-        sample_a = shared_sample(fn, mesh_a, rule, pts_a)
+        sample_a = shared_sample(fn, mesh_a, rule)
         refs = [weakref.ref(obj) for obj in
                 (mesh_a, sample_a, sample_a.base)]
         # the slot never holds the element points, not even on their level
-        points_ref = weakref.ref(pts_a)
-        del pts_a
         gc.collect()
-        assert points_ref() is None
+        assert len(built) == 1 and built[0]() is None
         mesh_b = corner_mesh(0)
-        shared_sample(fn, mesh_b, rule, element_points(mesh_b, rule.bary))
+        shared_sample(fn, mesh_b, rule)
         del mesh_a, sample_a
         gc.collect()
         assert all(ref() is None for ref in refs)
@@ -298,12 +304,96 @@ class TestSharedSample:
     def test_slot_empties_with_its_mesh(self):
         rule = triangle_rule(12)
         mesh = corner_mesh(1)
-        sample = shared_sample(corner().data.f, mesh, rule,
-                               element_points(mesh, rule.bary))
+        sample = shared_sample(corner().data.f, mesh, rule)
         ref = weakref.ref(sample.base)
         del mesh, sample
         gc.collect()
         assert ref() is None
+
+
+class TestInheritedSamples:
+    """A refined mesh's slot copies its unrefined elements' rows from the parent."""
+
+    @staticmethod
+    def callables(name):
+        if name == "corner":
+            exact = corner().data.exact
+            return [corner().data.f, exact.u, exact.grad_u]
+        data = pyramid().data
+        return [data.chi, data.chi_grad]
+
+    @pytest.mark.parametrize("name", ["corner", "pyramid"])
+    def test_inherited_samples_equal_a_fresh_sample(self, name):
+        rule = triangle_rule(12)
+        fns = self.callables(name)
+        meshes = graded_meshes(corner() if name == "corner" else pyramid(), 4)
+        for mesh in meshes:
+            for fn in fns:
+                got = shared_sample(fn, mesh, rule)
+                assert np.array_equal(got, sample_data(fn, element_points(mesh, rule.bary)))
+        assert all(kept_elements(mesh).mean() > 0.5 for mesh in meshes[1:])
+
+    def test_only_new_elements_are_evaluated(self, monkeypatch):
+        rule = triangle_rule(12)
+        parent, child = graded_meshes(corner(), 2)
+        fns = [CountingCallable(fn) for fn in self.callables("corner")]
+        for fn in fns:
+            shared_sample(fn, parent, rule)
+        shapes = []
+
+        def recording(*args):
+            points = element_points(*args)
+            shapes.append(points.shape)
+            return points
+
+        monkeypatch.setattr(spaces_mod, "element_points", recording)
+        n_new = int((~kept_elements(child)).sum())
+        assert 0 < n_new < child.n_elements
+        for fn in fns:
+            fn.points = 0
+            shared_sample(fn, child, rule)
+            assert fn.points == n_new * rule.n_points
+        assert shapes == [(n_new, rule.n_points, 2)] * len(fns)
+
+    def test_constant_callable_on_a_refined_mesh(self):
+        # a callable that ignores its points gives a scalar, with no rows to copy
+        rule = triangle_rule(12)
+        parent, child = graded_meshes(corner(), 2)
+        fn = lambda pts: 2.5   # noqa: E731
+        assert shared_sample(fn, parent, rule) == 2.5
+        got = shared_sample(fn, child, rule)
+        assert got.shape == () and got == 2.5
+
+    def test_collected_parent_samples_everything(self):
+        rule = triangle_rule(12)
+        parent, child = graded_meshes(corner(), 2)
+        fn = CountingCallable(corner().data.f)
+        shared_sample(fn, parent, rule)
+        del parent
+        gc.collect()
+        assert child.parent is None
+        fn.points = 0
+        got = shared_sample(fn, child, rule)
+        assert fn.points == child.n_elements * rule.n_points
+        assert np.array_equal(got, sample_data(fn.fn, element_points(child, rule.bary)))
+
+    def test_parent_samples_are_released_on_take_over(self):
+        rule = triangle_rule(12)
+        parent, child, grandchild = graded_meshes(corner(), 3)
+        exact = corner().data.exact
+        taken, left = (shared_sample(fn, parent, rule) for fn in (exact.u, exact.grad_u))
+        taken_refs = [weakref.ref(taken), weakref.ref(taken.base)]
+        left_refs = [weakref.ref(left), weakref.ref(left.base)]
+        del taken, left
+        shared_sample(exact.u, child, rule)
+        gc.collect()
+        assert all(ref() is None for ref in taken_refs)
+        # the parent's other sample waits for its take-over until the slot moves on
+        assert all(ref() is not None for ref in left_refs)
+        shared_sample(exact.u, grandchild, rule)
+        gc.collect()
+        assert all(ref() is None for ref in left_refs)
+        assert parent.n_elements and child.n_elements   # both meshes stayed alive
 
 
 # ----------------------------------------------------------------------

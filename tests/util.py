@@ -10,6 +10,7 @@ route to the barycentric evaluation the package uses.
 import numpy as np
 
 from crobstacle.duality import DualField
+from crobstacle.mesh import refine_rgb
 from crobstacle.spaces import (
     CrFunction,
     P0Function,
@@ -133,6 +134,27 @@ def children_inside_parents(child, tol=1e-10):
 # Small-instance generators shared by the solver tests and the acceptance
 # suite (randomized cross-validation of the active-set solver).
 # ----------------------------------------------------------------------
+def graded_meshes(bench, levels, centre=(0.3, 0.1)):
+    """``levels`` meshes from ``bench``'s initial one, each refined from the last.
+
+    Each refinement marks the tenth of the elements whose barycenters lie
+    nearest ``centre``, so the closure adds green and blue elements and most
+    elements stay unrefined, as in an adaptive run.  The list keeps every
+    parent alive.
+    """
+    meshes = [bench.initial_mesh()]
+    while len(meshes) < levels:
+        mesh = meshes[-1]
+        dist = np.hypot(*(mesh.barycenters - np.asarray(centre)).T)
+        meshes.append(refine_rgb(mesh, np.argsort(dist, kind="stable")[:mesh.n_elements // 10]))
+    return meshes
+
+
+def kept_elements(mesh):
+    """Elements of a refinement that are their parent's only child."""
+    return np.bincount(mesh.parent_elements)[mesh.parent_elements] == 1
+
+
 def grid_mesh(nx, ny, bounds=(0.0, 0.0, 1.0, 1.0)):
     """Hand-built nx-by-ny rectangle grid, each cell split along the
     checkerboard diagonal; all boundary sides Dirichlet (default labeler)."""

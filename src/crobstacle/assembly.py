@@ -188,12 +188,11 @@ def find_excluded_element(P: sp.csr_array):
 
     Returns a list of column indices (ascending); empty when every element
     couples to at least one free side.  Only a triangle whose three sides
-    are all Dirichlet sides has an empty column.
+    are all Dirichlet sides has an empty column.  An explicitly stored zero
+    does not count as support.
     """
-    csc = P.tocsc()
-    csc.eliminate_zeros()
-    col_nnz = np.diff(csc.indptr)
-    return [int(j) for j in np.flatnonzero(col_nnz == 0)]
+    counts = np.bincount(P.indices[P.data != 0], minlength=P.shape[1])
+    return [int(j) for j in np.flatnonzero(counts == 0)]
 
 
 # ----------------------------------------------------------------------

@@ -15,10 +15,11 @@ On one level, :func:`oscillation` (through :func:`estimate`),
 :func:`exact_errors` and :func:`rho_reduced` (through
 ``energy_primal_continuous``) need the load ``f`` and the exact ``u`` and
 ``grad u`` at the same degree-12 element points.  They take them from
-:func:`~crobstacle.spaces.shared_sample`, so each callable is evaluated
-once per level, not once per caller, and on a refined level only on the
-elements the refinement created, at element points that only the slot
-builds.  The obstacle is not shared: :func:`estimate` and
+:func:`~crobstacle.spaces.shared_sample`, which keeps them on the mesh, so
+each callable is evaluated once per level, not once per caller.  A refined
+level takes each sample over from its parent mesh and evaluates the callable
+only on the elements the refinement created, at element points built for
+them alone.  The obstacle is not shared: :func:`estimate` and
 :func:`rho_reduced` each sample it once, at points built only for a callable.
 """
 from __future__ import annotations

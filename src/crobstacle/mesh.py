@@ -1,6 +1,6 @@
 """Conforming 2-D simplicial meshes with structured generation and refinement.
 
-The mesh data structure is array-based and immutable after construction:
+The mesh data structure is array-based, its arrays read-only after construction:
 
 * ``vertex_coords`` -- ``(nv, 2)`` float array of vertex positions,
 * ``elem_vertices`` -- ``(nt, 3)`` int array, counter-clockwise per element,
@@ -60,7 +60,12 @@ def _cross2(u, v):
 
 
 class Mesh:
-    """An immutable conforming triangulation.
+    """A conforming triangulation with read-only arrays.
+
+    Its geometry and topology arrays are read-only.  Its one mutable
+    attribute is ``samples``, a list of ``(callable, barycentric points,
+    read-only sample)`` entries that :func:`~crobstacle.spaces.shared_sample`
+    keeps for this level; they die with the mesh.
 
     Parameters
     ----------
@@ -187,6 +192,7 @@ class Mesh:
         self._parent = None if parent is None else weakref.ref(parent)
         self.parent_elements = (None if parent_elements is None
                                 else np.asarray(parent_elements, dtype=np.int64))
+        self.samples = []
 
         for arr in (self.vertex_coords, self.elem_vertices, self.elem_sides,
                     self.side_vertices, self.side_elem_minus, self.side_elem_plus,

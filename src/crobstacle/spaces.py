@@ -36,22 +36,22 @@ Data sampling
 calls a data callable on blocks of a fixed number of elements and writes
 each block into one preallocated array, so the callable's temporaries are
 bounded by a block rather than by the mesh; the result is bitwise equal to
-one call on all points.  :func:`shared_sample` puts a single slot in front of
-it: the samples of the latest mesh and rule, reused by every caller on that
-level; a refined mesh samples only its new elements (see its docstring).
+one call on all points.  :func:`shared_sample` keeps each sample on the
+mesh it belongs to (``Mesh.samples``), reused by every caller on that level;
+a refined mesh takes each sample over from its parent and samples only its
+new elements (see its docstring).
 
 All scalar callables used as data must accept ``(..., 2)`` coordinate arrays
 and evaluate vectorised; vector callables return ``(..., 2)`` arrays.  Data
 callables must be pointwise and pure: the value at a point depends on that
 point only, never on the other points of the call or on earlier calls.  The
-blocked sampler and the shared slot both rely on it.
+blocked sampler and the shared samples both rely on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 import math
-import weakref
 
 import numpy as np
 
@@ -264,26 +264,6 @@ def _sample_blocked(fn, points: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
-class _LevelSamples:
-    """The samples of :func:`shared_sample` on one mesh and rule."""
-    mesh: object       # weak reference to the mesh (None: empty slot)
-    rule: object
-    samples: list      # (callable, read-only sample) pairs
-    inherited: list    # the parent mesh's pairs not yet taken over
-
-
-_NO_SAMPLES = _LevelSamples(None, None, (), ())
-_level_samples = _NO_SAMPLES
-
-
-def _release(mesh_ref) -> None:
-    """Empty the slot when its mesh is collected."""
-    global _level_samples
-    if _level_samples.mesh is mesh_ref:
-        _level_samples = _NO_SAMPLES
-
-
 def shared_sample(value, mesh: Mesh, rule: QuadratureRule):
     """:func:`sample_data` at the element points of ``rule``, shared per level.
 
@@ -292,41 +272,31 @@ def shared_sample(value, mesh: Mesh, rule: QuadratureRule):
     rule with the same barycentric points returns the same read-only array.
     Scalars go straight to :func:`sample_data`.
 
-    The samples live in one module-level slot, since the diagnostics'
-    signatures carry no per-level state to hang them on, and the mesh cannot
-    carry them (an adaptive run keeps every level's mesh).  It holds a weak
-    reference to its mesh, the rule and the samples, never element points.
-    Sampling on another mesh or rule replaces the whole slot, and the slot
-    empties when its mesh is collected.  Replacing a slot of the live
-    ``mesh.parent`` with the same points keeps the parent's samples, each
-    until its callable's first call here: an element that is its parent's
+    The mesh owns the samples, in ``mesh.samples``, and they die with it;
+    element points are never kept.  A refined mesh takes each sample over
+    from its live ``mesh.parent`` at the first call for the same callable
+    and points, and the parent lets it go: an element that is its parent's
     only child is the parent triangle, vertices in the same order, so those
     rows are copied and only the other elements are sampled.
     """
-    global _level_samples
     if not callable(value):
         return sample_data(value, None)
-    slot = _level_samples
-    same_rule = slot.mesh is not None and np.array_equal(slot.rule.bary, rule.bary)
-    if not same_rule or slot.mesh() is not mesh:
-        inherit = same_rule and mesh.parent is not None and slot.mesh() is mesh.parent
-        slot = _LevelSamples(weakref.ref(mesh, _release), rule, [],
-                             slot.samples if inherit else [])
-        _level_samples = slot
-    for fn, values in slot.samples:
-        if fn is value:
+    for fn, points, values in mesh.samples:
+        if fn is value and np.array_equal(points, rule.bary):
             return values
     # a read-only view: an array the callable returned stays writeable
-    values = _sample_level(value, mesh, rule, slot.inherited).view()
+    values = _sample_level(value, mesh, rule).view()
     values.flags.writeable = False
-    slot.samples.append((value, values))
+    mesh.samples.append((value, rule.bary, values))
     return values
 
 
-def _sample_level(value, mesh: Mesh, rule: QuadratureRule, inherited: list):
-    """``value`` on ``mesh``, its kept rows taken out of ``inherited`` if there."""
-    hit = [i for i, (fn, _) in enumerate(inherited) if fn is value]
-    old = inherited.pop(hit[0])[1] if hit else None
+def _sample_level(value, mesh: Mesh, rule: QuadratureRule):
+    """``value`` on ``mesh``, its kept rows taken over from the parent's sample."""
+    samples = getattr(mesh.parent, "samples", [])   # no live parent: none to take
+    hit = [i for i, (fn, points, _) in enumerate(samples)
+           if fn is value and np.array_equal(points, rule.bary)]
+    old = samples.pop(hit[0])[2] if hit else None
     if old is None or old.ndim < 2:   # a constant callable may give a scalar
         return sample_data(value, element_points(mesh, rule.bary))
     parents = mesh.parent_elements

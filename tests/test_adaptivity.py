@@ -31,7 +31,7 @@ from crobstacle.adaptivity import (
     doerfler_mark,
     dump_level_vtk,
 )
-from crobstacle.assembly import ProblemData
+from crobstacle.assembly import HIGH_ORDER_DEGREE, ProblemData
 from crobstacle.benchmarks import corner, pyramid, ring
 from crobstacle.duality import (
     energy_dual_discrete,
@@ -396,11 +396,32 @@ def test_inherited_samples_give_the_records_of_fresh_ones(monkeypatch):
     inherited, inherited_points = run()
     monkeypatch.setattr(
         spaces_mod, "_sample_level",
-        lambda value, mesh, rule, inherited: spaces_mod.sample_data(
+        lambda value, mesh, rule: spaces_mod.sample_data(
             value, spaces_mod.element_points(mesh, rule.bary)))
     fresh, fresh_points = run()
     assert len(inherited) == 6 and inherited == fresh
     assert inherited_points < fresh_points
+
+
+def test_only_the_last_level_keeps_samples():
+    """Each level hands its f, u and grad u samples over to the next one.
+
+    After a corner run every earlier level's mesh holds no sample, and the
+    last mesh holds one each of f, u and grad u at the degree-12 points.
+    """
+    bench = corner()
+    hist = afem_run(bench.data, AfemConfig(max_levels=6), bench.initial_mesh())
+    meshes = [lvl.mesh for lvl in hist.levels]
+    assert len(meshes) == 6
+    assert all(mesh.samples == [] for mesh in meshes[:-1])
+    last = meshes[-1]
+    exact = bench.data.exact
+    nq = spaces_mod.triangle_rule(HIGH_ORDER_DEGREE).n_points
+    shapes = {fn: values.shape for fn, _, values in last.samples}
+    assert shapes == {bench.data.f: (last.n_elements, nq),
+                      exact.u: (last.n_elements, nq),
+                      exact.grad_u: (last.n_elements, nq, 2)}
+    assert len(last.samples) == 3
 
 
 def test_ring_adaptive_exact_errors_recorded(ring_adaptive):

@@ -136,6 +136,16 @@ class TestCoupling:
             P = assemble_coupling(m, dm)
             assert find_excluded_element(P) == []
 
+    def test_explicit_zeros_leave_a_column_empty(self):
+        # a column whose stored entries are all zero has no support: the
+        # same rule as solve_kkt's test for an empty constraint column
+        m = square_mesh(2)
+        P = assemble_coupling(m, build_dofmap(m))
+        nnz = P.nnz
+        P.data[P.indices == 3] = 0.0
+        assert P.nnz == nnz
+        assert find_excluded_element(P) == [3]
+
     def test_transpose_is_scaled_element_mean(self):
         m = square_mesh(3)
         dm = build_dofmap(m)

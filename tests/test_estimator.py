@@ -845,6 +845,8 @@ def test_each_diagnostic_builds_one_point_set(monkeypatch):
     data = bench.data
     coarse = refine_rgb(bench.initial_mesh(), np.arange(0, 96, 5))
     fine = refine_rgb(coarse, np.arange(0, coarse.n_elements, 7))
+    # a fresh level: its parent is gone, so nothing can be taken over
+    assert coarse.parent is None and coarse.samples == [] and fine.samples == []
     nq = triangle_rule(12).n_points
     built = {}    # module -> row counts of the point sets built through it
     barycentric = []
@@ -862,7 +864,6 @@ def test_each_diagnostic_builds_one_point_set(monkeypatch):
     locate = Mesh.barycentric_coordinates
     monkeypatch.setattr(Mesh, "barycentric_coordinates",
                         lambda *args: barycentric.append(args) or locate(*args))
-    monkeypatch.setattr(spaces_mod, "_level_samples", spaces_mod._NO_SAMPLES)
 
     def level(mesh, data, rows):
         out = pdas_solve(mesh, data)

@@ -288,7 +288,7 @@ class TestRefineRgb:
     @pytest.mark.parametrize("bench", [corner, pyramid])
     def test_kept_elements_keep_their_corners_bitwise(self, bench):
         # an element whose parent has one child is the parent triangle, its
-        # vertices in the same order: the sample slot copies its data rows
+        # vertices in the same order: a refined mesh copies its data sample rows
         meshes = graded_meshes(bench(), 4)
         for coarse, fine in zip(meshes, meshes[1:]):
             kept = kept_elements(fine)

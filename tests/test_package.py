@@ -202,7 +202,7 @@ def test_every_default_is_used_or_kept():
 
 
 def test_no_data_sampler_takes_element_points():
-    # the sample slot builds the element points of the rows it samples, and
+    # shared_sample builds the element points of the rows it samples, and
     # a post-processed field those of a callable obstacle; no caller hands
     # element points to a sampler or a diagnostic
     from crobstacle import duality, estimator, spaces
@@ -213,13 +213,8 @@ def test_no_data_sampler_takes_element_points():
     assert "element_points.elements" in {label for label, *_ in settings}
 
 
-#: ``global`` statements of the program, each kept for a reason: the writers
-#: of the module-level sample slot, until a per-level evaluation context
-#: replaces it (ROADMAP item 11)
-KEPT_GLOBALS = {
-    "spaces._release._level_samples": "empties the sample slot when its mesh dies",
-    "spaces.shared_sample._level_samples": "fills the sample slot of a level",
-}
+#: ``global`` statements the program keeps, each with its reason
+KEPT_GLOBALS = {}
 
 #: methods that change a list, dict, set or deque in place
 _MUTATORS = {"append", "extend", "insert", "pop", "popitem", "remove", "clear",

@@ -174,7 +174,7 @@ class TestQuadrature:
 
 
 # ----------------------------------------------------------------------
-# Data sampling: blocked evaluation and the shared per-level slot
+# Data sampling: blocked evaluation and the samples each mesh keeps
 # ----------------------------------------------------------------------
 def corner_mesh(refinements):
     mesh = corner().initial_mesh()
@@ -270,12 +270,15 @@ class TestSharedSample:
         assert twin.points == n_points
         # scalars pass straight through
         assert shared_sample(2.5, mesh, rule) == 2.5
-        # another rule replaces the slot, so the first rule samples again
+        # another rule adds an entry and keeps the first rule's sample
         rule5 = triangle_rule(5)
-        shared_sample(fn, mesh, rule5)
-        again = shared_sample(fn, mesh, rule)
-        assert again is not first and np.array_equal(again, first)
-        assert fn.points == 2 * n_points + mesh.n_elements * rule5.n_points
+        other = shared_sample(fn, mesh, rule5)
+        assert np.array_equal(other, sample_data(fn.fn, element_points(mesh, rule5.bary)))
+        assert shared_sample(fn, mesh, rule) is first
+        assert shared_sample(fn, mesh, rule5) is other
+        assert fn.points == n_points + mesh.n_elements * rule5.n_points
+        assert [entry[0] for entry in mesh.samples] == [fn, twin, fn]
+        assert mesh.samples[0][2] is first and mesh.samples[2][2] is other
 
     def test_nothing_of_an_older_mesh_survives(self, monkeypatch):
         rule = triangle_rule(12)
@@ -292,7 +295,7 @@ class TestSharedSample:
         sample_a = shared_sample(fn, mesh_a, rule)
         refs = [weakref.ref(obj) for obj in
                 (mesh_a, sample_a, sample_a.base)]
-        # the slot never holds the element points, not even on their level
+        # the mesh never holds the element points, not even on their level
         gc.collect()
         assert len(built) == 1 and built[0]() is None
         mesh_b = corner_mesh(0)
@@ -301,18 +304,34 @@ class TestSharedSample:
         gc.collect()
         assert all(ref() is None for ref in refs)
 
-    def test_slot_empties_with_its_mesh(self):
+    def test_samples_die_with_their_mesh(self):
         rule = triangle_rule(12)
         mesh = corner_mesh(1)
-        sample = shared_sample(corner().data.f, mesh, rule)
-        ref = weakref.ref(sample.base)
-        del mesh, sample
+        exact = corner().data.exact
+        samples = [shared_sample(fn, mesh, rule)
+                   for fn in (corner().data.f, exact.u, exact.grad_u)]
+        assert len(mesh.samples) == 3
+        assert all(entry[2] is sample for entry, sample in zip(mesh.samples, samples))
+        refs = [weakref.ref(obj) for sample in samples for obj in (sample, sample.base)]
+        del mesh, samples
         gc.collect()
-        assert ref() is None
+        assert all(ref() is None for ref in refs)
+
+    def test_another_mesh_leaves_the_samples_in_place(self):
+        rule = triangle_rule(12)
+        fn = CountingCallable(corner().data.f)
+        mesh_a, mesh_b = corner_mesh(1), corner_mesh(0)
+        sample_a = shared_sample(fn, mesh_a, rule)
+        shared_sample(fn, mesh_b, rule)
+        assert mesh_b.parent is None and len(mesh_b.samples) == 1
+        fn.points = 0
+        assert shared_sample(fn, mesh_a, rule) is sample_a
+        assert fn.points == 0
+        assert len(mesh_a.samples) == 1 and mesh_a.samples[0][2] is sample_a
 
 
 class TestInheritedSamples:
-    """A refined mesh's slot copies its unrefined elements' rows from the parent."""
+    """A refined mesh copies its unrefined elements' sample rows from the parent."""
 
     @staticmethod
     def callables(name):
@@ -388,12 +407,16 @@ class TestInheritedSamples:
         shared_sample(exact.u, child, rule)
         gc.collect()
         assert all(ref() is None for ref in taken_refs)
-        # the parent's other sample waits for its take-over until the slot moves on
-        assert all(ref() is not None for ref in left_refs)
+        assert [entry[0] for entry in parent.samples] == [exact.grad_u]
+        # the parent's other sample waits for its take-over while the parent lives
         shared_sample(exact.u, grandchild, rule)
         gc.collect()
+        assert all(ref() is not None for ref in left_refs)
+        assert child.samples == [] and len(grandchild.samples) == 1
+        del parent
+        gc.collect()
         assert all(ref() is None for ref in left_refs)
-        assert parent.n_elements and child.n_elements   # both meshes stayed alive
+        assert child.parent is None and grandchild.parent is child
 
 
 # ----------------------------------------------------------------------

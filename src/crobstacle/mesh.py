@@ -82,14 +82,17 @@ class Mesh:
         ``(k, 2)`` midpoints of the ``k`` boundary sides, in side order, and
         returns ``k`` labels.  Defaults to labelling every boundary side
         ``"dirichlet"``.
-    parent / parent_elements:
-        Refinement bookkeeping: the coarser mesh this one was refined from
-        and, per element, the index of its parent element.  The parent is
-        held weakly, so a level does not keep its ancestry alive.
+    parent / parent_elements / parent_codes:
+        Refinement bookkeeping: the coarser mesh this one was refined from;
+        per element, the index of its parent element; and per element vertex,
+        its int8 code in the parent (0-2 the parent's vertices, 3 + j the
+        midpoint of its side j; ``_CODE_BARY`` holds their barycentric
+        coordinates).  The parent is held weakly, so a level does not keep
+        its ancestry alive.
     """
 
     def __init__(self, vertex_coords, elem_vertices, side_labeler=None,
-                 parent=None, parent_elements=None):
+                 parent=None, parent_elements=None, parent_codes=None):
         coords = np.ascontiguousarray(np.asarray(vertex_coords, dtype=float))
         tri = np.ascontiguousarray(np.asarray(elem_vertices, dtype=np.int64))
         if coords.ndim != 2 or coords.shape[1] != 2:
@@ -192,14 +195,18 @@ class Mesh:
         self._parent = None if parent is None else weakref.ref(parent)
         self.parent_elements = (None if parent_elements is None
                                 else np.asarray(parent_elements, dtype=np.int64))
+        self.parent_codes = (None if parent_codes is None
+                             else np.asarray(parent_codes, dtype=np.int8))
         self.samples = []
 
         for arr in (self.vertex_coords, self.elem_vertices, self.elem_sides,
                     self.side_vertices, self.side_elem_minus, self.side_elem_plus,
                     self.side_lengths, self.side_midpoints, self.side_normals,
                     self.areas, self.barycenters, self.h_elements, self.side_labels,
-                    self.bary_grads, self.elem_side_orient, self.boundary_mask):
-            arr.setflags(write=False)
+                    self.bary_grads, self.elem_side_orient, self.boundary_mask,
+                    self.parent_elements, self.parent_codes):
+            if arr is not None:
+                arr.setflags(write=False)
 
     # ------------------------------------------------------------------
     # Derived queries
@@ -254,7 +261,11 @@ class Mesh:
         return self.h_elements / rho
 
     def barycentric_coordinates(self, elems, points) -> np.ndarray:
-        """Barycentric coordinates of ``points`` (n,2) w.r.t. elements ``elems`` (n,)."""
+        """Barycentric coordinates of ``points`` (n,2) w.r.t. elements ``elems`` (n,).
+
+        No program code calls it; it is the tests' oracle for ``parent_codes``
+        and the benchmark's tracer wraps it.
+        """
         elems = np.asarray(elems, dtype=np.int64)
         points = np.asarray(points, dtype=float)
         # lambda_j is affine, vanishes on the side opposite vertex j, and its
@@ -405,12 +416,11 @@ def _marked_mask(mesh, marked):
     if marked.dtype == bool:
         if marked.shape != (mesh.n_elements,):
             raise MeshError("boolean mark array has wrong length")
-        return marked.copy()
+        return marked
+    if marked.size and (marked.min() < 0 or marked.max() >= mesh.n_elements):
+        raise MeshError("marked element index out of range")
     mask = np.zeros(mesh.n_elements, dtype=bool)
-    if marked.size:
-        if marked.min() < 0 or marked.max() >= mesh.n_elements:
-            raise MeshError("marked element index out of range")
-        mask[marked.astype(np.int64)] = True
+    mask[marked.astype(np.int64)] = True
     return mask
 
 
@@ -459,6 +469,42 @@ def _reference_sides(mesh):
     return candidate.argmin(axis=1)
 
 
+#: barycentric coordinates of the child codes in their parent: codes 0-2 are
+#: the parent's vertices, code 3 + j is the midpoint of its side j
+_CODE_BARY = np.vstack([np.eye(3), 0.5 * (np.eye(3)[[1, 2, 0]] + np.eye(3)[[2, 0, 1]])])
+_CODE_BARY.setflags(write=False)
+
+#: the children of an element whose reference side is 0, in codes, by its
+#: marked-side bits (bit j marks side j): keep, green, the two blues, red
+_CHILDREN_OF_SIDE_0 = {
+    0b000: ((0, 1, 2),),
+    0b001: ((0, 1, 3), (0, 3, 2)),
+    0b011: ((0, 1, 3), (3, 2, 4), (3, 4, 0)),
+    0b101: ((0, 5, 3), (5, 1, 3), (0, 3, 2)),
+    0b111: ((0, 5, 4), (1, 3, 5), (2, 4, 3), (3, 4, 5)),
+}
+
+
+def _child_code_table():
+    """``(3, 8, 4, 3)`` child codes by (reference side r, marked-side bits).
+
+    Green and blue turn the side-0 children by r; keep and red do not.  Rows
+    past the last child, and bits the closure never leaves, hold -1.
+    """
+    table = np.full((3, 8, 4, 3), -1, dtype=np.int8)
+    for r in range(3):
+        turn = np.r_[np.arange(r, r + 3) % 3, 3 + np.arange(r, r + 3) % 3]
+        for bits, children in _CHILDREN_OF_SIDE_0.items():
+            if bits not in (0b000, 0b111):
+                children = turn[np.array(children)]
+            table[r, (bits << r | bits >> (3 - r)) & 0b111, :len(children)] = children
+    table.setflags(write=False)
+    return table
+
+
+_CHILD_CODES = _child_code_table()
+
+
 def refine_rgb(mesh, marked=None):
     """Red-green-blue refinement of the marked elements with conforming closure.
 
@@ -468,7 +514,9 @@ def refine_rgb(mesh, marked=None):
     subdivisions.  The output mesh is conforming by construction.
     ``marked=None`` marks every element (uniform red refinement, each element
     split into 4 similar children); an empty mark set returns the input
-    unchanged.
+    unchanged.  One table, ``_CHILD_CODES``, gives every element's children
+    in codes by its reference side and marked sides; the child mesh keeps
+    them as ``parent_codes``.  Children follow their parent's order.
     """
     mask = _marked_mask(mesh, marked)
     if not mask.any():
@@ -478,93 +526,28 @@ def refine_rgb(mesh, marked=None):
     ref_side = mesh.elem_sides[np.arange(mesh.n_elements), ref_local]
 
     marked_sides = np.zeros(mesh.n_sides, dtype=bool)
-    marked_sides[mesh.elem_sides[mask].ravel()] = True
+    marked_sides[mesh.elem_sides[mask]] = True
     while True:
-        has_any = marked_sides[mesh.elem_sides].any(axis=1)
-        want = marked_sides.copy()
-        want[ref_side[has_any]] = True
-        if np.array_equal(want, marked_sides):
+        closing = ref_side[marked_sides[mesh.elem_sides].any(axis=1)]
+        if marked_sides[closing].all():
             break
-        marked_sides = want
+        marked_sides[closing] = True
 
     side_ids = np.flatnonzero(marked_sides)
-    nv_old = mesh.n_vertices
     new_vertex_of_side = np.full(mesh.n_sides, -1, dtype=np.int64)
-    new_vertex_of_side[side_ids] = nv_old + np.arange(len(side_ids))
+    new_vertex_of_side[side_ids] = mesh.n_vertices + np.arange(len(side_ids))
     coords = np.vstack([mesh.vertex_coords, mesh.side_midpoints[side_ids]])
 
-    local_marks = marked_sides[mesh.elem_sides]
-    n_marked = local_marks.sum(axis=1)
-    # Any element with a marked side has its reference side marked (closure).
-    n_children = np.choose(n_marked, [1, 2, 3, 4])
-    offsets = np.concatenate([[0], np.cumsum(n_children)])
-    nt_new = offsets[-1]
-    tris = np.empty((nt_new, 3), dtype=np.int64)
-    parent = np.empty(nt_new, dtype=np.int64)
-
-    keep = np.flatnonzero(n_marked == 0)
-    tris[offsets[keep]] = mesh.elem_vertices[keep]
-    parent[offsets[keep]] = keep
-
-    def local_vertices(elems, r):
-        """(apex, A, B) with the reference side (A, B) opposite the apex."""
-        ev = mesh.elem_vertices[elems]
-        idx = np.arange(len(elems))
-        apex = ev[idx, r]
-        a = ev[idx, (r + 1) % 3]
-        b = ev[idx, (r + 2) % 3]
-        return apex, a, b
-
-    # Green: only the reference side is marked -> bisect it.
-    green = np.flatnonzero(n_marked == 1)
-    if green.size:
-        r = ref_local[green]
-        apex, a, b = local_vertices(green, r)
-        mid = new_vertex_of_side[ref_side[green]]
-        base = offsets[green]
-        tris[base + 0] = np.stack([apex, a, mid], axis=1)
-        tris[base + 1] = np.stack([apex, mid, b], axis=1)
-        parent[base + 0] = parent[base + 1] = green
-
-    # Blue: the reference side and one other side are marked.
-    blue = np.flatnonzero(n_marked == 2)
-    if blue.size:
-        r = ref_local[blue]
-        apex, a, b = local_vertices(blue, r)
-        mid = new_vertex_of_side[ref_side[blue]]
-        idx = np.arange(len(blue))
-        lm = local_marks[blue]
-        other_next = lm[idx, (r + 1) % 3]          # side (B, apex) marked
-        s_next = mesh.elem_sides[blue, (r + 1) % 3]
-        s_prev = mesh.elem_sides[blue, (r + 2) % 3]
-        q = np.where(other_next, new_vertex_of_side[s_next], new_vertex_of_side[s_prev])
-        base = offsets[blue]
-        # Side (apex, A) marked (local index r+2): split child (apex, A, mid).
-        prev_rows = ~other_next
-        tris[base + 0] = np.where(prev_rows[:, None],
-                                  np.stack([apex, q, mid], axis=1),
-                                  np.stack([apex, a, mid], axis=1))
-        tris[base + 1] = np.where(prev_rows[:, None],
-                                  np.stack([q, a, mid], axis=1),
-                                  np.stack([mid, b, q], axis=1))
-        tris[base + 2] = np.where(prev_rows[:, None],
-                                  np.stack([apex, mid, b], axis=1),
-                                  np.stack([mid, q, apex], axis=1))
-        parent[base + 0] = parent[base + 1] = parent[base + 2] = blue
-
-    red = np.flatnonzero(n_marked == 3)
-    if red.size:
-        v = mesh.elem_vertices[red]
-        m = new_vertex_of_side[mesh.elem_sides[red]]
-        base = offsets[red]
-        tris[base + 0] = np.stack([v[:, 0], m[:, 2], m[:, 1]], axis=1)
-        tris[base + 1] = np.stack([v[:, 1], m[:, 0], m[:, 2]], axis=1)
-        tris[base + 2] = np.stack([v[:, 2], m[:, 1], m[:, 0]], axis=1)
-        tris[base + 3] = m
-        parent[base + 0] = parent[base + 1] = parent[base + 2] = parent[base + 3] = red
-
-    return Mesh(coords, tris, side_labeler=_inherited_labeler(mesh, side_ids),
-                parent=mesh, parent_elements=parent)
+    # four child slots per element by its reference side and marked-side
+    # bits; a child's codes index its parent's vertices and new midpoints
+    bits = marked_sides[mesh.elem_sides] @ np.array([1, 2, 4])
+    slots = _CHILD_CODES[ref_local, bits].reshape(-1, 3)
+    children = np.flatnonzero(slots[:, 0] >= 0)
+    parent, codes = children // 4, slots[children]
+    corners = np.hstack([mesh.elem_vertices, new_vertex_of_side[mesh.elem_sides]])
+    return Mesh(coords, corners[parent[:, None], codes],
+                side_labeler=_inherited_labeler(mesh, side_ids), parent=mesh,
+                parent_elements=parent, parent_codes=codes)
 
 
 # ----------------------------------------------------------------------

@@ -27,8 +27,9 @@ Quadrature is barycentric only: fields evaluate at the barycentric points of
 a rule (``eval_at``), and :func:`element_points` builds physical points only
 for the elements where :func:`sample_data` evaluates problem data;
 :func:`side_points` does the same for segment rules on sides.
-Nothing maps physical points back to barycentric coordinates except
-prolongation, which locates fine side midpoints in coarse elements.
+Nothing maps physical points back to barycentric coordinates: prolongation
+reads a fine side midpoint's coordinates in its parent from the refinement's
+child codes (``Mesh.parent_codes``).
 
 Data sampling
 -------------
@@ -55,7 +56,7 @@ import math
 
 import numpy as np
 
-from .mesh import Mesh
+from .mesh import _CODE_BARY, Mesh
 
 __all__ = [
     "SpaceError",
@@ -510,23 +511,20 @@ def prolong_cr(v: CrFunction, fine: Mesh) -> CrFunction:
     Each fine side dof is the average, over the fine side's adjacent
     elements, of the parent element affine evaluated at the fine side
     midpoint.  (For sides interior to a parent element this is exact; across
-    parent interfaces the two one-sided values are averaged.)
+    parent interfaces the two one-sided values are averaged.)  A midpoint's
+    barycentric coordinates in the parent are the mean of those of its two
+    child vertices, which ``fine.parent_codes`` names exactly.
     """
-    coarse = v.mesh
-    _require_child(fine, coarse)
-    mids = fine.side_midpoints
-
-    def one_sided(elem_ids):
-        valid = elem_ids >= 0
-        parents = fine.parent_elements[np.where(valid, elem_ids, 0)]
-        bary = coarse.barycentric_coordinates(parents, mids)
-        vals = (v.dofs[coarse.elem_sides[parents]] * (1.0 - 2.0 * bary)).sum(axis=1)
-        return np.where(valid, vals, 0.0), valid
-
-    v_minus, _ = one_sided(fine.side_elem_minus)
-    v_plus, has_plus = one_sided(fine.side_elem_plus)
-    dofs = np.where(has_plus, 0.5 * (v_minus + v_plus), v_minus)
-    return CrFunction(fine, dofs)
+    _require_child(fine, v.mesh)
+    ends = _CODE_BARY[fine.parent_codes]
+    bary = 0.5 * (ends[:, [1, 2, 0]] + ends[:, [2, 0, 1]])   # (child, local side, 3)
+    dofs = v.dofs[v.mesh.elem_sides[fine.parent_elements]]
+    values = (dofs[:, None, :] * (1.0 - 2.0 * bary)).sum(axis=2)
+    # row 0 the minus element's value (orientation +1), row 1 the plus one's
+    one_sided = np.empty((2, fine.n_sides))
+    one_sided[(fine.elem_side_orient < 0).view(np.int8), fine.elem_sides] = values
+    v_minus, v_plus = one_sided
+    return CrFunction(fine, np.where(fine.boundary_mask, v_minus, 0.5 * (v_minus + v_plus)))
 
 
 def prolong_p0(p: P0Function, fine: Mesh) -> P0Function:

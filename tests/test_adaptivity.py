@@ -16,7 +16,12 @@ before this module was implemented:
 import functools
 import itertools
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -422,6 +427,35 @@ def test_only_the_last_level_keeps_samples():
                       exact.u: (last.n_elements, nq),
                       exact.grad_u: (last.n_elements, nq, 2)}
     assert len(last.samples) == 3
+
+
+#: prints the level count and the sha256 of the records' rows of a short
+#: adaptive corner run
+_RECORD_DIGEST = textwrap.dedent("""
+    import hashlib
+    from crobstacle.adaptivity import AfemConfig, afem_run
+    from crobstacle.benchmarks import corner
+    bench = corner()
+    history = afem_run(bench.data, AfemConfig(max_levels=8), bench.initial_mesh())
+    rows = [record.row() for record in history.records]
+    print(len(rows), hashlib.sha256(repr(rows).encode()).hexdigest())
+""")
+
+
+def test_records_do_not_depend_on_threads_or_hash_seed():
+    # the records are bitwise reproducible: neither the BLAS thread count
+    # nor the order of a hashed set or dict moves a bit of them
+    src = Path(__file__).resolve().parents[1] / "src"
+    digests = []
+    for threads, seed in (("1", "0"), ("2", "4711")):
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed,
+                   OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", _RECORD_DIGEST], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.split())
+    assert digests[0][0] == "8" and digests[0] == digests[1], digests
 
 
 def test_ring_adaptive_exact_errors_recorded(ring_adaptive):

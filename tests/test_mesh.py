@@ -23,6 +23,8 @@ from crobstacle.mesh import (
     Mesh,
     MeshError,
     Rectangle,
+    _CHILD_CODES,
+    _CODE_BARY,
     _LEAF_ELEMENTS,
     _bisection_labels,
     build_structured,
@@ -219,6 +221,17 @@ class TestBuildStructured:
         with pytest.raises(ValueError):
             m.vertex_coords[0, 0] = 7.0
 
+    def test_refined_mesh_arrays_are_read_only(self):
+        # the refinement bookkeeping too: prolongation and the data samples
+        # of a refined level index through parent_elements and parent_codes
+        f = refine_rgb(square(2), [0])
+        arrays = {name: value for name, value in vars(f).items()
+                  if isinstance(value, np.ndarray)}
+        assert [name for name, a in arrays.items() if a.flags.writeable] == []
+        assert {"parent_elements", "parent_codes"} <= set(arrays)
+        with pytest.raises(ValueError):
+            f.parent_elements[0] = 1
+
     def test_barycentric_coordinates(self):
         m = lshape_mesh(2)
         rng = np.random.default_rng(7)
@@ -396,6 +409,73 @@ class TestRefineRgb:
         assert np.isclose(m.areas.sum(), area)
         assert mesh_stats(m)["euler_characteristic"] == 1
         assert np.all(m.areas > 0)
+
+
+# ----------------------------------------------------------------------
+# Child codes: the refinement's barycentric bookkeeping
+# ----------------------------------------------------------------------
+def _child_code_meshes():
+    """(coarse, fine) pairs: graded corner, pyramid and ring levels, one uniform."""
+    pairs = [(coarse, fine) for bench in (corner, pyramid, ring)
+             for meshes in [graded_meshes(bench(), 5)]
+             for coarse, fine in zip(meshes, meshes[1:])]
+    coarse = lshape_mesh(4)
+    return pairs + [(coarse, refine_rgb(coarse))]
+
+
+class TestChildCodes:
+    @pytest.fixture(scope="class")
+    def pairs(self):
+        return _child_code_meshes()
+
+    def test_codes_give_every_child_vertex_bitwise(self, pairs):
+        for coarse, fine in pairs:
+            assert fine.parent is coarse
+            children_inside_parents(fine)
+
+    def test_codes_match_the_barycentric_oracle(self, pairs):
+        for coarse, fine in pairs:
+            points = fine.vertex_coords[fine.elem_vertices].reshape(-1, 2)
+            parents = np.repeat(fine.parent_elements, 3)
+            bary = coarse.barycentric_coordinates(parents, points)
+            assert np.array_equal(bary, _CODE_BARY[fine.parent_codes].reshape(-1, 3))
+
+    def test_the_table_has_the_fifteen_configurations(self):
+        # per reference side: keep, green, two blues and red, each with the
+        # reference side marked unless nothing is
+        counts = (_CHILD_CODES[..., 0] >= 0).sum(axis=-1)
+        for r in range(3):
+            valid = {bits: int(counts[r, bits]) for bits in range(8) if counts[r, bits]}
+            ref = 1 << r
+            assert valid == {0: 1, ref: 2, ref | 1 << (r + 1) % 3: 3,
+                             ref | 1 << (r + 2) % 3: 3, 0b111: 4}
+        assert np.array_equal(_CHILD_CODES[0, 0b111], _CHILD_CODES[2, 0b111])
+
+    def test_every_configuration_tiles_its_parent(self):
+        for r, bits in zip(*np.nonzero(_CHILD_CODES[..., 0, 0] >= 0)):
+            codes = _CHILD_CODES[r, bits]
+            # child area over parent area, positive when counter-clockwise
+            area = np.linalg.det(_CODE_BARY[codes[codes[:, 0] >= 0]])
+            assert np.all(area > 0.0), (r, bits)
+            assert np.isclose(area.sum(), 1.0, rtol=0.0, atol=1e-15), (r, bits)
+            # each side midpoint is a child vertex exactly when its side is marked
+            used = set(codes[codes >= 0].ravel().tolist())
+            assert {j for j in range(3) if 3 + j in used} == \
+                {j for j in range(3) if bits >> j & 1}, (r, bits)
+
+    def test_refined_children_tile_their_parents(self, pairs):
+        for coarse, fine in pairs:
+            assert np.all(np.linalg.det(_CODE_BARY[fine.parent_codes]) > 0.0)
+            area = np.bincount(fine.parent_elements, weights=fine.areas,
+                               minlength=coarse.n_elements)
+            assert np.allclose(area, coarse.areas, rtol=1e-12, atol=0.0)
+        seen = {tuple(map(tuple, fine.parent_codes[fine.parent_elements == t]))
+                for coarse, fine in pairs for t in range(coarse.n_elements)}
+        table = {tuple(map(tuple, codes[codes[:, 0] >= 0]))
+                 for codes in _CHILD_CODES.reshape(-1, 4, 3) if codes[0, 0] >= 0}
+        # keep and red are the same for every reference side: 15
+        # configurations, 11 distinct child lists
+        assert seen <= table and len(table) == 11
 
 
 # ----------------------------------------------------------------------

@@ -360,3 +360,14 @@ def test_every_factorisation_is_a_selector_or_a_default_one():
     assert other == [], other
     assert sorted(defaults) == sorted(DEFAULT_FACTORISATIONS), defaults
     assert selectors and named == len(selectors) + len(defaults)
+
+
+def test_no_module_maps_physical_points_back_to_barycentric():
+    # quadrature is barycentric only: prolongation reads a fine side
+    # midpoint's parent coordinates from the refinement's child codes, and
+    # Mesh.barycentric_coordinates is left to the tests and the benchmark
+    calls = sorted(f"{module}.{owner}"
+                   for module, tree in _program_modules().items()
+                   for owner, call in _calls_by_function(tree)
+                   if getattr(call.func, "attr", None) == "barycentric_coordinates")
+    assert calls == [], calls

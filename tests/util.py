@@ -10,7 +10,7 @@ route to the barycentric evaluation the package uses.
 import numpy as np
 
 from crobstacle.duality import DualField
-from crobstacle.mesh import refine_rgb
+from crobstacle.mesh import _CODE_BARY, refine_rgb
 from crobstacle.spaces import (
     CrFunction,
     P0Function,
@@ -118,16 +118,22 @@ def total_area(mesh):
     return sum(triangle_area(mesh.vertex_coords, tri) for tri in mesh.elem_vertices)
 
 
-def children_inside_parents(child, tol=1e-10):
-    """Every child element's vertices lie inside its parent element."""
+def children_inside_parents(child):
+    """Every child vertex is the parent vertex or side midpoint its code names.
+
+    ``parent_codes`` holds, per child vertex, 0-2 for a parent vertex and
+    3 + j for the midpoint of parent side j.  The codes' barycentric rows
+    applied to the parent's corners give the child's vertices bitwise, in
+    the child's own vertex order, so ``Mesh`` reoriented no child.
+    """
     parent = child.parent
     assert parent is not None and child.parent_elements is not None
-    for t in range(child.n_elements):
-        pt = int(child.parent_elements[t])
-        pts = child.vertex_coords[child.elem_vertices[t]]
-        bary = parent.barycentric_coordinates(np.full(3, pt), pts)
-        assert bary.min() > -tol and bary.max() < 1.0 + tol
-        assert np.allclose(bary.sum(axis=1), 1.0, atol=1e-12)
+    codes = child.parent_codes
+    assert codes.shape == (child.n_elements, 3) and codes.dtype == np.int8
+    assert codes.min() >= 0 and codes.max() <= 5
+    corners = parent.vertex_coords[parent.elem_vertices[child.parent_elements]]
+    expected = np.einsum("tkj,tjd->tkd", _CODE_BARY[codes], corners)
+    assert np.array_equal(child.vertex_coords[child.elem_vertices], expected)
 
 
 # ----------------------------------------------------------------------
@@ -137,16 +143,17 @@ def children_inside_parents(child, tol=1e-10):
 def graded_meshes(bench, levels, centre=(0.3, 0.1)):
     """``levels`` meshes from ``bench``'s initial one, each refined from the last.
 
-    Each refinement marks the tenth of the elements whose barycenters lie
-    nearest ``centre``, so the closure adds green and blue elements and most
-    elements stay unrefined, as in an adaptive run.  The list keeps every
-    parent alive.
+    Each refinement marks the tenth of the elements (at least one) whose
+    barycenters lie nearest ``centre``, so the closure adds green and blue
+    elements and most elements stay unrefined, as in an adaptive run.  The
+    list keeps every parent alive.
     """
     meshes = [bench.initial_mesh()]
     while len(meshes) < levels:
         mesh = meshes[-1]
         dist = np.hypot(*(mesh.barycenters - np.asarray(centre)).T)
-        meshes.append(refine_rgb(mesh, np.argsort(dist, kind="stable")[:mesh.n_elements // 10]))
+        marked = np.argsort(dist, kind="stable")[:max(1, mesh.n_elements // 10)]
+        meshes.append(refine_rgb(mesh, marked))
     return meshes
 
 

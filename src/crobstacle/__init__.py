@@ -21,7 +21,7 @@ solver      the discrete obstacle system and its primal-dual active-set solver
 duality     flux reconstruction, primal and dual energy functionals
 estimator   a posteriori error estimator with data oscillation, error measures,
             convergence rates
-adaptivity  marking strategies and the adaptive / uniform refinement loops
+adaptivity  Dörfler marking and the refinement loop, adaptive or uniform
 benchmarks  the ring, corner and pyramid benchmark problems
 """
 

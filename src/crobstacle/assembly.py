@@ -16,6 +16,7 @@ Every element carries a multiplier, so each element needs a free side:
 from __future__ import annotations
 
 from dataclasses import dataclass
+import numbers
 from typing import Callable, Optional
 
 import numpy as np
@@ -48,6 +49,10 @@ __all__ = [
 
 DATA_PROJECTION_DEGREE = 5
 HIGH_ORDER_DEGREE = 12
+#: the rule of the estimator's and the diagnostics' high-order integrals
+HIGH_ORDER_RULE = triangle_rule(HIGH_ORDER_DEGREE)
+HIGH_ORDER_RULE.bary.setflags(write=False)
+HIGH_ORDER_RULE.weights.setflags(write=False)
 
 
 class AssemblyError(Exception):
@@ -102,14 +107,14 @@ class ExactSolution:
 class ProblemData:
     """Data of one obstacle problem instance.
 
-    The load ``f`` and the obstacle ``chi`` are each a scalar or a
-    vectorised callable on coordinate arrays.  Anything else (a field on
-    one mesh, such as a ``P0Function`` load or obstacle) raises
-    :class:`AssemblyError`: every level samples both at its own points.
+    The load ``f``, the obstacle ``chi`` and the boundary data
+    ``dirichlet_data`` are each a real number or a vectorised callable on
+    coordinate arrays; ``dirichlet_data`` may also be ``None``, the
+    homogeneous problem.  Anything else (a string, an array, a field on one
+    mesh such as a ``P0Function`` load or obstacle) raises
+    :class:`AssemblyError`: every level samples the data at its own points.
     ``chi_grad`` (vector callable) is needed only by estimator routines when
     the obstacle is active and non-affine.
-    ``dirichlet_data`` (callable or scalar) imposes inhomogeneous boundary
-    values; omit it for the homogeneous problem.
     """
     name: str
     f: object
@@ -119,14 +124,13 @@ class ProblemData:
     exact: Optional[ExactSolution] = None
 
     def __post_init__(self):
-        if not (np.isscalar(self.f) or callable(self.f)):
-            raise AssemblyError(
-                "the load must be a scalar or a callable, got "
-                f"{type(self.f).__name__}")
-        if not (np.isscalar(self.chi) or callable(self.chi)):
-            raise AssemblyError(
-                "the obstacle must be a scalar or a callable, got "
-                f"{type(self.chi).__name__}")
+        for field in ("f", "chi", "dirichlet_data"):
+            value = getattr(self, field)
+            if not (isinstance(value, numbers.Real) or callable(value)
+                    or (field == "dirichlet_data" and value is None)):
+                raise AssemblyError(
+                    f"ProblemData.{field} must be a real scalar or a callable, "
+                    f"got {type(value).__name__}")
 
     def chi_side_values(self, mesh: Mesh) -> np.ndarray:
         """Side-average interpolant values of the obstacle (one per side)."""
@@ -136,7 +140,7 @@ class ProblemData:
         """Boundary data at ``(..., 2)`` points: zero, a constant or the callable's values."""
         if self.dirichlet_data is None:
             return np.zeros(points.shape[:-1])
-        if np.isscalar(self.dirichlet_data):
+        if not callable(self.dirichlet_data):
             return np.full(points.shape[:-1], float(self.dirichlet_data))
         return np.asarray(self.dirichlet_data(points), dtype=float)
 

@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .assembly import HIGH_ORDER_DEGREE, ProblemData
+from .assembly import HIGH_ORDER_RULE, ProblemData
 from .mesh import Mesh
 from .spaces import (
     CrFunction,
@@ -184,15 +184,13 @@ def energy_primal_continuous(mesh: Mesh, data: ProblemData, values,
     """Dirichlet energy ``1/2 ||grad v||^2 - (f, v)`` by high-order quadrature.
 
     ``values`` and ``grad_sq`` ``(n_elements, nq)`` are ``v`` and
-    ``|grad v|^2`` sampled at the points of
-    ``triangle_rule(HIGH_ORDER_DEGREE)``, where the load is sampled too.
-    Feasibility of ``v`` is the caller's responsibility.
+    ``|grad v|^2`` sampled at the points of ``HIGH_ORDER_RULE``, where the
+    load is sampled too.  Feasibility of ``v`` is the caller's responsibility.
     """
-    rule = triangle_rule(HIGH_ORDER_DEGREE)
     density = 0.5 * np.asarray(grad_sq, dtype=float)
-    density -= (shared_sample(data.f, mesh, rule)
+    density -= (shared_sample(data.f, mesh, HIGH_ORDER_RULE)
                 * np.asarray(values, dtype=float))
-    return float(integrate_elementwise(mesh, rule, density).sum())
+    return float(integrate_elementwise(mesh, HIGH_ORDER_RULE, density).sum())
 
 
 def energy_dual_continuous(mesh: Mesh, data: ProblemData, field: DualField,
@@ -217,13 +215,12 @@ def energy_dual_continuous(mesh: Mesh, data: ProblemData, field: DualField,
     norm_sq = float(integrate_elementwise(
         mesh, exact2, (y_vals ** 2).sum(axis=-1)).sum())
 
-    rule = triangle_rule(HIGH_ORDER_DEGREE)
-    pts = element_points(mesh, rule.bary)
+    pts = element_points(mesh, HIGH_ORDER_RULE.bary)
     chi_vals = sample_data(data.chi, pts)
-    f_vals = shared_sample(data.f, mesh, rule)
+    f_vals = shared_sample(data.f, mesh, HIGH_ORDER_RULE)
     div_vals = (residual_load - f_h.values)[:, None]
     pairing = float(integrate_elementwise(
-        mesh, rule, (div_vals + f_vals) * chi_vals).sum())
+        mesh, HIGH_ORDER_RULE, (div_vals + f_vals) * chi_vals).sum())
 
     value = -0.5 * norm_sq - pairing
     mask = mesh.dirichlet_side_mask

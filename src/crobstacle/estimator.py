@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import HIGH_ORDER_DEGREE, ProblemData
+from .assembly import HIGH_ORDER_RULE, ProblemData
 from .duality import DualField, energy_primal_continuous
 from .mesh import Mesh
 from .spaces import (
@@ -175,9 +175,8 @@ def eta_A(v: PostprocessedField, u: CrFunction, sample: FieldSample) -> np.ndarr
 
     ``sample`` is ``v`` sampled on the points of the high-order rule.
     """
-    rule = triangle_rule(HIGH_ORDER_DEGREE)
     return integrate_elementwise(
-        v.mesh, rule, sample.gradient_error_sq(u.gradient().values))
+        v.mesh, HIGH_ORDER_RULE, sample.gradient_error_sq(u.gradient().values))
 
 
 def eta_B(v: PostprocessedField, multiplier: P0Function,
@@ -188,8 +187,7 @@ def eta_B(v: PostprocessedField, multiplier: P0Function,
     value below ``-1e-12`` signals a violated precondition and raises.
     ``sample`` is ``v`` sampled on the points of the high-order rule.
     """
-    rule = triangle_rule(HIGH_ORDER_DEGREE)
-    gap = integrate_elementwise(v.mesh, rule, sample.excess)
+    gap = integrate_elementwise(v.mesh, HIGH_ORDER_RULE, sample.excess)
     per_element = (-multiplier.values) * gap
     worst = float(per_element.min(initial=0.0))
     if worst < -1e-12:
@@ -212,10 +210,8 @@ def oscillation(mesh: Mesh, data: ProblemData, f_h: P0Function) -> np.ndarray:
     Exactly zero (by construction, not by quadrature) when ``f`` is a
     constant and ``f_h`` is its projection.
     """
-    rule = triangle_rule(HIGH_ORDER_DEGREE)
-    f = shared_sample(data.f, mesh, rule)
-    diff_sq = (f - f_h.values[:, None]) ** 2
-    return mesh.h_elements ** 2 * integrate_elementwise(mesh, rule, diff_sq)
+    diff_sq = (shared_sample(data.f, mesh, HIGH_ORDER_RULE) - f_h.values[:, None]) ** 2
+    return mesh.h_elements ** 2 * integrate_elementwise(mesh, HIGH_ORDER_RULE, diff_sq)
 
 
 # ----------------------------------------------------------------------
@@ -280,7 +276,7 @@ def estimate(outcome) -> EstimateResult:
     data = system.data
     mesh = system.mesh
     v = postprocess_conforming(outcome.solution, data)
-    sample = v.sample(triangle_rule(HIGH_ORDER_DEGREE).bary)
+    sample = v.sample(HIGH_ORDER_RULE.bary)
     return EstimateResult(
         field=v,
         breakdown=EstimatorBreakdown(
@@ -326,7 +322,7 @@ def rho_reduced(v: PostprocessedField, solution: CrFunction,
             "exact solution")
 
     mesh = v.mesh
-    rule = triangle_rule(HIGH_ORDER_DEGREE)
+    rule = HIGH_ORDER_RULE
     sample = v.sample(rule.bary)
     chi = sample.chi
     values = sample.values
@@ -416,7 +412,7 @@ def exact_errors(solution: CrFunction, flux: DualField, multiplier: P0Function,
         raise EstimatorError("exact errors need problem data with an exact "
                              "solution")
     mesh = solution.mesh
-    rule = triangle_rule(HIGH_ORDER_DEGREE)
+    rule = HIGH_ORDER_RULE
     grad_u = shared_sample(exact.grad_u, mesh, rule)
 
     def error(field_vals) -> float:

@@ -10,7 +10,10 @@ The mesh data structure is array-based, its arrays read-only after construction:
   which the side was first traversed (element-major, counter-clockwise),
 * ``side_elem_minus`` / ``side_elem_plus`` -- adjacent elements; the "minus"
   element is the first registrant and the side normal points out of it;
-  ``side_elem_plus`` is ``-1`` on the boundary.
+  ``side_elem_plus`` is ``-1`` on the boundary,
+* ``dirichlet_side_mask`` -- ``(ns,)`` bool array, True on the Dirichlet sides,
+* ``parent_elements`` / ``parent_codes`` -- on a refined mesh, each element's
+  parent and the ``(nt, 3)`` int8 codes of its vertices in it, else ``None``.
 
 Jumps across a side are evaluated as ``trace_plus - trace_minus``; on the
 boundary the convention degenerates to ``-trace_minus``, i.e. the normal is
@@ -30,7 +33,6 @@ import numpy as np
 
 __all__ = [
     "MeshError",
-    "INTERIOR",
     "DIRICHLET",
     "NEUMANN",
     "Mesh",
@@ -43,7 +45,6 @@ __all__ = [
     "export_vtk",
 ]
 
-INTERIOR = "interior"
 DIRICHLET = "dirichlet"
 NEUMANN = "neumann"
 
@@ -80,19 +81,25 @@ class Mesh:
         a boundary label (``"dirichlet"`` or ``"neumann"``) to every
         boundary side at once: it gets the ``(k, 2)`` vertex indices and the
         ``(k, 2)`` midpoints of the ``k`` boundary sides, in side order, and
-        returns ``k`` labels.  Defaults to labelling every boundary side
-        ``"dirichlet"``.
+        returns ``k`` labels, which become ``dirichlet_side_mask``.  Without
+        a labeler or a parent, every boundary side is Dirichlet.
     parent / parent_elements / parent_codes:
-        Refinement bookkeeping: the coarser mesh this one was refined from;
-        per element, the index of its parent element; and per element vertex,
-        its int8 code in the parent (0-2 the parent's vertices, 3 + j the
-        midpoint of its side j; ``_CODE_BARY`` holds their barycentric
-        coordinates).  The parent is held weakly, so a level does not keep
-        its ancestry alive.
+        Refinement bookkeeping, given together: the coarser mesh, held
+        weakly so that a level does not keep its ancestry alive; each
+        element's parent element; and the int8 codes of its vertices in
+        that parent (0-2 its vertices, 3 + j the midpoint of its side j,
+        ``_CODE_BARY`` their barycentric coordinates).  Each boundary side
+        inherits the mask of the parent side it lies on, so a refined mesh
+        takes no labeler, and no clockwise element: its codes name its
+        vertices in order.
     """
 
     def __init__(self, vertex_coords, elem_vertices, side_labeler=None,
                  parent=None, parent_elements=None, parent_codes=None):
+        if parent is not None and (parent_elements is None or parent_codes is None):
+            raise MeshError("a refined mesh needs parent_elements and parent_codes")
+        if parent is not None and side_labeler is not None:
+            raise MeshError("a refined mesh inherits its Dirichlet sides: no side_labeler")
         coords = np.ascontiguousarray(np.asarray(vertex_coords, dtype=float))
         tri = np.ascontiguousarray(np.asarray(elem_vertices, dtype=np.int64))
         if coords.ndim != 2 or coords.shape[1] != 2:
@@ -109,6 +116,8 @@ class Mesh:
         signed_twice = _cross2(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
         flip = signed_twice < 0.0
         if np.any(flip):
+            if parent is not None:
+                raise MeshError(f"refined element {int(np.argmax(flip))} is clockwise")
             tri = tri.copy()
             tri[flip] = tri[flip][:, [0, 2, 1]]
             p = coords[tri]
@@ -165,12 +174,25 @@ class Mesh:
 
         self.h_elements = self.side_lengths[self.elem_sides].max(axis=1)
 
-        # Boundary labels.
-        labels = np.full(ns, INTERIOR, dtype="<U9")
+        self._parent = None if parent is None else weakref.ref(parent)
+        self.parent_elements = (None if parent_elements is None
+                                else np.asarray(parent_elements, dtype=np.int64))
+        self.parent_codes = (None if parent_codes is None
+                             else np.asarray(parent_codes, dtype=np.int8))
+
+        # Dirichlet sides.  The boundary side j of a child has the end codes
+        # a, b of its vertices j + 1, j + 2: it lies on parent side m - 3 when
+        # one end is a midpoint m, and on side 3 - a - b when neither is.
         bnd = self.boundary_mask
-        if side_labeler is None:
-            labels[bnd] = DIRICHLET
-        else:
+        dirichlet = bnd.copy()
+        if parent is not None:
+            t, j = np.divmod(first_idx[bnd], 3)
+            ends = self.parent_codes[t[:, None], (j[:, None] + [1, 2]) % 3].astype(np.int64)
+            top = ends.max(axis=1)
+            k = np.where(top >= 3, top - 3, 3 - ends.sum(axis=1))
+            dirichlet[bnd] = parent.dirichlet_side_mask[
+                parent.elem_sides[self.parent_elements[t], k]]
+        elif side_labeler is not None:
             given = np.asarray(side_labeler(self.side_vertices[bnd],
                                             self.side_midpoints[bnd]))
             if given.shape != (int(bnd.sum()),):
@@ -180,8 +202,8 @@ class Mesh:
             if unknown.size:
                 raise MeshError(f"side labeler returned {unknown[0]!r}; "
                                 f"expected one of {_BOUNDARY_LABELS}")
-            labels[bnd] = given
-        self.side_labels = labels
+            dirichlet[bnd] = given == DIRICHLET
+        self.dirichlet_side_mask = dirichlet
 
         # Barycentric gradients: grad lambda_j = perp(edge opposite vertex j) / (2|T|).
         e = p[:, [2, 0, 1], :] - p[:, [1, 2, 0], :]
@@ -192,17 +214,12 @@ class Mesh:
         self.elem_side_orient = np.where(
             self.side_elem_minus[self.elem_sides] == np.arange(nt)[:, None], 1.0, -1.0)
 
-        self._parent = None if parent is None else weakref.ref(parent)
-        self.parent_elements = (None if parent_elements is None
-                                else np.asarray(parent_elements, dtype=np.int64))
-        self.parent_codes = (None if parent_codes is None
-                             else np.asarray(parent_codes, dtype=np.int8))
         self.samples = []
 
         for arr in (self.vertex_coords, self.elem_vertices, self.elem_sides,
                     self.side_vertices, self.side_elem_minus, self.side_elem_plus,
                     self.side_lengths, self.side_midpoints, self.side_normals,
-                    self.areas, self.barycenters, self.h_elements, self.side_labels,
+                    self.areas, self.barycenters, self.h_elements, self.dirichlet_side_mask,
                     self.bary_grads, self.elem_side_orient, self.boundary_mask,
                     self.parent_elements, self.parent_codes):
             if arr is not None:
@@ -229,12 +246,8 @@ class Mesh:
         return ~self.boundary_mask
 
     @property
-    def dirichlet_side_mask(self) -> np.ndarray:
-        return self.side_labels == DIRICHLET
-
-    @property
     def neumann_side_mask(self) -> np.ndarray:
-        return self.side_labels == NEUMANN
+        return self.boundary_mask & ~self.dirichlet_side_mask
 
     def dirichlet_vertex_mask(self) -> np.ndarray:
         """Vertices lying on a Dirichlet boundary side."""
@@ -417,44 +430,13 @@ def _marked_mask(mesh, marked):
         if marked.shape != (mesh.n_elements,):
             raise MeshError("boolean mark array has wrong length")
         return marked
+    if marked.size and not np.issubdtype(marked.dtype, np.integer):
+        raise MeshError(f"marks must be element ids or a boolean mask, got {marked.dtype}")
     if marked.size and (marked.min() < 0 or marked.max() >= mesh.n_elements):
         raise MeshError("marked element index out of range")
     mask = np.zeros(mesh.n_elements, dtype=bool)
     mask[marked.astype(np.int64)] = True
     return mask
-
-
-def _inherited_labeler(mesh, side_ids):
-    """Boundary labeler for a refinement: children inherit the parent side label.
-
-    ``side_ids`` are the parent sides that were split, in the order of their
-    new midpoint vertices ``nv_old, nv_old + 1, ...``.  A child boundary side
-    either contains exactly one new midpoint vertex (it is half of a split
-    parent side) or joins two parent vertices (it *is* a parent side, found
-    by its sorted vertex pair).
-    """
-    nv_old = mesh.n_vertices
-    bnd = np.flatnonzero(mesh.boundary_mask)
-    pair = np.sort(mesh.side_vertices[bnd], axis=1)
-    key = pair[:, 0] * nv_old + pair[:, 1]
-    order = np.argsort(key)
-    parent_keys = key[order]
-    parent_labels = mesh.side_labels[bnd[order]]
-
-    def labeler(side_vertices, midpoints):
-        lo = side_vertices.min(axis=1)
-        hi = side_vertices.max(axis=1)
-        split = hi >= nv_old
-        labels = np.empty(len(hi), dtype=mesh.side_labels.dtype)
-        labels[split] = mesh.side_labels[side_ids[hi[split] - nv_old]]
-        whole = lo[~split] * nv_old + hi[~split]
-        pos = np.minimum(np.searchsorted(parent_keys, whole), len(parent_keys) - 1)
-        if whole.size and not np.array_equal(parent_keys[pos], whole):
-            raise MeshError("refined boundary side does not match any parent side")
-        labels[~split] = parent_labels[pos]
-        return labels
-
-    return labeler
 
 
 def _reference_sides(mesh):
@@ -512,11 +494,13 @@ def refine_rgb(mesh, marked=None):
     reference (longest) side of any element that has a marked side, and the
     resulting side marks are realised by red (3 sides), blue (2) or green (1)
     subdivisions.  The output mesh is conforming by construction.
-    ``marked=None`` marks every element (uniform red refinement, each element
-    split into 4 similar children); an empty mark set returns the input
-    unchanged.  One table, ``_CHILD_CODES``, gives every element's children
-    in codes by its reference side and marked sides; the child mesh keeps
-    them as ``parent_codes``.  Children follow their parent's order.
+    ``marked`` holds element ids or is a boolean mask; ``None`` marks every
+    element (uniform red refinement, each element split into 4 similar
+    children), and an empty mark set returns the input unchanged.  One
+    table, ``_CHILD_CODES``, gives every element's children in codes by its
+    reference side and marked sides; the child mesh keeps them as
+    ``parent_codes`` and inherits its Dirichlet sides through them.
+    Children follow their parent's order.
     """
     mask = _marked_mask(mesh, marked)
     if not mask.any():
@@ -545,8 +529,7 @@ def refine_rgb(mesh, marked=None):
     children = np.flatnonzero(slots[:, 0] >= 0)
     parent, codes = children // 4, slots[children]
     corners = np.hstack([mesh.elem_vertices, new_vertex_of_side[mesh.elem_sides]])
-    return Mesh(coords, corners[parent[:, None], codes],
-                side_labeler=_inherited_labeler(mesh, side_ids), parent=mesh,
+    return Mesh(coords, corners[parent[:, None], codes], parent=mesh,
                 parent_elements=parent, parent_codes=codes)
 
 

@@ -14,7 +14,10 @@
   :func:`~crobstacle.mesh.nested_dissection`, part by part,
 * :func:`selector_pattern_arrays` -- the arrays of a
   :class:`~crobstacle.sparse.SelectorPattern`, built through scipy's
-  fancy indexing, matrix product and element lookup.
+  fancy indexing, matrix product and element lookup,
+* :func:`inherited_dirichlet_mask` -- the Dirichlet sides of a refined
+  mesh, found by searching the parent's boundary sides by vertex pair
+  instead of reading them off the child codes.
 
 None of them runs in the package pipeline; they live with the tests.
 """
@@ -374,6 +377,42 @@ def bisection_labels(mesh, leaf):
                        for t in range(mesh.n_elements)], dtype=np.int64)
     leaf_levels = np.array([len(halves[t]) for t in range(mesh.n_elements)])
     return labels, depth, leaf_levels
+
+
+def inherited_dirichlet_mask(coarse, fine):
+    """The Dirichlet sides of ``fine``, refined from ``coarse``, by key search.
+
+    The new vertices of a refinement are the midpoints of the split parent
+    sides, in ascending side order.  A child boundary side either contains
+    exactly one new vertex (it is half of that split parent side) or joins
+    two parent vertices (it *is* a parent side, found by its sorted vertex
+    pair among the parent's boundary sides).
+    """
+    nv_old = coarse.n_vertices
+    new = {tuple(p) for p in fine.vertex_coords[nv_old:].tolist()}
+    side_ids = np.array([s for s, p in enumerate(coarse.side_midpoints.tolist())
+                         if tuple(p) in new], dtype=np.int64)
+    assert np.array_equal(coarse.side_midpoints[side_ids], fine.vertex_coords[nv_old:])
+
+    bnd = np.flatnonzero(coarse.boundary_mask)
+    pair = np.sort(coarse.side_vertices[bnd], axis=1)
+    key = pair[:, 0] * nv_old + pair[:, 1]
+    order = np.argsort(key)
+    parent_keys = key[order]
+    parent_dirichlet = coarse.dirichlet_side_mask[bnd[order]]
+
+    sides = fine.side_vertices[fine.boundary_mask]
+    lo, hi = sides.min(axis=1), sides.max(axis=1)
+    split = hi >= nv_old
+    inherited = np.empty(len(hi), dtype=bool)
+    inherited[split] = coarse.dirichlet_side_mask[side_ids[hi[split] - nv_old]]
+    whole = lo[~split] * nv_old + hi[~split]
+    pos = np.minimum(np.searchsorted(parent_keys, whole), len(parent_keys) - 1)
+    assert np.array_equal(parent_keys[pos], whole), "a boundary side matches no parent side"
+    inherited[~split] = parent_dirichlet[pos]
+    mask = np.zeros(fine.n_sides, dtype=bool)
+    mask[fine.boundary_mask] = inherited
+    return mask
 
 
 def selector_pattern_arrays(A, B, order):

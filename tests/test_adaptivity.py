@@ -36,7 +36,7 @@ from crobstacle.adaptivity import (
     doerfler_mark,
     dump_level_vtk,
 )
-from crobstacle.assembly import HIGH_ORDER_DEGREE, ProblemData
+from crobstacle.assembly import HIGH_ORDER_RULE, ProblemData
 from crobstacle.benchmarks import corner, pyramid, ring
 from crobstacle.duality import (
     energy_dual_discrete,
@@ -421,7 +421,7 @@ def test_only_the_last_level_keeps_samples():
     assert all(mesh.samples == [] for mesh in meshes[:-1])
     last = meshes[-1]
     exact = bench.data.exact
-    nq = spaces_mod.triangle_rule(HIGH_ORDER_DEGREE).n_points
+    nq = HIGH_ORDER_RULE.n_points
     shapes = {fn: values.shape for fn, _, values in last.samples}
     assert shapes == {bench.data.f: (last.n_elements, nq),
                       exact.u: (last.n_elements, nq),

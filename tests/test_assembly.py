@@ -250,6 +250,29 @@ class TestProblemData:
         for f in (-2.0, np.float64(1.0), lambda p: p[..., 0]):
             assert plain_data(f=f).f is f
 
+    # a string or an array would pass construction and fail in the solver
+    # or in dirichlet_values_at; each field is checked where it is set
+
+    def test_load_must_be_real_or_callable(self):
+        for f in ("abc", np.array([1.0, 2.0]), 1j, None):
+            with pytest.raises(AssemblyError, match=r"ProblemData\.f must be a real"):
+                plain_data(f=f)
+        for f in (-2, np.float64(1.0), np.int64(3)):
+            assert plain_data(f=f).f is f
+
+    def test_obstacle_must_be_real_or_callable(self):
+        for chi in ("0.0", np.zeros(3), None):
+            with pytest.raises(AssemblyError, match=r"ProblemData\.chi must be a real"):
+                plain_data(chi=chi)
+
+    def test_boundary_data_must_be_real_callable_or_none(self):
+        for g in (np.array([1.0, 2.0]), "1.0", 1j):
+            with pytest.raises(AssemblyError,
+                               match=r"ProblemData\.dirichlet_data must be a real"):
+                plain_data(dirichlet_data=g)
+        for g in (None, 0.5, np.float64(1.0), lambda p: p[..., 0]):
+            assert plain_data(dirichlet_data=g).dirichlet_data is g
+
     def test_validate_on_uses_given_side_values(self):
         m = square_mesh(2)
         data = plain_data(chi=0.5)

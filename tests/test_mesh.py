@@ -17,7 +17,6 @@ from crobstacle.assembly import assemble_stiffness_full
 from crobstacle.benchmarks import corner, pyramid, ring
 from crobstacle.mesh import (
     DIRICHLET,
-    INTERIOR,
     NEUMANN,
     LShape,
     Mesh,
@@ -33,7 +32,7 @@ from crobstacle.mesh import (
     nested_dissection,
     refine_rgb,
 )
-from oracles import bisection_labels
+from oracles import bisection_labels, inherited_dirichlet_mask
 from util import (
     children_inside_parents,
     conformity_scan,
@@ -146,7 +145,7 @@ class TestBuildStructured:
         assert int(m.neumann_side_mask.sum()) == 4
         assert int(m.dirichlet_side_mask.sum()) == 12
         assert np.allclose(m.side_midpoints[m.neumann_side_mask][:, 1], 1.5)
-        assert np.all(m.side_labels[m.interior_side_mask] == INTERIOR)
+        assert not (m.dirichlet_side_mask | m.neumann_side_mask)[m.interior_side_mask].any()
 
     def test_validation_errors(self):
         with pytest.raises(MeshError):
@@ -168,6 +167,22 @@ class TestBuildStructured:
         with pytest.raises(MeshError):  # non-manifold edge
             Mesh(coords, [[0, 1, 2], [1, 0, 3], [0, 1, 4]])
 
+    def test_refined_mesh_validation(self):
+        m = square(1)
+        f = refine_rgb(m, [0])
+        bookkeeping = dict(parent_elements=f.parent_elements, parent_codes=f.parent_codes)
+        with pytest.raises(MeshError, match="needs parent_elements and parent_codes"):
+            Mesh(f.vertex_coords, f.elem_vertices, parent=m,
+                 parent_elements=f.parent_elements)
+        with pytest.raises(MeshError, match="no side_labeler"):
+            Mesh(f.vertex_coords, f.elem_vertices, parent=m,
+                 side_labeler=lambda s, mid: np.full(len(s), NEUMANN), **bookkeeping)
+        # a clockwise child would be turned round, away from its codes
+        with pytest.raises(MeshError, match="refined element 0 is clockwise"):
+            Mesh(f.vertex_coords, f.elem_vertices[:, [0, 2, 1]], parent=m, **bookkeeping)
+        again = Mesh(f.vertex_coords, f.elem_vertices, parent=m, **bookkeeping)
+        assert np.array_equal(again.dirichlet_side_mask, f.dirichlet_side_mask)
+
     def test_side_labeler_gets_every_boundary_side_at_once(self):
         calls = []
 
@@ -181,7 +196,7 @@ class TestBuildStructured:
         bnd = m.boundary_mask
         assert np.array_equal(sides, m.side_vertices[bnd])
         assert np.array_equal(mid, m.side_midpoints[bnd])
-        assert np.all(m.side_labels[bnd] == NEUMANN)
+        assert np.array_equal(m.neumann_side_mask, bnd)
 
     def test_side_labeler_rejects_unknown_labels(self):
         with pytest.raises(MeshError, match="'robin'"):
@@ -228,7 +243,7 @@ class TestBuildStructured:
         arrays = {name: value for name, value in vars(f).items()
                   if isinstance(value, np.ndarray)}
         assert [name for name, a in arrays.items() if a.flags.writeable] == []
-        assert {"parent_elements", "parent_codes"} <= set(arrays)
+        assert {"parent_elements", "parent_codes", "dirichlet_side_mask"} <= set(arrays)
         with pytest.raises(ValueError):
             f.parent_elements[0] = 1
 
@@ -287,6 +302,14 @@ class TestRefineRgb:
     def test_empty_marks_identity(self):
         m = square(2)
         assert refine_rgb(m, []) is m
+
+    def test_fractional_marks_rejected(self):
+        # an element id is an integer: 0.7 does not round to element 0
+        m = square(2)
+        for marked in (np.array([0.7]), [0.0, 1.0], np.array(["0"])):
+            with pytest.raises(MeshError, match="element ids or a boolean mask"):
+                refine_rgb(m, marked)
+        assert refine_rgb(m, np.array([0], dtype=np.int32)).n_elements > m.n_elements
 
     def test_single_mark_conforming(self):
         m = ring_mesh(4)
@@ -414,13 +437,37 @@ class TestRefineRgb:
 # ----------------------------------------------------------------------
 # Child codes: the refinement's barycentric bookkeeping
 # ----------------------------------------------------------------------
+def _mixed_label_meshes():
+    """A square Neumann on top and an L-shape Neumann on its cut, randomly refined."""
+    def top(sides, mid):
+        return np.where(mid[:, 1] > 1.4999, NEUMANN, DIRICHLET)
+
+    def cut(sides, mid):
+        return np.where((np.abs(mid[:, 0]) < 1e-9) | (np.abs(mid[:, 1]) < 1e-9),
+                        NEUMANN, DIRICHLET)
+
+    rng = np.random.default_rng(5)
+    chains = []
+    for mesh in (build_structured(Rectangle(-1.5, -1.5, 1.5, 1.5), 4, boundary_rule=top),
+                 build_structured(LShape(Rectangle(-2, -2, 2, 2), Rectangle(0, -2, 2, 0)),
+                                  4, boundary_rule=cut)):
+        chain = [mesh]
+        for _ in range(5):
+            marks = rng.choice(mesh.n_elements, max(1, mesh.n_elements // 5), replace=False)
+            mesh = refine_rgb(mesh, marks)
+            chain.append(mesh)
+        chains.append(chain)
+    return [pair for chain in chains for pair in zip(chain, chain[1:])]
+
+
 def _child_code_meshes():
-    """(coarse, fine) pairs: graded corner, pyramid and ring levels, one uniform."""
+    """(coarse, fine) pairs: graded corner, pyramid and ring levels, one
+    uniform, and randomly refined meshes with Neumann and Dirichlet sides."""
     pairs = [(coarse, fine) for bench in (corner, pyramid, ring)
              for meshes in [graded_meshes(bench(), 5)]
              for coarse, fine in zip(meshes, meshes[1:])]
     coarse = lshape_mesh(4)
-    return pairs + [(coarse, refine_rgb(coarse))]
+    return pairs + [(coarse, refine_rgb(coarse))] + _mixed_label_meshes()
 
 
 class TestChildCodes:
@@ -439,6 +486,18 @@ class TestChildCodes:
             parents = np.repeat(fine.parent_elements, 3)
             bary = coarse.barycentric_coordinates(parents, points)
             assert np.array_equal(bary, _CODE_BARY[fine.parent_codes].reshape(-1, 3))
+
+    def test_dirichlet_sides_match_the_key_search_oracle(self, pairs):
+        for coarse, fine in pairs:
+            assert fine.dirichlet_side_mask.dtype == bool
+            assert np.array_equal(fine.dirichlet_side_mask,
+                                  inherited_dirichlet_mask(coarse, fine))
+        # the mixed-label pairs split Neumann sides and keep them whole, and
+        # their closures refine green (two children) and blue (three)
+        mixed = [(coarse, fine) for coarse, fine in pairs if coarse.neumann_side_mask.any()]
+        assert len(mixed) == 10 and all(fine.neumann_side_mask.any() for _, fine in mixed)
+        children = np.concatenate([np.bincount(fine.parent_elements) for _, fine in mixed])
+        assert {1, 2, 3, 4} <= set(children.tolist())
 
     def test_the_table_has_the_fifteen_configurations(self):
         # per reference side: keep, green, two blues and red, each with the

@@ -180,8 +180,6 @@ def test_every_setting_is_passed_or_kept():
 #: defaulted parameters that no call in the program leaves at its default,
 #: each kept for a reason; a default that only tests use belongs in the tests
 KEPT_DEFAULTS = {
-    "Mesh.side_labeler": "build_structured passes its boundary_rule, whose "
-                         "default every benchmark uses",
     "build_structured.pattern": "each benchmark names its diagonals; a mesh "
                                 "built by hand takes the alternating ones",
     "refine_rgb.marked": "None is uniform red refinement",

@@ -73,9 +73,9 @@ class Mesh:
     vertex_coords:
         ``(nv, 2)`` array of vertex positions.
     elem_vertices:
-        ``(nt, 3)`` array of vertex indices.  Elements with clockwise
-        orientation are silently reordered; degenerate (zero-area) elements
-        raise :class:`MeshError`.
+        ``(nt, 3)`` array of vertex indices.  Clockwise elements are
+        reordered (a refined mesh rejects them, see below); degenerate
+        (zero-area) elements raise :class:`MeshError`.
     side_labeler:
         Optional callable ``(side_vertices, midpoints) -> labels`` assigning
         a boundary label (``"dirichlet"`` or ``"neumann"``) to every

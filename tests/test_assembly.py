@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 from crobstacle.assembly import (
+    HIGH_ORDER_DEGREE,
+    HIGH_ORDER_RULE,
     AssemblyError,
     ProblemData,
     assemble_coupling,
@@ -32,6 +34,7 @@ from crobstacle.spaces import (
     VertexFunction,
     element_points,
     interp_cr,
+    triangle_rule,
 )
 from util import composite_rule
 
@@ -211,6 +214,16 @@ class TestLoad:
         pts = element_points(m, oracle_rule.bary)
         oracle = np.asarray(f(pts)) @ oracle_rule.weights
         assert np.allclose(f_h.values, oracle, atol=1e-8)
+
+
+def test_high_order_rule_is_shared_and_read_only():
+    # every estimator and diagnostic call integrates on this one rule, so
+    # no caller may write into it
+    fresh = triangle_rule(HIGH_ORDER_DEGREE)
+    for name in ("bary", "weights"):
+        shared = getattr(HIGH_ORDER_RULE, name)
+        assert np.array_equal(shared, getattr(fresh, name))
+        assert not shared.flags.writeable
 
 
 class TestProblemData:

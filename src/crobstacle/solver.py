@@ -7,10 +7,9 @@ solves it by the primal-dual active-set iteration, a finitely terminating
 semismooth Newton method.
 
 Each iteration solves the equality-constrained problem of its active set.
-Constrained iterates go through :class:`~crobstacle.sparse.BorderedKkt`:
-the first one of a solve gets a selector factorisation, the *base*, and
-later active sets are bordered onto it until one needs more new border
-columns than a factorisation costs.  The selectors of one solve share a
+A constrained iterate gets its own selector factorisation
+(:func:`~crobstacle.sparse.selector_solve`), and nothing of it outlives the
+iterate.  The selectors of one solve share a
 :class:`~crobstacle.sparse.SelectorPattern`, built with the first of them
 and dropped when the solve returns: it holds the stiffness pattern in the
 mesh's nested-dissection order of the free sides
@@ -43,7 +42,7 @@ from .assembly import (
     find_excluded_element,
 )
 from .mesh import Mesh, nested_dissection
-from .sparse import BorderedKkt, LinearSolveError, SelectorPattern, solve_kkt, solve_spd
+from .sparse import LinearSolveError, SelectorPattern, selector_solve, solve_kkt, solve_spd
 from .spaces import CrFunction, P0Function
 
 __all__ = [
@@ -131,14 +130,14 @@ def build_system(mesh: Mesh, data: ProblemData) -> DiscreteObstacleSystem:
             f"elements {excluded} have no free side: their means are fixed "
             "by the boundary data and cannot carry a multiplier")
     side_values, chi_h = assemble_obstacle_vectors(mesh, data)
-    data.validate_on(mesh, side_values=side_values)
+    boundary_values = dirichlet_dof_values(mesh, data)
+    data.validate_on(mesh, side_values=side_values, boundary_values=boundary_values)
 
     stiffness_full = assemble_stiffness_full(mesh)
     # keeps the explicit zeros of right-angled elements (about a quarter of
     # the entries): solve_kkt's ordering, and so every record's bits, depends
     # on them, and the selector factor runs up to 3x slower without them
     stiffness = stiffness_full[dofmap.free_sides][:, dofmap.free_sides]
-    boundary_values = dirichlet_dof_values(mesh, data)
     f_h = assemble_load(mesh, data)
 
     load = coupling @ f_h.values
@@ -170,8 +169,8 @@ class PdasState:
 class IterationRow:
     """One PDAS iterate.
 
-    ``solve`` is ``"bordered"`` (onto the base), ``"fresh"`` (a new selector
-    factorisation) or ``"unconstrained"``.
+    ``solve`` is ``"fresh"`` (a selector factorisation of its active set)
+    or ``"unconstrained"`` (no active constraint: the stiffness alone).
     """
     iteration: int
     n_active: int
@@ -185,8 +184,9 @@ class SolveOutcome:
     """A constrained solve: full-dof solution field, multiplier, diagnostics.
 
     ``factorizations`` counts the sparse factorisations of the active-set
-    systems: the selector bases and the final ``solve_kkt`` re-solve of a
-    constrained returned iterate, whether or not ``solve_kkt`` accepts it.
+    systems: one selector per constrained iterate, plus the final
+    ``solve_kkt`` re-solve of a constrained returned iterate, whether or not
+    ``solve_kkt`` accepts it.
     """
     solution: CrFunction
     multiplier: P0Function
@@ -242,24 +242,21 @@ def pdas_solve(mesh: Mesh | None = None, data: ProblemData | None = None, *,
     primal update is exactly zero.  Exhausting ``max_iter`` returns a
     non-converged outcome with full diagnostics instead of raising.
 
-    Each constrained iterate is bordered onto the base selector
-    factorisation (:class:`BorderedKkt`) when there is one; otherwise, or
-    when that solve fails (more than 16 constraints new to the base, the
-    measured break-even of a factorisation, or a singular bordering), it
-    gets a new selector factorisation, which becomes the base.  The selectors share one
+    Each constrained iterate is solved by its own selector factorisation
+    (:func:`~crobstacle.sparse.selector_solve`); no factorisation is kept
+    from one iterate to the next.  The selectors share one
     :class:`~crobstacle.sparse.SelectorPattern`, which lives as long as the
     call: the first selector builds it, in the nested-dissection order
     :func:`~crobstacle.mesh.nested_dissection` gives the free sides of the
-    system's mesh, and every selector factors in that order.  A new
-    selector that misses its refined-residual bound
-    means an inconsistent active set and raises :class:`SolverError` naming
-    the iteration and the number of active constraints.  The returned
-    constrained active set is solved once more through :func:`solve_kkt`,
-    so the result is bitwise that of a fresh ``solve_kkt`` at every
-    iteration whenever the sequence of active sets is the same.  Where
-    ``solve_kkt`` refuses that set (its probe or a singular factor: the
-    constraints are dependent), the refined selector or bordered iterate of
-    the same set is returned.
+    system's mesh, and every selector factors in that order.  A selector
+    that misses its refined-residual bound means an inconsistent active set
+    and raises :class:`SolverError` naming the iteration and the number of
+    active constraints.  The returned constrained active set is solved once
+    more through :func:`solve_kkt`, so the result is bitwise that of a
+    fresh ``solve_kkt`` at every iteration whenever the sequence of active
+    sets is the same.  Where ``solve_kkt`` refuses that set (its probe or a
+    singular factor: the constraints are dependent), the refined selector
+    iterate of the same set is returned.
     """
     if max_iter < 1:
         raise SolverError(f"max_iter must be at least 1, got {max_iter}")
@@ -272,7 +269,6 @@ def pdas_solve(mesh: Mesh | None = None, data: ProblemData | None = None, *,
 
     free, mult = unconstrained() if init is None else _coerce_init(init, sys_)
     pattern = None         # SelectorPattern of the system, built by the first selector
-    base = None            # BorderedKkt of the last selector factorisation
     factorizations = 0
     rows = []
     prev_active = None
@@ -289,27 +285,18 @@ def pdas_solve(mesh: Mesh | None = None, data: ProblemData | None = None, *,
             how = "unconstrained"
             free, mult = unconstrained()
         else:
-            how, solved = "bordered", None
-            if base is not None:
-                try:
-                    solved = base.solve(act)
-                except LinearSolveError:
-                    pass
-            if solved is None:
-                how, base = "fresh", None   # one factorisation alive at a time
-                factorizations += 1
-                try:
-                    if pattern is None:
-                        pattern = SelectorPattern(
-                            sys_.stiffness, sys_.coupling,
-                            nested_dissection(sys_.mesh, dm.free_sides))
-                    base = BorderedKkt(pattern, sys_.load, sys_.constraint_rhs, act)
-                except LinearSolveError as exc:
-                    raise SolverError(
-                        f"PDAS iteration {it}: the active set of {int(act.sum())} "
-                        f"constraints has no solution ({exc})") from exc
-                solved = base.solve(act)
-            free, mult = solved
+            how = "fresh"
+            factorizations += 1
+            try:
+                if pattern is None:
+                    pattern = SelectorPattern(
+                        sys_.stiffness, sys_.coupling,
+                        nested_dissection(sys_.mesh, dm.free_sides))
+                free, mult = selector_solve(pattern, sys_.load, sys_.constraint_rhs, act)
+            except LinearSolveError as exc:
+                raise SolverError(
+                    f"PDAS iteration {it}: the active set of {int(act.sum())} "
+                    f"constraints has no solution ({exc})") from exc
         step = float(np.abs(free - old).max()) if dm.n_free else 0.0
         res = sys_.residual_inf(free, mult)
         rows.append(IterationRow(it, int(act.sum()), step, res, how))
@@ -317,7 +304,7 @@ def pdas_solve(mesh: Mesh | None = None, data: ProblemData | None = None, *,
         if step == 0.0:
             converged = True
             break
-    base = pattern = None
+    pattern = None
     if dm.n_free and act.any():
         factorizations += 1
         cols = np.flatnonzero(act)

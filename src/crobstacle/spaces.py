@@ -341,9 +341,6 @@ class P0Function:
     def l2_norm(self) -> float:
         return float(np.sqrt((self.values ** 2 * self.mesh.areas).sum()))
 
-    def integral(self) -> float:
-        return float((self.values * self.mesh.areas).sum())
-
 
 @dataclass(frozen=True)
 class P0VectorField:

@@ -7,9 +7,8 @@ with SuperLU and are deterministic:
 * :func:`solve_kkt` -- symmetric saddle-point systems
   ``[[A, B], [B^T, 0]]`` with independent constraints; a growth probe
   refuses dependent ones,
-* :class:`BorderedKkt` -- the saddle-point systems of the active sets of one
-  PDAS solve: one *selector* factorisation (the *base*), with the systems of
-  other active sets bordered onto it.
+* :func:`selector_solve` -- the saddle-point system of one active set of a
+  PDAS iterate, by one *selector* factorisation.
 
 The selector factorisation scales each constraint column to unit maximum
 and regularises the (2,2) block by ``-delta I``.  It eliminates that block
@@ -32,21 +31,13 @@ unregularised matrix, the constraint residuals formed in extended
 precision, and a refined residual above its bound (an inconsistent active
 set gives one) raises :class:`LinearSolveError`.
 
-A :class:`BorderedKkt` solve borders the base with the columns of the
-constraints its active set changes.  At most ``_REFACTOR_COLUMNS`` of them
-may be new to the base; they are solved against it in one SuperLU call and
-cached, and more make the caller factor a new selector.  Sixteen columns is
-the break-even on the benchmark workloads: summed in-process PDAS time was
-0.91x (ring), 0.75x (pyramid) and 0.85x (corner) of the time at 64 columns
-(medians of 5 interleaved runs; 8, 12, 24 and 32 columns were slower on
-pyramid and corner), with the same iterates.
-
-:class:`BorderedKkt` is the one solver of the package for a dependent
+:func:`selector_solve` is the one solver of the package for a dependent
 active set.  A selector solution agrees with :func:`solve_kkt` to
 round-off, not bitwise; :func:`crobstacle.solver.pdas_solve` therefore
 re-solves the iterate it returns through :func:`solve_kkt`, which keeps
-its results bitwise those of a fresh factorisation per iterate, and keeps
-the selector's iterate where :func:`solve_kkt` refuses the set.
+its results bitwise those of a fresh :func:`solve_kkt` factorisation per
+iterate, and keeps the selector's iterate where :func:`solve_kkt` refuses
+the set.
 """
 
 from __future__ import annotations
@@ -56,7 +47,6 @@ import time
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 __all__ = [
@@ -66,7 +56,7 @@ __all__ = [
     "solve_spd",
     "solve_kkt",
     "SelectorPattern",
-    "BorderedKkt",
+    "selector_solve",
 ]
 
 
@@ -188,19 +178,11 @@ def _saddle_point(A, B):
 #: columns scaled to unit maximum
 _DELTA = 1e-10
 #: iterative-refinement steps of a selector solve against the unregularised
-#: (bordered) saddle-point matrix
+#: saddle-point matrix
 _REFINE_STEPS = 2
 #: bound on a refined selector residual (max norm) relative to ``1 + max|f|``,
 #: the residual contract of :func:`crobstacle.solver.pdas_solve`
 _RESIDUAL_TOL = 1e-10
-#: new border columns of one solve above which a selector is refactored, the
-#: measured break-even (module docstring); they are solved against the base
-#: in one SuperLU call, so this also bounds the dense block of
-#: :meth:`BorderedKkt._extend`
-_REFACTOR_COLUMNS = 16
-#: ``1 / |S^-1|_1`` of the scaled Schur complement below which a bordered
-#: solve is singular: a dependent border column shows at about ``delta``
-SCHUR_INV_NORM_MIN = 100 * _DELTA
 
 
 #: SuperLU options of every selector factorisation: no pivoting, a symmetric
@@ -288,99 +270,74 @@ class SelectorPattern:
         return lambda b: np.take(lu.solve(np.take(b, order, axis=0)), rank, axis=0)
 
 
-class BorderedKkt:
-    """The active-set systems of one PDAS solve: a selector base and systems bordered onto it.
+def _regularised_inverse(pattern, active):
+    """``r -> M^-1 r`` for the active mask ``active``, by one factorisation of ``P``.
 
-    The system of active mask ``act`` is ``[[A, B_act], [B_act^T, 0]] [u; y]
-    = [f; g_act]``; ``B`` (of ``pattern``) holds every constraint column and
-    ``g`` every target.  The constructor factors the base ``K0``, the system
-    of ``active``, on the selector path.  A raw solve applies ``M^-1`` for
     ``M = [[A, B0], [B0^T, -delta D^-2]]`` with ``B0 = B_active`` and ``D =
-    diag(1 / max|b_j|)``, which differs from ``K0`` in its (2,2) block only.
-    In the scaled variables ``M`` is the quasi-definite ``K_delta = [[A,
-    B~], [B~^T, -delta I]]``, ``B~ = B0 D``; its multiplier block is
-    eliminated, so only the ``n x n`` matrix ``P = A + B~ B~^T / delta`` is
-    factored, and ``K_delta^-1 [q1; q2]`` is ``u = P^-1 (q1 + B~ q2 /
-    delta)``, ``y~ = (B~^T u - q2) / delta``.  ``P`` is positive definite
-    whatever the rank of ``B0``.  ``pattern``, the :class:`SelectorPattern`
-    of ``A`` and ``B``, scatters it into ``A``'s CSC pattern, symmetrically
-    permuted into the pattern's elimination order, and factors it in its
-    natural order.  A raw solve is accurate to about ``eps / delta``
-    relative, so every solve is refined ``_REFINE_STEPS`` times against the
-    unregularised matrix, bordered or not; the refined base solution ``w0``
-    solves ``K0 w0 = [f; g_active]``.  On a consistent dependent active set
-    it carries a regularised representative of the multiplier family, close
-    to the minimum-norm one because the constraint residuals and a vector's
-    multiplier block are formed in extended precision.
-
-    Any other active set is the base bordered by ``W``: a constraint ``j``
-    added since the base is the column ``[b_j; 0]`` with target ``g_j``, a
-    dropped one the unit column ``e_{n+pos(j)}`` with target 0, which pins
-    its multiplier to zero.  Then ``z = S^-1 (W^T w0 - r2)`` with the dense
-    Schur complement ``S = W^T M^-1 W`` and ``w = w0 - M^-1 W z``, refined
-    against the bordered ``K0``.  Each border column is solved against ``M``
-    once per base and cached, with its rows of ``S`` and of ``W^T w0``, at
-    position ``_slot[j]``.
+    diag(1 / max|b_j|)`` differs from the saddle-point matrix of
+    ``active`` in its (2,2) block only.  In the scaled variables ``M`` is the
+    quasi-definite ``K_delta = [[A, B~], [B~^T, -delta I]]``, ``B~ = B0 D``;
+    its multiplier block is eliminated, so only ``P = A + B~ B~^T / delta``
+    is factored (by ``pattern``), and ``K_delta^-1 [q1; q2]`` is ``u = P^-1
+    (q1 + B~ q2 / delta)``, ``y~ = (B~^T u - q2) / delta``.  ``B~^T u``
+    agrees with ``q2`` to about ``delta``, so ``y~`` is formed in extended
+    precision.  An empty constraint column raises :class:`LinearSolveError`.
     """
+    columns = np.flatnonzero(active)
+    d = pattern.scale[columns]
+    if not np.all(d > 0.0):
+        raise LinearSolveError("a constraint column has empty support")
+    n = pattern.A.shape[0]
+    scaled = pattern.scaled[:, columns]
+    scaled_t = scaled.T.astype(np.longdouble)
+    try:
+        # P dies with this call (held through the refinement, it raised
+        # peak RSS); its factor's solve is kept
+        solve_p = pattern.factor(active)
+    except RuntimeError as exc:
+        raise LinearSolveError(f"selector factorisation failed: {exc}") from exc
+    s = np.concatenate([np.ones(n), d])
 
-    def __init__(self, pattern, f, g, active):
-        self._A = pattern.A
-        self._all = pattern.B
-        self._active = np.array(active, dtype=bool)
-        columns = np.flatnonzero(self._active)
-        self._B = self._all[:, columns]
-        n, m = self._B.shape
-        d = pattern.scale[columns]
-        if not np.all(d > 0.0):
-            raise LinearSolveError("a constraint column has empty support")
-        self._scaled = pattern.scaled[:, columns]
-        self._scaled_t = self._scaled.T.astype(np.longdouble)
-        self._b_t = self._B.T.astype(np.longdouble)
-        try:
-            # P dies with this call (held through the refinement, it raised
-            # peak RSS); its factor's solve is kept
-            self._solve_p = pattern.factor(self._active)
-        except RuntimeError as exc:
-            raise LinearSolveError(f"selector factorisation failed: {exc}") from exc
-        self._scale = np.concatenate([np.ones(n), d])
-        f = np.asarray(f, dtype=float)
-        self._g = np.asarray(g, dtype=float)
-        self._tol = _RESIDUAL_TOL * (1.0 + np.abs(f).max(initial=0.0))
-        self._rhs = np.concatenate([f, self._g[self._active]])
-        sol = self._raw(self._rhs)
-        for _ in range(_REFINE_STEPS):
-            sol += self._raw(self._residual(sol))
-        self._check(self._residual(sol))
-        self._solution = sol
-        self._slot = np.full(self._active.size, -1, dtype=np.intp)
-        self._columns = sp.csc_array((n + m, 0))
-        self._schur = np.zeros((0, 0))
-        self._projected = np.zeros(0)
-        self._weights = np.zeros(0)
-
-    def _solve(self, q):
-        """``K_delta^-1 q`` through the factor of ``P``; ``q`` is a vector or a block.
-
-        ``B~^T u`` agrees with ``q2`` to about ``delta``, so a vector's
-        multiplier ``(B~^T u - q2) / delta`` is formed in extended precision
-        (see :meth:`_residual`); a block's, for the Schur complement, in
-        float64.
-        """
-        n = self._A.shape[0]
+    def raw(r):
+        q = s * r
         q2 = q[n:]
-        u = self._solve_p(q[:n] + self._scaled @ q2 / _DELTA)
-        if q.ndim == 2:
-            return np.concatenate([u, (self._scaled.T @ u - q2) / _DELTA])
-        y = (self._scaled_t @ u.astype(np.longdouble) - q2) / _DELTA
-        return np.concatenate([u, y.astype(float)])
+        u = solve_p(q[:n] + scaled @ q2 / _DELTA)
+        y = (scaled_t @ u.astype(np.longdouble) - q2) / _DELTA
+        return s * np.concatenate([u, y.astype(float)])
 
-    def _raw(self, r):
-        """``M^-1 r`` by one solve with the factor; ``r`` is a vector or a block."""
-        s = self._scale if r.ndim == 1 else self._scale[:, None]
-        return s * self._solve(s * r)
+    return raw
 
-    def _residual(self, v):
-        """``[f; g_active] - K0 v``, its constraint block in extended precision.
+
+def selector_solve(pattern, f, g, active):
+    """Solve the saddle-point system of one active set by a selector factorisation.
+
+    The system of active mask ``active`` is ``[[A, B_act], [B_act^T, 0]]
+    [u; y] = [f; g_act]``; ``pattern``, the :class:`SelectorPattern` of
+    ``A`` and ``B``, holds every constraint column and ``g`` every target.
+    One factorisation of ``P`` gives the raw solve ``M^-1`` of the
+    regularised matrix (:func:`_regularised_inverse`), accurate to about
+    ``eps / delta`` relative, so the solution is refined ``_REFINE_STEPS``
+    times against the unregularised matrix.  ``P`` is positive definite
+    whatever the rank of ``B_act``: on a consistent dependent active set the
+    solution carries a regularised representative of the multiplier
+    family, close to the minimum-norm one because the constraint residuals
+    and a raw solve's multiplier block are formed in extended precision.
+
+    Returns ``(u, multipliers)``; the multipliers cover every constraint and
+    are zero off ``active``.  A refined residual above its bound (an
+    inconsistent active set gives one) raises :class:`LinearSolveError`.
+    Nothing of the factorisation outlives the call.
+    """
+    active = np.asarray(active, dtype=bool)
+    raw = _regularised_inverse(pattern, active)
+    A, B = pattern.A, pattern.B[:, np.flatnonzero(active)]
+    b_t = B.T.astype(np.longdouble)
+    n = A.shape[0]
+    f = np.asarray(f, dtype=float)
+    rhs = np.concatenate([f, np.asarray(g, dtype=float)[active]])
+
+    def residual(v):
+        """``[f; g_act] - K v``, its constraint block in extended precision.
 
         A raw solve divides the constraint block by ``delta``.  On a
         dependent active set, float64 rounding of ``g - B^T u`` (about eps
@@ -388,107 +345,17 @@ class BorderedKkt:
         by about ``eps / delta`` relative at every refinement step, and no
         residual sees that component again.
         """
-        n = self._A.shape[0]
         u = v[:n]
-        constraint = self._rhs[n:] - self._b_t @ u.astype(np.longdouble)
-        return np.concatenate([self._rhs[:n] - (self._A @ u + self._B @ v[n:]),
-                               constraint.astype(float)])
+        constraint = rhs[n:] - b_t @ u.astype(np.longdouble)
+        return np.concatenate([rhs[:n] - (A @ u + B @ v[n:]), constraint.astype(float)])
 
-    def _check(self, residual):
-        res = float(np.abs(residual).max(initial=0.0))
-        if not res <= self._tol:
-            raise LinearSolveError(f"refined residual {res:.1e} exceeds {self._tol:.1e}")
-
-    def _extend(self, keys):
-        """Solve the border columns of constraints ``keys`` against ``M`` and cache them.
-
-        All of them go through one block solve: there are at most
-        ``_REFACTOR_COLUMNS``.
-        """
-        n, m = self._B.shape
-        added = keys[~self._active[keys]]
-        dropped = keys[self._active[keys]]
-        units = n + np.searchsorted(np.flatnonzero(self._active), dropped)
-        columns = self._all[:, added]
-        new = sp.csc_array((np.concatenate([columns.data, np.ones(dropped.size)]),
-                            np.concatenate([columns.indices, units]),
-                            np.concatenate([columns.indptr,
-                                            columns.nnz + np.arange(1, dropped.size + 1)])),
-                           shape=(n + m, keys.size))
-        k0, c = self._columns.shape[1], keys.size
-        border = sp.hstack([self._columns, new], format="csc")
-        schur = np.empty((k0 + c, k0 + c))
-        schur[:k0, :k0] = self._schur
-        block = new.toarray(order="F")
-        solved = self._raw(block)
-        schur[:, k0:] = border.T @ solved
-        weights = np.sqrt(np.linalg.norm(block, axis=0) * np.linalg.norm(solved, axis=0))
-        schur[k0:, :k0] = schur[:k0, k0:].T   # M is symmetric
-        self._schur = schur
-        self._columns = border
-        self._projected = np.concatenate([self._projected, new.T @ self._solution])
-        self._weights = np.concatenate([self._weights, weights])
-        self._slot[np.concatenate([added, dropped])] = np.arange(k0, k0 + c)
-
-    def solve(self, act):
-        """Solve the system of active mask ``act``; returns ``(u, multipliers)``.
-
-        The multipliers cover every constraint and are zero off ``act``.
-        More than ``_REFACTOR_COLUMNS`` border columns not cached yet, a
-        singular Schur complement or a refined residual above the bound raise
-        :class:`LinearSolveError`.
-        """
-        n = self._A.shape[0]
-        changed = np.flatnonzero(act != self._active)
-        missing = changed[self._slot[changed] < 0]
-        if missing.size > _REFACTOR_COLUMNS:
-            raise LinearSolveError(
-                f"{missing.size} new border columns exceed {_REFACTOR_COLUMNS}")
-        if missing.size:
-            self._extend(missing)
-        mult = np.zeros(self._active.size)
-        if changed.size == 0:
-            mult[self._active] = self._solution[n:]
-            return self._solution[:n].copy(), mult
-        added = changed[act[changed]]
-        dropped = changed[~act[changed]]
-        idx = self._slot[np.concatenate([added, dropped])]
-        W = self._columns[:, idx]
-        schur_solve = _factor_schur(self._schur[np.ix_(idx, idx)], self._weights[idx])
-        r2 = np.concatenate([self._g[added], np.zeros(dropped.size)])
-        z = schur_solve(self._projected[idx] - r2)
-        w = self._solution - self._raw(W @ z)
-        for _ in range(_REFINE_STEPS):
-            dw = self._raw(self._residual(w) - W @ z)
-            dz = schur_solve(W.T @ (w + dw) - r2)
-            w += dw - self._raw(W @ dz)
-            z += dz
-        self._check(np.concatenate([self._residual(w) - W @ z,
-                                    r2 - W.T @ w]))
-        mult[self._active] = w[n:]
-        mult[dropped] = 0.0
-        mult[added] = z[:added.size]
-        return w[:n], mult
-
-
-def _factor_schur(schur, weights):
-    """Dense LU of a Schur complement ``S = W^T M^-1 W``; returns its solve.
-
-    ``S`` is scaled symmetrically by ``1 / weights`` with ``weights_j**2 =
-    |W_j| |M^-1 W_j|``, which bounds its diagonal by 1.  A border column
-    that depends on the base constraints and the other columns then shows as
-    a small ``1 / |S^-1|_1``, whatever the element sizes.
-    """
-    if not (np.all(np.isfinite(schur)) and np.all(weights > 0.0)):
-        raise LinearSolveError("Schur complement is singular or non-finite")
-    d = 1.0 / weights
-    scaled = schur * d[:, None] * d[None, :]
-    lu, piv, info = sla.lapack.dgetrf(scaled)
-    if info != 0:
-        raise LinearSolveError("Schur complement is singular")
-    # with a unit norm passed in, the condition estimate returns 1/|S^-1|_1
-    inv_norm_recip, _ = sla.lapack.dgecon(lu, 1.0)
-    if not inv_norm_recip >= SCHUR_INV_NORM_MIN:
-        raise LinearSolveError(
-            f"Schur complement is singular (1/|S^-1| = {inv_norm_recip:.1e})")
-    return lambda rhs: d * sla.lu_solve((lu, piv), d * rhs, check_finite=False)
+    sol = raw(rhs)
+    for _ in range(_REFINE_STEPS):
+        sol += raw(residual(sol))
+    res = float(np.abs(residual(sol)).max(initial=0.0))
+    tol = _RESIDUAL_TOL * (1.0 + np.abs(f).max(initial=0.0))
+    if not res <= tol:
+        raise LinearSolveError(f"refined residual {res:.1e} exceeds {tol:.1e}")
+    mult = np.zeros(active.size)
+    mult[active] = sol[n:]
+    return sol[:n], mult

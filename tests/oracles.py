@@ -4,10 +4,11 @@
   instances (the oracle the other routes are validated against),
 * :func:`penalized_solve` -- quadratic penalization with a semismooth Newton
   inner solver (independent cross-check route),
-* :func:`fresh_pdas_solve` -- the active-set iteration with a fresh KKT
-  factorisation at every iterate (:func:`fresh_solve`; the reference the
-  bordered updates of :func:`~crobstacle.solver.pdas_solve` must reproduce
-  bitwise),
+* :func:`fresh_pdas_solve` -- the active-set iteration with a fresh
+  :func:`~crobstacle.sparse.solve_kkt` factorisation at every iterate
+  (:func:`fresh_solve`; the reference that the selector iterates and the
+  final ``solve_kkt`` re-solve of :func:`~crobstacle.solver.pdas_solve` must
+  reproduce bitwise),
 * :func:`min_norm_kkt` -- the dense minimum-norm solution of a saddle-point
   system, the reference multiplier of a dependent active set,
 * :func:`bisection_labels` -- the recursive element bisection behind

@@ -36,7 +36,7 @@ from crobstacle.spaces import (
     interp_cr,
     triangle_rule,
 )
-from util import composite_rule
+from util import composite_rule, validate_boundary
 
 
 def reference_triangle(all_neumann=False):
@@ -230,15 +230,37 @@ class TestProblemData:
     def test_obstacle_boundary_compatibility(self):
         m = square_mesh(2)
 
-        def validate(data):
-            data.validate_on(m, side_values=data.chi_side_values(m))
-
-        validate(plain_data(chi=-1.0))
-        validate(plain_data(chi=0.0))
+        validate_boundary(plain_data(chi=-1.0), m)
+        validate_boundary(plain_data(chi=0.0), m)
         with pytest.raises(AssemblyError):
-            validate(plain_data(chi=0.5))
+            validate_boundary(plain_data(chi=0.5), m)
         # positive obstacle is fine when the boundary data dominates it
-        validate(plain_data(chi=0.5, dirichlet_data=1.0))
+        validate_boundary(plain_data(chi=0.5, dirichlet_data=1.0), m)
+
+    @staticmethod
+    def curved_contact_data(lift):
+        """g = x^2 and chi = x^2 - y (1 - y) + lift on the unit square.
+
+        Without a lift chi equals g on the sides y = 0 and y = 1 and stays
+        below it on the others.  The side average of the convex g exceeds
+        its midpoint value by h^2 / 12.
+        """
+        return plain_data(f=-20.0, chi=lambda p: p[..., 0] ** 2 - p[..., 1] * (1.0 - p[..., 1])
+                          + lift, dirichlet_data=lambda p: p[..., 0] ** 2)
+
+    def test_obstacle_equal_to_convex_boundary_data_is_accepted(self):
+        # the obstacle's side averages are compared with the data's on the
+        # same rule, not with the data at the side midpoints (which rejected
+        # this obstacle by h^2 / 12 = 1.302e-3)
+        m = build_structured(Rectangle(0.0, 0.0, 1.0, 1.0), 8)
+        out = pdas_solve(m, self.curved_contact_data(0.0))
+        assert out.converged and out.state.active.any()
+        validate_boundary(self.curved_contact_data(0.0), m)
+
+    def test_obstacle_above_convex_boundary_data_is_rejected(self):
+        m = build_structured(Rectangle(0.0, 0.0, 1.0, 1.0), 8)
+        with pytest.raises(AssemblyError, match="exceeds the Dirichlet data"):
+            pdas_solve(m, self.curved_contact_data(1e-6))
 
     def test_discrete_obstacle_rejected(self):
         # the estimator samples the obstacle at quadrature points, which a
@@ -289,10 +311,13 @@ class TestProblemData:
     def test_validate_on_uses_given_side_values(self):
         m = square_mesh(2)
         data = plain_data(chi=0.5)
+        boundary = dirichlet_dof_values(m, data)
         with pytest.raises(AssemblyError):
-            data.validate_on(m, side_values=data.chi_side_values(m))
+            data.validate_on(m, side_values=data.chi_side_values(m), boundary_values=boundary)
         # the given values are the ones checked
-        data.validate_on(m, side_values=np.zeros(m.n_sides))
+        data.validate_on(m, side_values=np.zeros(m.n_sides), boundary_values=boundary)
+        data.validate_on(m, side_values=data.chi_side_values(m),
+                         boundary_values=np.ones(m.n_sides))
 
     def test_dirichlet_dof_values(self):
         m = square_mesh(2)

@@ -21,6 +21,7 @@ from crobstacle.benchmarks import (
     pyramid,
     ring,
 )
+from util import validate_boundary
 
 
 # ----------------------------------------------------------------------
@@ -136,7 +137,7 @@ def test_ring_definition_shape():
     # the finest reported level (anchor errors pin this starting mesh)
     assert mesh.n_elements == 8
     assert abs(mesh.h_max - 3.0 * np.sqrt(2.0) / 2.0) < 1e-14
-    b.data.validate_on(mesh, side_values=b.data.chi_side_values(mesh))
+    validate_boundary(b.data, mesh)
 
 
 def test_ring_solution_values_and_contact():
@@ -209,7 +210,7 @@ def test_corner_definition_shape():
     mesh = b.initial_mesh()
     assert mesh.n_elements == 96
     assert abs(sum(mesh.areas) - 12.0) < 1e-12
-    b.data.validate_on(mesh, side_values=b.data.chi_side_values(mesh))
+    validate_boundary(b.data, mesh)
     assert b.data.exact.energy == CORNER_ENERGY
 
 
@@ -314,7 +315,7 @@ def test_pyramid_definition_shape():
     assert mesh.n_elements == 128
     assert b.data.exact is None
     assert b.data.f == 1.0
-    b.data.validate_on(mesh, side_values=b.data.chi_side_values(mesh))
+    validate_boundary(b.data, mesh)
 
 
 def test_pyramid_obstacle_is_boundary_distance():

@@ -369,3 +369,36 @@ def test_no_module_maps_physical_points_back_to_barycentric():
                    for owner, call in _calls_by_function(tree)
                    if getattr(call.func, "attr", None) == "barycentric_coordinates")
     assert calls == [], calls
+
+
+def _public_definitions(tree):
+    """Public functions, classes, methods and module constants a module defines."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name
+            if isinstance(node, ast.ClassDef):
+                yield from (f"{node.name}.{fn.name}" for fn in node.body
+                            if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (t.id for t in targets
+                        if isinstance(t, ast.Name) and not t.id.startswith("_"))
+
+
+def test_every_public_name_is_referenced():
+    # a public name that nothing reads is dead code: some module of src/,
+    # perfbench/ or tests/ must read it as a name or an attribute.  Names
+    # are matched by identifier alone, so this finds only names that no
+    # code reads at all; a definition is not a read
+    read = set()
+    for directory in (SRC, ROOT / "perfbench", ROOT / "tests"):
+        for path in directory.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+    unread = sorted(f"{module}.{name}" for module, tree in _program_modules().items()
+                    for name in _public_definitions(tree)
+                    if name.rpartition(".")[2] not in read)
+    assert unread == [], unread

@@ -26,10 +26,10 @@ from crobstacle.solver import (
     pdas_solve,
 )
 from crobstacle.sparse import (
-    BorderedKkt,
     LinearSolveError,
     SelectorPattern,
     SingularConstraintError,
+    selector_solve,
     solve_kkt,
     solve_spd,
 )
@@ -40,6 +40,7 @@ from crobstacle.spaces import (
     triangle_rule,
 )
 from crobstacle.spaces import prolong_cr, prolong_p0
+import oracles
 from oracles import (
     brute_force_solve,
     fresh_pdas_solve,
@@ -301,7 +302,7 @@ def test_multiplier_is_the_pdas_vector_on_every_element():
 
 
 # ----------------------------------------------------------------------
-# bordered updates against the refactor-every-iteration loop
+# selector iterates against the refactor-every-iteration loop
 # ----------------------------------------------------------------------
 def assert_same_iterate(out, ref):
     assert np.array_equal(out.state.free_values, ref.state.free_values)
@@ -320,7 +321,6 @@ def structured_system(bench, divisions):
 def test_pdas_bitwise_fresh_cold_ring(divisions):
     system = structured_system(ring(), divisions)
     out = pdas_solve(system=system)
-    assert any(row.solve == "bordered" for row in out.log)
     assert_same_iterate(out, fresh_pdas_solve(system=system))
 
 
@@ -368,17 +368,16 @@ def test_pdas_bitwise_fresh_warm_corner_levels(corner_warm_levels):
         assert_same_iterate(out, fresh_pdas_solve(system=system, init=init))
 
 
-def test_pdas_counts_fewer_factorizations_than_iterations(corner_warm_levels):
-    long = [out for _, init, out in corner_warm_levels
-            if init is not None and out.iterations >= 4]
-    assert long
-    for out in long:
-        assert out.factorizations < out.iterations
+def test_pdas_counts_one_factorization_per_constrained_iterate(corner_warm_levels):
+    assert any(out.iterations >= 4 for _, _, out in corner_warm_levels)
+    for _, _, out in corner_warm_levels:
         kinds = [row.solve for row in out.log]
-        assert kinds[0] == "fresh" and "bordered" in kinds
-        # one selector factorisation per fresh iterate, plus the solve_kkt
-        # re-solve of the returned constrained iterate
-        assert out.factorizations == kinds.count("fresh") + (kinds[-1] != "unconstrained")
+        constrained = sum(row.n_active > 0 for row in out.log)
+        assert kinds == ["fresh" if row.n_active else "unconstrained" for row in out.log]
+        # one selector factorisation per constrained iterate, plus the
+        # solve_kkt re-solve of the returned constrained iterate
+        assert out.state.active.any()
+        assert out.factorizations == constrained + 1
 
 
 def test_saddle_point_matrix_is_bmat_bitwise(corner_warm_levels, pyramid_warm_levels):
@@ -453,15 +452,15 @@ def minimum_degree_order(system):
     return np.argsort(lu.perm_c)
 
 
-def selector(system, act, pattern=None):
-    """The selector factorisation of ``system`` with base ``act``.
+def selector_solution(system, act, pattern=None):
+    """``(free, multipliers)`` of active mask ``act`` by one selector factorisation.
 
     Without ``pattern`` it is a build of a new :class:`SelectorPattern` in
     the system's nested-dissection order, as in ``pdas_solve``.
     """
     if pattern is None:
         pattern = selector_pattern(system)
-    return BorderedKkt(pattern, system.load, system.constraint_rhs, act)
+    return selector_solve(pattern, system.load, system.constraint_rhs, act)
 
 
 def relative_error(value, reference):
@@ -472,7 +471,7 @@ def relative_error(value, reference):
 def test_selector_factor_matches_solve_kkt(name, corner_warm_levels):
     system, act = selector_case(name, corner_warm_levels)
     cols = np.flatnonzero(act)
-    free, mult = selector(system, act).solve(act)
+    free, mult = selector_solution(system, act)
     ref_free, ref_mult, _ = solve_kkt(system.stiffness, system.coupling[:, cols],
                                       system.load, system.constraint_rhs[cols])
     assert cols.size > 0 and np.all(mult[~act] == 0.0)
@@ -515,9 +514,9 @@ def test_selector_matrix_has_the_stiffness_pattern(name, active, corner_warm_lev
     order = elimination_order(system)
     factored = captured_factorizations(monkeypatch)
     pattern = selector_pattern(system, order)
-    selector(system, act, pattern)
-    selector(system, act, pattern)
-    selector(system, act, selector_pattern(system, np.arange(order.size)))
+    selector_solution(system, act, pattern)
+    selector_solution(system, act, pattern)
+    selector_solution(system, act, selector_pattern(system, np.arange(order.size)))
     stiffness = symmetric_permutation(system.stiffness, order)
     [(first, first_options, _), (later, later_options, _), (plain, _, _)] = factored
     assert act.any() and np.any(stiffness.data == 0.0)
@@ -557,8 +556,8 @@ def test_condensed_matches_the_coo_sum(name, active, corner_warm_levels, monkeyp
     order = elimination_order(system)
     factored = captured_factorizations(monkeypatch)
     pattern = selector_pattern(system, order)
-    selector(system, act, pattern)
-    selector(system, other, pattern)
+    selector_solution(system, act, pattern)
+    selector_solution(system, other, pattern)
     B = sp.csc_array(system.coupling)
     for (matrix, _, _), mask in zip(factored, (act, other)):
         columns = B[:, np.flatnonzero(mask)]
@@ -580,11 +579,11 @@ def test_permuted_selector_solve_matches_the_first_build(name, active, corner_wa
     rng = np.random.default_rng(6)
     if active == "random":
         act = rng.random(act.size) < 0.3
-    first = selector(system, act, selector_pattern(system, minimum_degree_order(system)))
-    permuted = selector(system, act)
+    first = selector_pattern(system, minimum_degree_order(system))
+    permuted = selector_pattern(system)
     for changed in [act] + [random_changes(rng, act, count) for count in (1, 4, 16)]:
-        free, mult = permuted.solve(changed)
-        ref_free, ref_mult = first.solve(changed)
+        free, mult = selector_solution(system, changed, permuted)
+        ref_free, ref_mult = selector_solution(system, changed, first)
         assert relative_error(free, ref_free) <= 1e-12
         assert relative_error(mult, ref_mult) <= 1e-12
 
@@ -614,7 +613,7 @@ def test_nested_dissection_fill_against_minimum_degree(name, monkeypatch):
     # the counts are exact and the same on every machine
     system, act = fill_case(name)
     factored = captured_factorizations(monkeypatch)
-    selector(system, act)
+    selector_solution(system, act)
     [(P, options, lu)] = factored
     assert options["permc_spec"] == "NATURAL"
     columns = sp.csc_array(system.coupling)[:, np.flatnonzero(act)]
@@ -636,31 +635,24 @@ def test_refined_selector_solve_does_not_depend_on_the_panel_width(
     rng = np.random.default_rng(5)
     if active == "random":
         act = rng.random(act.size) < 0.3
-    chosen = selector(system, act)
+    pattern = selector_pattern(system)
     splu = sparse.spla.splu
 
     def default_panel(matrix, **kwargs):
         del kwargs["panel_size"]
         return splu(matrix, **kwargs)
 
-    with monkeypatch.context() as patch:
-        patch.setattr(sparse.spla, "splu", default_panel)
-        default = selector(system, act)
-    sets = [act]
-    for count in (1, 4, 16):
-        changed = act.copy()
-        flip = rng.choice(act.size, size=count, replace=False)
-        changed[flip] = ~changed[flip]
-        sets.append(changed)
-    for changed in sets:
-        free, mult = chosen.solve(changed)
-        ref_free, ref_mult = default.solve(changed)
+    for changed in [act] + [random_changes(rng, act, count) for count in (1, 4, 16)]:
+        free, mult = selector_solution(system, changed, pattern)
+        with monkeypatch.context() as patch:
+            patch.setattr(sparse.spla, "splu", default_panel)
+            ref_free, ref_mult = selector_solution(system, changed, pattern)
         assert relative_error(free, ref_free) <= 1e-12
         assert relative_error(mult, ref_mult) <= 1e-12
 
 
 @pytest.mark.parametrize("divisions", [8, 16])
-def test_selector_accepts_dependent_all_active_pyramid(divisions):
+def test_selector_accepts_dependent_all_active_pyramid(divisions, monkeypatch):
     # every element of the structured pyramid mesh active: the constraint
     # block has a one-dimensional null space (checkerboard of equal areas).
     # The regularised selector accepts the consistent system; its multiplier
@@ -670,11 +662,19 @@ def test_selector_accepts_dependent_all_active_pyramid(divisions):
     args = (system.stiffness, system.coupling, system.load, system.constraint_rhs)
     with pytest.raises(SingularConstraintError):
         solve_kkt(*args)
-    free, mult = selector(system, everything).solve(everything)
+    free, mult = selector_solution(system, everything)
     ref_free, ref_mult, residual = min_norm_kkt(*args)
     assert residual <= 1e-9 * system.scale
     assert relative_error(free, ref_free) <= 1e-10
     assert relative_error(mult, ref_mult) <= 1e-6
+    # pdas_solve on that set: one selector and the final solve_kkt attempt,
+    # which refuses the dependent set, so the selector iterate is returned,
+    # bitwise that of a build of the solve's pattern in the same order
+    script_active_sets(monkeypatch, [everything, everything])
+    out = pdas_solve(system=system)
+    assert [row.solve for row in out.log] == ["fresh"] and out.factorizations == 2
+    assert np.array_equal(out.state.free_values, free)
+    assert np.array_equal(out.state.multipliers, mult)
 
 
 def random_changes(rng, act, n_changes):
@@ -686,7 +686,8 @@ def random_changes(rng, act, n_changes):
 
 @pytest.mark.parametrize("bench, refinements", [(corner, 3), (pyramid, 1)])
 def test_bordered_matches_fresh_kkt_on_random_changes(bench, refinements):
-    # each step needs at most 16 new border columns, within the budget
+    # random active sets near a random one, each solved by its own build of
+    # the system's one pattern, against solve_kkt
     definition = bench()
     mesh = definition.initial_mesh()
     for _ in range(refinements):
@@ -694,10 +695,10 @@ def test_bordered_matches_fresh_kkt_on_random_changes(bench, refinements):
     system = build_system(mesh, definition.data)
     rng = np.random.default_rng(17)
     base = rng.random(system.dofmap.n_multipliers) < 0.3
-    kkt = selector(system, base)
+    pattern = selector_pattern(system)
     for n_changes in (1, 4, 9, 4, 16):
         act = random_changes(rng, base, n_changes)
-        free, mult = kkt.solve(act)
+        free, mult = selector_solution(system, act, pattern)
         ref_free, ref_mult = fresh_solve(system, act)
         assert np.all(mult[~act] == 0.0)
         assert relative_error(free, ref_free) <= 1e-10
@@ -712,77 +713,28 @@ def corner_system(refinements):
     return build_system(mesh, definition.data)
 
 
-def script_active_sets(monkeypatch, masks):
-    """Make ``pdas_solve`` visit the active sets ``masks`` in order."""
+def script_active_sets(monkeypatch, masks, module=solver):
+    """Make the ``pdas_solve`` of ``module`` visit the active sets ``masks`` in order."""
     script = iter(masks)
-    monkeypatch.setattr(solver, "active_set", lambda *_: next(script).copy())
+    monkeypatch.setattr(module, "active_set", lambda *_: next(script).copy())
 
 
-def test_refactors_when_new_columns_exceed_the_budget(monkeypatch):
-    monkeypatch.setattr(sparse, "_REFACTOR_COLUMNS", 2)
+def test_no_factorization_survives_an_unconstrained_iterate(monkeypatch):
+    # set -> nothing active -> the same set again: each constrained iterate
+    # gets its own selector, so the repeated set is factored again, to the
+    # same bits, and the result is that of the refactor-every-iteration loop
     system = corner_system(2)
     base = np.zeros(system.dofmap.n_multipliers, dtype=bool)
     base[::3] = True
-
-    def flipped(*indices):
-        act = base.copy()
-        act[list(indices)] = ~act[list(indices)]
-        return act
-
-    kkt = selector(system, base)
-    kkt.solve(flipped(0, 1))
-    # columns 0 and 1 are cached: one new column is within the budget
-    kkt.solve(flipped(0, 1, 2))
-    with pytest.raises(LinearSolveError, match="exceed"):
-        kkt.solve(flipped(3, 4, 5))
-    # pdas_solve then refactors onto a new base
-    script_active_sets(monkeypatch, [base, flipped(0, 1), flipped(0, 1, 2),
-                                     flipped(3, 4, 5), flipped(3, 4, 5)])
+    masks = [base, np.zeros_like(base), base, base]
+    script_active_sets(monkeypatch, masks)
+    script_active_sets(monkeypatch, masks, module=oracles)
     out = pdas_solve(system=system)
-    assert [row.solve for row in out.log] == ["fresh", "bordered", "bordered", "fresh"]
-    # two selector bases and the solve_kkt re-solve of the returned set
+    assert [row.solve for row in out.log] == ["fresh", "unconstrained", "fresh"]
+    # two selectors and the solve_kkt re-solve of the returned set
     assert out.factorizations == 3
-    ref_free, ref_mult = fresh_solve(system, flipped(3, 4, 5))
-    assert np.array_equal(out.state.free_values, ref_free)
-    assert np.array_equal(out.state.multipliers, ref_mult)
-
-
-def test_refactor_budget_is_a_speed_setting(corner_warm_levels, pyramid_warm_levels,
-                                            monkeypatch):
-    # the budget only decides whether an iterate is bordered or factored
-    # afresh: every returned iterate is the solve_kkt re-solve of the same
-    # active-set sequence, so only the factorisation count and the solve
-    # kinds may move (and the steps and residuals of the iterates before
-    # the last, which a bordered and a fresh selector round apart)
-    cases = [(structured_system(ring(), 24), None)]
-    cases += [(system, init) for system, init, _ in corner_warm_levels[1:]]
-    cases += [(system, init) for system, init, _ in pyramid_warm_levels[2:]]
-    assert len(cases) == 1 + 7 + 8
-    runs = {}
-    for budget in (0, 16, 64):
-        monkeypatch.setattr(sparse, "_REFACTOR_COLUMNS", budget)
-        runs[budget] = [pdas_solve(system=system, init=init) for system, init in cases]
-    for budget in (0, 64):
-        for out, ref in zip(runs[budget], runs[16]):
-            assert_same_iterate(out, ref)
-            assert [row.n_active for row in out.log] == [row.n_active for row in ref.log]
-    # no border at all refactors every constrained iterate
-    assert all(row.solve != "bordered" for out in runs[0] for row in out.log)
-    total = {budget: sum(out.factorizations for out in runs[budget]) for budget in runs}
-    assert total[0] > total[16] > total[64]
-
-
-def test_base_survives_an_unconstrained_iterate(monkeypatch):
-    # base -> nothing active -> base again: the base is kept over the
-    # unconstrained solve and the repeated set needs no border column
-    system = corner_system(2)
-    base = np.zeros(system.dofmap.n_multipliers, dtype=bool)
-    base[::3] = True
-    script_active_sets(monkeypatch, [base, np.zeros_like(base), base, base])
-    out = pdas_solve(system=system)
-    assert [row.solve for row in out.log] == ["fresh", "unconstrained", "bordered"]
-    assert out.factorizations == 2
     assert out.log[2].residual == out.log[0].residual
+    assert_same_iterate(out, fresh_pdas_solve(system=system))
 
 
 def held_elsewhere(objects):
@@ -819,49 +771,19 @@ def test_no_pattern_or_factor_outlives_its_solve(monkeypatch):
     assert held_elsewhere(factors) == []
 
 
-def test_bordered_dependent_column_goes_to_a_fresh_selector(monkeypatch):
-    # on a structured pyramid mesh the dual graph is bipartite with equal
-    # areas, so activating every element makes the constraints dependent;
-    # a base missing one element is regular, adding it back gives a
-    # singular Schur complement, and a new selector takes the system
-    system = structured_system(pyramid(), 8)
-    everything = np.ones(system.dofmap.n_multipliers, dtype=bool)
-    base = everything.copy()
-    base[0] = False
-    pattern = selector_pattern(system)
-    with pytest.raises(LinearSolveError, match="singular"):
-        selector(system, base, pattern).solve(everything)
-    script_active_sets(monkeypatch, [base, everything, everything])
-    out = pdas_solve(system=system)
-    assert [row.solve for row in out.log] == ["fresh", "fresh"]
-    # two selector bases and the final solve_kkt attempt, which refuses the
-    # dependent set: the selector iterate is returned.  It is a build of
-    # the solve's pattern, in the same order, as here
-    assert out.factorizations == 3
-    free, mult = selector(system, everything, pattern).solve(everything)
-    assert np.array_equal(out.state.free_values, free)
-    assert np.array_equal(out.state.multipliers, mult)
-    ref_free, ref_mult, _ = min_norm_kkt(system.stiffness, system.coupling,
-                                         system.load, system.constraint_rhs)
-    assert relative_error(free, ref_free) <= 1e-10
-    assert relative_error(mult, ref_mult) <= 1e-6
-
-
 def test_bordered_dependent_inconsistent_column_raises(monkeypatch):
-    # the two elements of a 1x1 grid share their only free side: adding the
-    # second constraint to a base holding the first one is dependent, and
-    # with different mean targets no solution exists.  Neither the bordered
-    # nor a fresh selector solve meets its residual bound, and the error
-    # names the iteration and the active count.
+    # the two elements of a 1x1 grid share their only free side: their two
+    # constraints are dependent, and with different mean targets no
+    # solution exists.  The selector solve misses its residual bound, and
+    # the error names the iteration and the active count.
     mesh = grid_mesh(1, 1)
     data = ProblemData(name="incons", f=-50.0, chi=lambda p: p[..., 0],
                        dirichlet_data=1.0)
     system = build_system(mesh, data)
     first, both = np.array([True, False]), np.array([True, True])
-    with pytest.raises(LinearSolveError):
-        selector(system, first).solve(both)
+    selector_solution(system, first)
     with pytest.raises(LinearSolveError, match="refined residual"):
-        selector(system, both)
+        selector_solution(system, both)
     script_active_sets(monkeypatch, [first, both])
     with pytest.raises(SolverError, match=r"PDAS iteration 2: .* of 2 constraints") as err:
         pdas_solve(system=system)

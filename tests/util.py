@@ -270,6 +270,7 @@ def random_small_problem(rng, index):
     # tie-free shift between order statistics of the defect keeps the final
     # active set away from full contact, where structured grids can have a
     # non-unique multiplier.
+    from crobstacle.assembly import dirichlet_dof_values
     from crobstacle.solver import build_system, pdas_solve
     from crobstacle.sparse import solve_spd
 
@@ -280,8 +281,10 @@ def random_small_problem(rng, index):
         free = np.zeros(0)
     defect = np.sort(sysd.element_means(free) - sysd.chi_h.values)
     nm = defect.size
+    # the largest lift that keeps the obstacle's side averages below the
+    # boundary data's, the rule of ProblemData.validate_on
     dmask = mesh.dirichlet_side_mask
-    cap = float(np.min(data.dirichlet_values_at(mesh.side_midpoints[dmask])
+    cap = float(np.min(dirichlet_dof_values(mesh, data)[dmask]
                        - data.chi_side_values(mesh)[dmask]))
     for k in (max(2, nm // 3), 2, 1):
         if k > nm - 2:
@@ -296,6 +299,14 @@ def random_small_problem(rng, index):
         if out.converged and out.state.active.any() and not out.state.active.all():
             return mesh, candidate
     return mesh, data
+
+
+def validate_boundary(data, mesh):
+    """``data.validate_on(mesh)`` with the values ``build_system`` gives it."""
+    from crobstacle.assembly import dirichlet_dof_values
+
+    data.validate_on(mesh, side_values=data.chi_side_values(mesh),
+                     boundary_values=dirichlet_dof_values(mesh, data))
 
 
 def broken_energy(mesh, full_dofs, f_values):
